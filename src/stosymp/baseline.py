@@ -67,22 +67,13 @@ def midpoint_step(model: HamiltonianModel, z: PhaseState, inc: StepIncrements,
     d = model.d
     x0, y0 = z.x, z.y
 
-    def drift(x, y):
-        fx = 0.0
-        fy = 0.0
-        for r in range(model.m + 1):
-            w = inc.delta[r]
-            fx = fx + model.grad_y[r](x, y) * w
-            fy = fy - model.grad_x[r](x, y) * w
-        return fx, fy
-
     def residual(w):
         x1, y1 = w[:d], w[d:]
         mx, my = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-        fx, fy = drift(mx, my)
+        fx, fy = model.field(mx, my, inc.delta)
         return np.concatenate([x1 - x0 - fx, y1 - y0 - fy])
 
-    fx0, fy0 = drift(x0, y0)  # explicit Euler predictor
+    fx0, fy0 = model.field(x0, y0, inc.delta)  # explicit Euler predictor
     w = _newton(residual, np.concatenate([x0 + fx0, y0 + fy0]), cfg)
     return PhaseState(w[:d], w[d:])
 

@@ -15,10 +15,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import harness, nls as nlsmod
-from .core import PhaseState, build_noise_grid
+from .core import PhaseState, build_noise_grid, verify_gradients
 from .modelzoo import get_example
 from .project import NoConvergence, ProjectionConfig, simulate
-from .splitflow import strang_recipe, symplectic_residual_phase
+from .splitflow import symplectic_residual_phase
 
 DEFAULT_DT_LIST = "0.03125,0.015625,0.0078125,0.00390625"  # 2^-5 .. 2^-8
 
@@ -57,6 +57,13 @@ def _positive(text: str) -> float:
     return v
 
 
+def _positive_int(text: str) -> int:
+    v = int(text)
+    if v <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return v
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stosymp",
@@ -76,9 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "or a comma list per channel (default 0)")
         p.add_argument("--c", type=float, default=0.5, help="noise Hamiltonian scale")
         p.add_argument("--tol", type=_positive, default=1e-12)
-        p.add_argument("--max-iter", type=int, default=50)
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker count; 1 guarantees bit-reproducibility")
+        p.add_argument("--max-iter", type=_positive_int, default=50)
         p.add_argument("--out", default=None, help="output CSV path")
 
     p_run = sub.add_parser("run", help="simulate a single path and dump the trajectory")
@@ -94,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_order.add_argument("--ref-dt", type=_positive, default=None,
                          help="reference step (default min(dt_list)/16)")
     p_order.add_argument("--t-end", type=_positive, default=1.0)
-    p_order.add_argument("--paths", type=int, default=200)
+    p_order.add_argument("--paths", type=_positive_int, default=200)
 
     p_timing = sub.add_parser("timing", help="CPU time comparison on identical noise")
     common(p_timing, scheme=False)
@@ -103,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_timing.add_argument("--dt-list", default=DEFAULT_DT_LIST)
     p_timing.add_argument("--ref-dt", type=_positive, default=None)
     p_timing.add_argument("--t-end", type=_positive, default=1.0)
-    p_timing.add_argument("--paths", type=int, default=1)
+    p_timing.add_argument("--paths", type=_positive_int, default=1)
 
     p_track = sub.add_parser("track", help="invariant / defect series along one path")
     common(p_track)
@@ -119,11 +124,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_nls.add_argument("--h", type=_positive, default=1.0)
     p_nls.add_argument("--x-left", type=float, default=-5.0)
     p_nls.add_argument("--x-right", type=float, default=5.0)
-    p_nls.add_argument("--modes", type=int, default=10)
+    p_nls.add_argument("--modes", type=_positive_int, default=10)
     p_nls.add_argument("--recipe", default="strang-ab", choices=sorted(nlsmod.RECIPES))
     p_nls.add_argument("--seed", type=int, default=0)
     p_nls.add_argument("--tol", type=_positive, default=1e-13)
-    p_nls.add_argument("--max-iter", type=int, default=50)
+    p_nls.add_argument("--max-iter", type=_positive_int, default=50)
     p_nls.add_argument("--out", default=None)
 
     p_check = sub.add_parser("check", help="gradient and symplecticity self-checks")
@@ -307,8 +312,6 @@ def cmd_nls(args) -> int:
 
 
 def cmd_check(args) -> int:
-    from .core import verify_gradients
-
     example = get_example(args.example, c=args.c)
     radius = 0.3 if args.example in ("ex2", "ex4") else 1.0
     rep = verify_gradients(example.model, samples=100, fd_step=1e-5, tol=1e-6,
@@ -318,17 +321,9 @@ def cmd_check(args) -> int:
           f"(worst deviation {rep.worst:.3e})")
 
     # spot-check symplecticity of one projected Strang step at fixed noise
-    model = example.model
-    grid = build_noise_grid(args.seed, 0, model.m, 0.0, 1e-2, 2)
-    recipe = strang_recipe(np.full(model.m + 1,
-                                   args.gamma if np.ndim(args.gamma) == 0 else 0.0))
-    cfg = ProjectionConfig(tol=1e-13)
-
-    def one_step(z):
-        from .project import projection_step
-        return projection_step(model, recipe, z, grid, 0, cfg, 2)[0]
-
-    res = symplectic_residual_phase(one_step, example.z0, 1e-5)
+    grid = build_noise_grid(args.seed, 0, example.model.m, 0.0, 1e-2, 2)
+    stepper = harness.make_stepper("ses-sp-2", example, grid, 2, args.gamma, tol=1e-13)
+    res = symplectic_residual_phase(lambda z: stepper(z, 0)[0], example.z0, 1e-5)
     sym_ok = res <= 1e-5
     ok = ok and sym_ok
     print(f"symplecticity: {'pass' if sym_ok else 'FAIL'} (residual {res:.3e})")
@@ -345,6 +340,13 @@ def cmd_check(args) -> int:
 
 
 def dispatch(args) -> int:
+    gamma = getattr(args, "gamma", 0.0)
+    if np.ndim(gamma):
+        channels = get_example(args.example).model.m + 1
+        if len(gamma) != channels:
+            print(f"error: --gamma lists {len(gamma)} values; {args.example} needs 1 or "
+                  f"{channels} (one per channel, drift channel first)", file=sys.stderr)
+            return 2
     try:
         return {
             "run": cmd_run,

@@ -51,6 +51,18 @@ class HamiltonianModel:
             if len(fns) != self.m + 1:
                 raise ValueError(f"{name} must have m+1 = {self.m + 1} entries")
 
+    def field(self, x, y, delta):
+        """Vector-field increment ``(sum_r delta_r dH_r/dy, -sum_r delta_r dH_r/dx)``
+        at (x, y), summed in channel order.  Subclasses may override it with a
+        fused evaluation of the same sums."""
+        fx = 0.0
+        fy = 0.0
+        for r in range(self.m + 1):
+            w = delta[r]
+            fx = fx + self.grad_y[r](x, y) * w
+            fy = fy - self.grad_x[r](x, y) * w
+        return fx, fy
+
 
 @dataclass(frozen=True)
 class PhaseState:

@@ -2,22 +2,31 @@
 cubic Schrodinger equation with multiplicative Q-Wiener noise.
 
 Interior-node finite differences in space (one-sided bidiagonal operators
-with homogeneous Dirichlet data), two explicitly solvable subflows in time,
-and the same symmetric projection machinery as the finite-dimensional
-schemes.  The spatial derivative fields are always recomputed from (Q, P);
-they are never independent state.
+with homogeneous Dirichlet data) turn the equation into a stochastic
+Hamiltonian system in (Q, P).  ``NlsModel`` is that system as a
+``HamiltonianModel`` with d = n_interior and one noise channel per mode, and
+the scheme is the shared engine applied to it: an F1/F2 composition recipe
+with no restraint stage (gamma = 0, which keeps the discrete charge) and the
+symmetric projection of ``projection_step``.  The spatial derivative fields
+are always recomputed from (Q, P); they are never independent state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import ExtendedState, NoiseGrid, step_windows
-from .project import NoConvergence, ProjectionConfig, ProjectionReport, project_map
+# step_windows and project_map are not called here; perfbench/tracing.py
+# patches those names on this module
+from .core import (ExtendedState, HamiltonianModel, NoiseGrid, PhaseState,
+                   step_windows)
+from .project import (ProjectionConfig, ProjectionReport, project_map,
+                      projection_step)
+from .splitflow import CompositionRecipe, FlowId, compose
 
 
 @dataclass(frozen=True)
@@ -56,6 +65,21 @@ class NlsLattice:
         n = self.n_interior
         return (np.diag(np.ones(n)) + np.diag(-np.ones(n - 1), -1)) / self.h
 
+    @cached_property
+    def model(self) -> NlsModel:
+        """The lattice as a Hamiltonian model, built once per lattice."""
+        lap = self.laplacian
+        hs = [lambda x, y: (0.5 * (x @ lap(x) + y @ lap(y))
+                            + 0.25 * np.sum((x * x + y * y) ** 2))]
+        gxs = [lambda x, y: lap(x) + (x * x + y * y) * x]
+        gys = [lambda x, y: lap(y) + (x * x + y * y) * y]
+        for g in (self.emat * self.lam_sqrt).T:
+            hs.append(lambda x, y, g=g: -0.5 * ((x * x + y * y) @ g))
+            gxs.append(lambda x, y, g=g: -x * g)
+            gys.append(lambda x, y, g=g: -y * g)
+        return NlsModel(d=self.n_interior, m=self.modes, h=tuple(hs), grad_x=tuple(gxs),
+                        grad_y=tuple(gys), label="nls", lattice=self)
+
 
 def build_lattice(x_left: float = -5.0, x_right: float = 5.0, n_interior: int = 9,
                   modes: int = 10) -> NlsLattice:
@@ -77,12 +101,6 @@ class NlsState:
     q: np.ndarray
     p: np.ndarray
 
-    def b(self, lattice: NlsLattice) -> np.ndarray:
-        return lattice.dminus(self.q)
-
-    def theta(self, lattice: NlsLattice) -> np.ndarray:
-        return lattice.dminus(self.p)
-
 
 def noise_vector(lattice: NlsLattice, dbeta: np.ndarray) -> np.ndarray:
     """Spatial noise increment E * diag(sqrt(lambda)) * dbeta."""
@@ -92,46 +110,49 @@ def noise_vector(lattice: NlsLattice, dbeta: np.ndarray) -> np.ndarray:
     return lattice.emat @ (lattice.lam_sqrt * dbeta)
 
 
+@dataclass(frozen=True, kw_only=True)
+class NlsModel(HamiltonianModel):
+    """The lattice in (x, y) = (Q, P), single path:
+    H_0 = 1/2 q'Lq + 1/2 p'Lp + 1/4 sum (q^2+p^2)^2 and
+    H_r = -1/2 sum (q^2+p^2) e_r sqrt(lambda_r), r = 1..modes, with L the
+    discrete Laplacian and e_r the r-th spectral basis vector at the nodes."""
+
+    lattice: NlsLattice
+
+    def field(self, x, y, delta):
+        """The channel sums fused: one Laplacian per block and the noise as
+        one mat-vec."""
+        lat = self.lattice
+        w = noise_vector(lat, delta[1:])
+        cubic = x * x + y * y
+        return (delta[0] * (lat.laplacian(y) + cubic * y) - y * w,
+                x * w - delta[0] * (lat.laplacian(x) + cubic * x))
+
+
 def subflow_a(lattice: NlsLattice, s: ExtendedState, tau: float,
               dbeta: np.ndarray) -> ExtendedState:
-    """Freezes (q, v); advances (u, y).  Extended blocks are laid out as
-    (x, u, y, v) = (Q, X, P, Y)."""
-    q, x, p, y = s.x, s.u, s.y, s.v
-    w = noise_vector(lattice, dbeta)
-    cubic = q * q + y * y
-    p_new = p - tau * (lattice.laplacian(q) + cubic * q) + q * w
-    x_new = x + tau * (lattice.laplacian(y) + cubic * y) - y * w
-    return ExtendedState(q, x_new, p_new, y)
+    """F1 of the lattice model: freezes (q, v); advances (u, y).  Extended
+    blocks are laid out as (x, u, y, v) = (Q, X, P, Y); ``tau`` may be
+    negative."""
+    du, dy = lattice.model.field(s.x, s.v, np.concatenate(([tau], dbeta)))
+    return ExtendedState(s.x, s.u + du, s.y + dy, s.v)
 
 
 def subflow_b(lattice: NlsLattice, s: ExtendedState, tau: float,
               dbeta: np.ndarray) -> ExtendedState:
-    """Freezes (u, y); advances (q, v); mirror image of subflow_a."""
-    q, x, p, y = s.x, s.u, s.y, s.v
-    w = noise_vector(lattice, dbeta)
-    cubic = p * p + x * x
-    q_new = q + tau * (lattice.laplacian(p) + cubic * p) - p * w
-    y_new = y - tau * (lattice.laplacian(x) + cubic * x) + x * w
-    return ExtendedState(q_new, x, p, y_new)
+    """F2 of the lattice model: freezes (u, y); advances (q, v)."""
+    dx, dv = lattice.model.field(s.u, s.y, np.concatenate(([tau], dbeta)))
+    return ExtendedState(s.x + dx, s.u, s.y, s.v + dv)
 
 
-RECIPES = {
-    "lie-ab": (("a", Fraction(1)), ("b", Fraction(1))),
-    "lie-ba": (("b", Fraction(1)), ("a", Fraction(1))),
-    "strang-ab": (("a", Fraction(1, 2)), ("b", Fraction(1)), ("a", Fraction(1, 2))),
-    "strang-ba": (("b", Fraction(1, 2)), ("a", Fraction(1)), ("b", Fraction(1, 2))),
-}
-
-
-def _stage_increments(recipe_name: str, grid: NoiseGrid, step: int,
-                      substeps: Optional[int]):
-    stages = RECIPES[recipe_name]
-    iters = {}
-    for fam in ("a", "b"):
-        fracs = [frac for f, frac in stages if f == fam]
-        if fracs:
-            iters[fam] = iter(step_windows(grid, step, fracs, substeps))
-    return [(fam, next(iters[fam])) for fam, _ in stages]
+_A, _B, _HALF = FlowId.F1, FlowId.F2, Fraction(1, 2)
+# no F3 stage, so the restraint constants are never read
+RECIPES = {name: CompositionRecipe(stages, ()) for name, stages in {
+    "lie-ab": ((_A, 1), (_B, 1)),
+    "lie-ba": ((_B, 1), (_A, 1)),
+    "strang-ab": ((_A, _HALF), (_B, 1), (_A, _HALF)),
+    "strang-ba": ((_B, _HALF), (_A, 1), (_B, _HALF)),
+}.items()}
 
 
 def nls_step(lattice: NlsLattice, recipe: str, s: NlsState, grid: NoiseGrid, step: int,
@@ -140,25 +161,9 @@ def nls_step(lattice: NlsLattice, recipe: str, s: NlsState, grid: NoiseGrid, ste
     """One projected multi-symplectic step on (Q, P)."""
     if recipe not in RECIPES:
         raise KeyError(f"unknown recipe {recipe!r}; choose from {sorted(RECIPES)}")
-    incs = _stage_increments(recipe, grid, step, substeps)
-
-    def apply(ext: ExtendedState, scale: float) -> ExtendedState:
-        out = ext
-        for fam, inc in incs:
-            tau = scale * inc.delta[0]
-            dbeta = scale * inc.delta[1:]
-            out = subflow_a(lattice, out, tau, dbeta) if fam == "a" \
-                else subflow_b(lattice, out, tau, dbeta)
-        return out
-
-    def map_at_scale(theta):
-        return lambda ext: apply(ext, theta)
-
-    lifted = ExtendedState(s.q, s.q.copy(), s.p, s.p.copy())
-    corrected, rep = project_map(lambda ext: apply(ext, 1.0), lifted, cfg,
-                                 map_at_scale)
-    return NlsState(0.5 * (corrected.x + corrected.u),
-                    0.5 * (corrected.y + corrected.v)), rep
+    z, rep = projection_step(lattice.model, RECIPES[recipe], PhaseState(s.q, s.p),
+                             grid, step, cfg, substeps)
+    return NlsState(z.x, z.y), rep
 
 
 def compose_unprojected(lattice: NlsLattice, recipe: str, ext: ExtendedState,
@@ -166,13 +171,7 @@ def compose_unprojected(lattice: NlsLattice, recipe: str, ext: ExtendedState,
                         substeps: Optional[int] = None) -> ExtendedState:
     """The raw extended-space composition, without projection (for defect
     contrast experiments)."""
-    out = ext
-    for fam, inc in _stage_increments(recipe, grid, step, substeps):
-        tau = inc.delta[0]
-        dbeta = inc.delta[1:]
-        out = subflow_a(lattice, out, tau, dbeta) if fam == "a" \
-            else subflow_b(lattice, out, tau, dbeta)
-    return out
+    return compose(RECIPES[recipe], lattice.model, ext, grid, step, substeps)
 
 
 def charge(s: NlsState) -> float:

@@ -16,8 +16,8 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .core import ExtendedState, HamiltonianModel, NoiseGrid, PhaseState
-from .splitflow import CompositionRecipe, apply_stages, stage_increments
+from .core import ExtendedState, HamiltonianModel, NoiseGrid, PhaseState, StepIncrements
+from .splitflow import CompositionRecipe, apply_stages, f3_trig, stage_increments
 
 
 @dataclass(frozen=True)
@@ -219,9 +219,6 @@ def projection_step(model: HamiltonianModel, recipe: CompositionRecipe, z: Phase
 
 
 def _project_with_incs(model, recipe, z, incs, cfg):
-    from .core import StepIncrements
-    from .splitflow import f3_trig
-
     trig = f3_trig(recipe, incs)
 
     def map_fn(s):

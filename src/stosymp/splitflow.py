@@ -16,7 +16,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import ExtendedState, HamiltonianModel, NoiseGrid, StepIncrements, step_windows
+from .core import (ExtendedState, HamiltonianModel, NoiseGrid, PhaseState, StepIncrements,
+                   step_windows)
 
 
 class FlowId(enum.Enum):
@@ -73,23 +74,13 @@ def strang_recipe(gammas) -> CompositionRecipe:
 
 def flow_f1(model: HamiltonianModel, s: ExtendedState, inc: StepIncrements) -> ExtendedState:
     """Shear driven by H_r(x, v): updates (u, y), freezes (x, v)."""
-    du = 0.0
-    dy = 0.0
-    for r in range(model.m + 1):
-        w = inc.delta[r]
-        du = du + model.grad_y[r](s.x, s.v) * w
-        dy = dy - model.grad_x[r](s.x, s.v) * w
+    du, dy = model.field(s.x, s.v, inc.delta)
     return ExtendedState(s.x, s.u + du, s.y + dy, s.v)
 
 
 def flow_f2(model: HamiltonianModel, s: ExtendedState, inc: StepIncrements) -> ExtendedState:
     """Shear driven by H_r(u, y): updates (x, v), freezes (u, y)."""
-    dx = 0.0
-    dv = 0.0
-    for r in range(model.m + 1):
-        w = inc.delta[r]
-        dx = dx + model.grad_y[r](s.u, s.y) * w
-        dv = dv - model.grad_x[r](s.u, s.y) * w
+    dx, dv = model.field(s.u, s.y, inc.delta)
     return ExtendedState(s.x + dx, s.u, s.y, s.v + dv)
 
 
@@ -227,8 +218,6 @@ def symplectic_residual_extended(map_fn: Callable[[ExtendedState], ExtendedState
 def symplectic_residual_phase(map_fn: Callable, z, fd_step: float) -> float:
     """Same test for a map on the original phase space; ``map_fn`` takes and
     returns a PhaseState."""
-    from .core import PhaseState  # local import to avoid cycle in type hints
-
     if fd_step <= 0:
         raise ValueError("fd_step must be positive")
     d = z.x.shape[0]

@@ -20,6 +20,13 @@ def test_zero_dt_is_usage_error():
     with pytest.raises(SystemExit) as err:
         parse_args(["run", "--example", "ex1", "--dt", "0", "--t-end", "1"])
     assert err.value.code == 2
+    for argv in (["order", "--max-iter", "0"], ["order", "--paths", "0"],
+                 ["timing", "--paths", "-1"],
+                 ["nls", "--dt", "0.1", "--t-end", "1", "--modes", "0"],
+                 ["nls", "--dt", "0.1", "--t-end", "1", "--max-iter", "0"]):
+        with pytest.raises(SystemExit) as err:
+            parse_args(argv)
+        assert err.value.code == 2
 
 
 def test_unknown_flag_is_usage_error():
@@ -101,6 +108,19 @@ def test_nls_bad_spacing_exit_2(tmp_path, capsys):
 def test_check_command():
     assert run_cli(["check", "--example", "ex1"]) == 0
     assert run_cli(["check", "--example", "ex3"]) == 0
+
+
+def test_gamma_uniform_list_matches_scalar(capsys):
+    assert run_cli(["check", "--example", "ex1", "--gamma", "0.3"]) == 0
+    scalar = capsys.readouterr().out
+    assert run_cli(["check", "--example", "ex1", "--gamma", "0.3,0.3"]) == 0
+    assert capsys.readouterr().out == scalar
+
+
+def test_gamma_list_of_wrong_length_exit_2(tmp_path):
+    code = run_cli(["run", "--example", "ex1", "--dt", "0.1", "--t-end", "0.2",
+                    "--gamma", "0.1,0.2,0.3", "--out", str(tmp_path / "r.csv")])
+    assert code == 2
 
 
 def test_csv_has_17_significant_digits(tmp_path):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stosymp.core import ExtendedState, NoiseGrid, build_noise_grid
+from stosymp.core import (ExtendedState, HamiltonianModel, NoiseGrid, build_noise_grid,
+                          verify_gradients)
 from stosymp.nls import (build_lattice, charge, compose_unprojected, nls_initial,
                          nls_step, noise_vector, subflow_a, subflow_b, NlsState,
                          RECIPES)
@@ -186,3 +188,28 @@ def test_build_lattice_validation():
         build_lattice(1.0, 1.0, 3, 2)
     with pytest.raises(ValueError):
         build_lattice(0.0, 1.0, 0, 2)
+
+
+def test_lattice_model_gradients_match_hamiltonians():
+    lat = build_lattice(-5.0, 5.0, 9, modes=4)
+    model = lat.model
+    assert (model.d, model.m) == (9, 4)
+    rep = verify_gradients(model, samples=20, seed=3)
+    assert rep.passed, rep.worst
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fused_field_matches_channel_sum(data):
+    n = data.draw(st.integers(1, 12))
+    modes = data.draw(st.integers(1, 6))
+    coords = st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)
+    x, y = np.array(data.draw(coords)), np.array(data.draw(coords))
+    tau = data.draw(st.floats(-0.2, 0.2))
+    dbeta = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=modes, max_size=modes))
+    delta = np.array([tau] + dbeta)
+    model = build_lattice(-5.0, 5.0, n, modes).model
+    fused = model.field(x, y, delta)
+    generic = HamiltonianModel.field(model, x, y, delta)
+    for a, b in zip(fused, generic):
+        assert np.max(np.abs(a - b)) <= 1e-13
