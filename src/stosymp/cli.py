@@ -184,9 +184,20 @@ def _out_path(args, default: str) -> str:
     return args.out if args.out else default
 
 
-def cmd_run(args) -> int:
-    example = get_example(args.example, c=args.c)
+class UsageError(Exception):
+    """Flags that parse but describe no runnable job; ``dispatch`` exits 2."""
+
+
+def _step_count(args) -> int:
     n_steps = int(round(args.t_end / args.dt))
+    if n_steps < 1:
+        raise UsageError(f"--t-end {args.t_end:g} holds no step of --dt {args.dt:g}")
+    return n_steps
+
+
+def cmd_run(args) -> int:
+    n_steps = _step_count(args)
+    example = get_example(args.example, c=args.c)
     grid = build_noise_grid(args.seed, 0, example.model.m, 0.0, n_steps * args.dt,
                             n_steps * 2)
     stepper = harness.make_stepper(args.scheme, example, grid, 2, args.gamma,
@@ -203,14 +214,18 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _dt_list(args):
-    return tuple(float(p) for p in str(args.dt_list).split(","))
+def _dt_grid(args) -> tuple:
+    dts = tuple(float(p) for p in str(args.dt_list).split(","))
+    ref_dt = args.ref_dt if args.ref_dt else min(dts) / 16.0
+    problem = harness.grid_mismatch(args.t_end, dts, ref_dt)
+    if problem:
+        raise UsageError(problem)
+    return dts, ref_dt
 
 
 def cmd_order(args) -> int:
+    dts, ref_dt = _dt_grid(args)
     example = get_example(args.example, c=args.c)
-    dts = _dt_list(args)
-    ref_dt = args.ref_dt if args.ref_dt else min(dts) / 16.0
     rows = []
     summary = []
     for scheme in args.schemes:
@@ -232,10 +247,10 @@ def cmd_order(args) -> int:
 
 
 def cmd_timing(args) -> int:
+    dts, ref_dt = _dt_grid(args)
     example = get_example(args.example, c=args.c)
-    dts = _dt_list(args)
     rows = harness.cpu_compare(example, args.schemes, dts, args.paths, args.t_end,
-                               args.seed, args.gamma, args.ref_dt, args.tol)
+                               args.seed, args.gamma, ref_dt, args.tol)
     out = _out_path(args, f"timing_{args.example}.csv")
     write_csv(out, ["scheme", "dt", "err", "wall_s"],
               [[r.scheme, r.dt, r.err_norm, r.wall] for r in rows])
@@ -246,6 +261,7 @@ def cmd_timing(args) -> int:
 
 
 def cmd_track(args) -> int:
+    _step_count(args)
     example = get_example(args.example, c=args.c)
     names = [s.strip() for s in args.invariants.split(",") if s.strip()]
     traj, series = harness.track(example, args.scheme, args.t_end, args.dt, names,
@@ -272,12 +288,10 @@ def cmd_nls(args) -> int:
     span = args.x_right - args.x_left
     n_cells = span / args.h
     if abs(round(n_cells) - n_cells) > 1e-9 or round(n_cells) < 2:
-        print(f"error: h={args.h} does not tile [{args.x_left}, {args.x_right}]",
-              file=sys.stderr)
-        return 2
+        raise UsageError(f"h={args.h} does not tile [{args.x_left}, {args.x_right}]")
     lattice = nlsmod.build_lattice(args.x_left, args.x_right, int(round(n_cells)) - 1,
                                    args.modes)
-    n_steps = int(round(args.t_end / args.dt))
+    n_steps = _step_count(args)
     grid = build_noise_grid(args.seed, 0, args.modes, 0.0, n_steps * args.dt,
                             n_steps * 2)
     cfg = ProjectionConfig(tol=args.tol, max_iter=args.max_iter)
@@ -341,13 +355,12 @@ def cmd_check(args) -> int:
 
 def dispatch(args) -> int:
     gamma = getattr(args, "gamma", 0.0)
-    if np.ndim(gamma):
-        channels = get_example(args.example).model.m + 1
-        if len(gamma) != channels:
-            print(f"error: --gamma lists {len(gamma)} values; {args.example} needs 1 or "
-                  f"{channels} (one per channel, drift channel first)", file=sys.stderr)
-            return 2
     try:
+        if np.ndim(gamma):
+            channels = get_example(args.example).model.m + 1
+            if len(gamma) != channels:
+                raise UsageError(f"--gamma lists {len(gamma)} values; {args.example} needs "
+                                 f"1 or {channels} (one per channel, drift channel first)")
         return {
             "run": cmd_run,
             "order": cmd_order,
@@ -356,6 +369,9 @@ def dispatch(args) -> int:
             "nls": cmd_nls,
             "check": cmd_check,
         }[args.command](args)
+    except UsageError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     except NoConvergence as err:
         print(f"error: numerical failure: {err}"
               + (f" (step {err.step})" if err.step is not None else ""),

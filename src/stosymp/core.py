@@ -287,8 +287,21 @@ def step_windows(grid: NoiseGrid, step: int, split: Sequence, substeps: Optional
 
 
 # ---------------------------------------------------------------------------
-# Gradient verification
+# Finite differences and gradient verification
 # ---------------------------------------------------------------------------
+
+def fd_jacobian(fn: Callable, w: np.ndarray, step: float) -> np.ndarray:
+    """Central-difference Jacobian of ``fn`` at ``w``: column j is d fn / d w_j.
+    ``w`` and ``fn(w)`` have shape (k,) or (k, n_paths); the Jacobian is
+    (k, k), or (k, k, n_paths) with one matrix per path."""
+    jac = np.empty(w.shape[:1] + w.shape)
+    e = np.zeros_like(w)
+    for j in range(len(w)):
+        e[j] = step
+        jac[:, j] = (fn(w + e) - fn(w - e)) / (2 * step)
+        e[j] = 0.0
+    return jac
+
 
 @dataclass
 class GradientReport:

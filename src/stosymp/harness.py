@@ -14,7 +14,7 @@ from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from .baseline import ImplicitSolverConfig, midpoint_step, symplectic_euler_step
+from .baseline import midpoint_step, symplectic_euler_step
 from .core import NoiseGrid, PhaseState, build_noise_grid, build_noise_grid_batch, step_windows
 from .modelzoo import ExampleSpec
 from .project import ProjectionConfig, Trajectory, projection_step, simulate
@@ -27,25 +27,18 @@ def make_stepper(scheme: str, example: ExampleSpec, grid: NoiseGrid, substeps: i
                  gamma, tol: float = 1e-12, max_iter: int = 50) -> Callable:
     """Bind a scheme id to a one-step callable ``(z, step) -> (z', report)``."""
     model = example.model
+    cfg = ProjectionConfig(tol=tol, max_iter=max_iter)
     if scheme in ("ses-sp-1", "ses-sp-2"):
         gammas = np.full(model.m + 1, gamma) if np.ndim(gamma) == 0 else np.asarray(gamma)
         recipe = lie_recipe(gammas) if scheme == "ses-sp-1" else strang_recipe(gammas)
-        cfg = ProjectionConfig(tol=tol, max_iter=max_iter)
 
         def stepper(z, step):
             return projection_step(model, recipe, z, grid, step, cfg, substeps)
-    elif scheme == "midpoint":
-        cfg = ImplicitSolverConfig(tol=tol, max_iter=max_iter)
-
+    elif scheme in ("midpoint", "sympeuler"):
         def stepper(z, step):
             (inc,) = step_windows(grid, step, [1], substeps)
-            return midpoint_step(model, z, inc, cfg), None
-    elif scheme == "sympeuler":
-        cfg = ImplicitSolverConfig(tol=tol, max_iter=max_iter)
-
-        def stepper(z, step):
-            (inc,) = step_windows(grid, step, [1], substeps)
-            return symplectic_euler_step(model, z, inc, cfg), None
+            implicit = midpoint_step if scheme == "midpoint" else symplectic_euler_step
+            return implicit(model, z, inc, cfg), None
     else:
         raise KeyError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     return stepper
@@ -68,9 +61,25 @@ class ConvergenceSpec:
     def __post_init__(self):
         if self.paths < 1:
             raise ValueError("at least 1 path required")
-        for dt in self.dt_list:
-            if abs(round(dt / self.ref_dt) - dt / self.ref_dt) > 1e-9:
-                raise ValueError(f"ref_dt {self.ref_dt} does not divide dt {dt}")
+        problem = grid_mismatch(self.t_end, self.dt_list, self.ref_dt, self.fine_factor)
+        if problem:
+            raise ValueError(problem)
+
+
+def grid_mismatch(t_end: float, dt_list: Sequence[float], ref_dt: float,
+                  fine_factor: int = 2) -> Optional[str]:
+    """Why a step of ``dt_list`` cannot run on the shared noise grid of
+    ``fine_factor`` fine steps per ``ref_dt`` over [0, t_end], or None."""
+    if min(dt_list) <= 0 or ref_dt <= 0:
+        return f"steps must be positive (dt {list(dt_list)}, ref_dt {ref_dt})"
+    n_fine = int(round(t_end / ref_dt)) * fine_factor
+    for dt in dt_list:
+        if abs(round(dt / ref_dt) - dt / ref_dt) > 1e-9:
+            return f"ref_dt {ref_dt} does not divide dt {dt}"
+        n_steps = int(round(t_end / dt))
+        if n_steps < 1 or n_fine % n_steps:
+            return f"dt {dt} does not tile t_end {t_end} on the ref_dt {ref_dt} grid"
+    return None
 
 
 @dataclass
@@ -101,12 +110,9 @@ def fit_slope(dts: Sequence[float], errs: Sequence[float]) -> float:
 
 def _run_final(spec: ConvergenceSpec, grid: NoiseGrid, dt: float) -> tuple:
     n_steps = int(round(spec.t_end / dt))
-    substeps = grid.n_fine // n_steps
-    if substeps * n_steps != grid.n_fine:
-        raise ValueError("grid resolution incompatible with dt")
+    substeps = grid.n_fine // n_steps   # exact: ConvergenceSpec checked the tiling
     stepper = make_stepper(spec.scheme, spec.example, grid, substeps, spec.gamma,
                            spec.tol, spec.max_iter)
-    d = spec.example.model.d
     z = PhaseState(np.repeat(spec.example.z0.x[:, None], spec.paths, axis=1),
                    np.repeat(spec.example.z0.y[:, None], spec.paths, axis=1))
     t_start = time.perf_counter()

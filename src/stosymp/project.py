@@ -5,27 +5,33 @@ The lifted state is perturbed by A'lambda, pushed through the extended-space
 integrator with frozen noise, and corrected by the same A'lambda so the result
 returns to the diagonal ker(A), with A = [I -I 0 0; 0 0 I -I].  lambda is
 found by a simplified Newton iteration with the constant Jacobian
-approximation 4I (note AA' = 2I), falling back to a finite-difference Newton
-solve on demand.
+approximation 4I (note AA' = 2I), falling back to ``newton``, the one
+finite-difference Newton solver that the implicit baselines use as well.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .core import ExtendedState, HamiltonianModel, NoiseGrid, PhaseState, StepIncrements
+from .core import (ExtendedState, HamiltonianModel, NoiseGrid, PhaseState, StepIncrements,
+                   fd_jacobian)
 from .splitflow import CompositionRecipe, apply_stages, f3_trig, stage_increments
+
+
+FD_STEP = 1e-7  # central-difference step of every Newton Jacobian
 
 
 @dataclass(frozen=True)
 class ProjectionConfig:
+    """Stopping rule of every implicit solve: the projection iteration, its
+    Newton fallback and the implicit baselines."""
+
     tol: float = 1e-12
     max_iter: int = 50
-    fallback_full_newton: bool = True
-    fd_step: float = 1e-7  # used only by the fallback Jacobian
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -69,124 +75,108 @@ def _max_norm(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(sq.max() if sq.ndim else sq))
 
 
+def _perturbed(map_fn, s0: ExtendedState, l1, l2):
+    """Map output at s0 + A'lambda and the x, y blocks of A out + 2 lambda."""
+    out = map_fn(ExtendedState(s0.x + l1, s0.u - l1, s0.y + l2, s0.v - l2))
+    return out, out.x - out.u + 2.0 * l1, out.y - out.v + 2.0 * l2
+
+
+def newton(residual: Callable, w0: np.ndarray, cfg: ProjectionConfig):
+    """Newton iteration with a central-difference Jacobian, solved per path;
+    ``w0`` is (k,) or (k, n_paths).  Converged when every path's Euclidean
+    residual norm is below ``cfg.tol``; a non-finite norm or a singular
+    Jacobian stops it unconverged.  Returns (w, converged, iterations)."""
+    w = w0.copy()
+    batched = w.ndim == 2
+    with np.errstate(all="ignore"):
+        for it in range(cfg.max_iter + 1):
+            r = residual(w)
+            norm = math.sqrt((r * r).sum(axis=0).max() if batched else r.dot(r))
+            if not math.isfinite(norm) or norm < cfg.tol or it == cfg.max_iter:
+                return w, norm < cfg.tol, it
+            jac = fd_jacobian(residual, w, FD_STEP)
+            try:
+                if batched:   # jac[i, j, p] = dr_i/dw_j for path p: one system per path
+                    step = np.linalg.solve(np.moveaxis(jac, -1, 0), r.T[..., None])[..., 0].T
+                else:
+                    step = np.linalg.solve(jac, r)
+            except np.linalg.LinAlgError:
+                return w, False, it
+            w = w - step
+
+
 def project_map(map_fn: Callable[[ExtendedState], ExtendedState], s0: ExtendedState,
                 cfg: ProjectionConfig, map_at_scale: Optional[Callable] = None):
     """Solve the symmetric-projection equation for an arbitrary extended map.
 
     ``map_fn`` must re-evaluate with the same frozen noise at every iterate.
-    ``map_at_scale(theta)``, when given, returns the map with all step
-    increments scaled by theta; it enables a homotopy fallback that follows
-    the solution branch from the identity when plain iteration fails.
+    A batch whose simplified Newton iteration diverges or stalls goes, as a
+    whole, to full Newton and then, when ``map_at_scale(theta)`` is given
+    (the map with all step increments scaled by theta), to a homotopy that
+    follows the solution branch from the identity.
     Returns (corrected extended state on ker(A), report).
     """
     l1 = np.zeros_like(s0.x)
     l2 = np.zeros_like(s0.y)
     guard = 1e6 * (1.0 + _max_norm(s0.x, s0.y))
     iterations = 0
-    delta = np.inf
-    converged = False
-    out = None
+
+    def finish(l1, l2, iterations, delta, used_fallback):
+        out, g1, g2 = _perturbed(map_fn, s0, l1, l2)
+        defect_pre = _max_norm(out.x - out.u, out.y - out.v)
+        residual = _max_norm(g1, g2)
+        corrected = ExtendedState(out.x + l1, out.u - l1, out.y + l2, out.v - l2)
+        rep = ProjectionReport(np.concatenate([l1, l2]), iterations, delta,
+                               defect_pre, residual, used_fallback)
+        return corrected, rep
+
     with np.errstate(all="ignore"):
         for _ in range(cfg.max_iter):
-            out = map_fn(ExtendedState(s0.x + l1, s0.u - l1, s0.y + l2, s0.v - l2))
-            g1 = out.x - out.u + 2.0 * l1
-            g2 = out.y - out.v + 2.0 * l2
+            _, g1, g2 = _perturbed(map_fn, s0, l1, l2)
             delta = 0.25 * _max_norm(g1, g2)   # update size of l -= g/4
             l1 = l1 - 0.25 * g1
             l2 = l2 - 0.25 * g2
             iterations += 1
             bad = _max_norm(l1, l2)
             if bad > guard or not np.isfinite(bad):
-                if cfg.fallback_full_newton and s0.x.ndim == 1:
-                    l1 = np.zeros_like(s0.x)   # restart the fallback from zero
-                    l2 = np.zeros_like(s0.y)
-                    break
-                rep = ProjectionReport(np.concatenate([l1, l2]), iterations, delta,
-                                       np.nan, np.nan)
-                raise NoConvergence("projection iteration diverged", rep)
+                l1 = np.zeros_like(s0.x)   # restart the fallback from zero
+                l2 = np.zeros_like(s0.y)
+                break
             if delta < cfg.tol:
-                converged = True
+                corrected, rep = finish(l1, l2, iterations, delta, False)
+                if rep.residual <= 10.0 * cfg.tol:
+                    return corrected, rep
                 break
 
-    def finish(l1, l2, iterations, delta, used_fallback, out=None):
-        if out is None:
-            out = map_fn(ExtendedState(s0.x + l1, s0.u - l1, s0.y + l2, s0.v - l2))
-        defect_pre = _max_norm(out.x - out.u, out.y - out.v)
-        residual = _max_norm(out.x - out.u + 2.0 * l1, out.y - out.v + 2.0 * l2)
-        corrected = ExtendedState(out.x + l1, out.u - l1, out.y + l2, out.v - l2)
-        rep = ProjectionReport(np.concatenate([l1, l2]), iterations, delta,
-                               defect_pre, residual, used_fallback)
-        return corrected, rep
-
-    if converged:
-        corrected, rep = finish(l1, l2, iterations, delta, False)
+    d = s0.x.shape[0]
+    lam, ok, extra = _full_newton(map_fn, s0, np.concatenate([l1, l2]), cfg)
+    if not ok and map_at_scale is not None:
+        lam, ok, more = _continuation(map_at_scale, s0, cfg)
+        extra += more
+    if ok:
+        corrected, rep = finish(lam[:d], lam[d:], iterations + extra, 0.0, True)
         if rep.residual <= 10.0 * cfg.tol:
             return corrected, rep
-        converged = False
-
-    if cfg.fallback_full_newton and s0.x.ndim == 1:
-        d = s0.x.shape[0]
-        lam, ok, extra = _full_newton(map_fn, s0, np.concatenate([l1, l2]), cfg)
-        if not ok and map_at_scale is not None:
-            lam, ok, more = _continuation(map_at_scale, s0, cfg)
-            extra += more
-        if ok:
-            corrected, rep = finish(lam[:d], lam[d:], iterations + extra, 0.0, True)
-            if rep.residual <= 10.0 * cfg.tol:
-                return corrected, rep
-        rep = ProjectionReport(lam, iterations + extra, np.nan, np.nan, np.nan, True)
-        raise NoConvergence("full Newton fallback did not converge", rep)
-
-    rep = ProjectionReport(np.concatenate([l1, l2]), iterations, float(delta),
-                           np.nan, np.nan)
-    raise NoConvergence(f"no convergence after {iterations} iterations", rep)
-
-
-def _residual_fn(map_fn, s0: ExtendedState):
-    d = s0.x.shape[0]
-
-    def g(lam):
-        a, b = lam[:d], lam[d:]
-        out = map_fn(ExtendedState(s0.x + a, s0.u - a, s0.y + b, s0.v - b))
-        return np.concatenate([out.x - out.u + 2.0 * a, out.y - out.v + 2.0 * b])
-
-    return g
+    rep = ProjectionReport(lam, iterations + extra, np.nan, np.nan, np.nan, True)
+    raise NoConvergence("full Newton fallback did not converge", rep)
 
 
 def _full_newton(map_fn, s0: ExtendedState, lam0, cfg: ProjectionConfig):
-    """Finite-difference Newton on the projection residual; returns
-    (lam, converged, iterations)."""
-    g = _residual_fn(map_fn, s0)
-    k = lam0.shape[0]
-    lam = lam0.copy()
-    with np.errstate(all="ignore"):
-        for it in range(cfg.max_iter):
-            r = g(lam)
-            if not np.all(np.isfinite(r)):
-                return lam, False, it
-            if np.linalg.norm(r) < cfg.tol:
-                return lam, True, it
-            jac = np.empty((k, k))
-            for j in range(k):
-                e = np.zeros(k)
-                e[j] = cfg.fd_step
-                jac[:, j] = (g(lam + e) - g(lam - e)) / (2 * cfg.fd_step)
-            if not np.all(np.isfinite(jac)):
-                return lam, False, it
-            try:
-                step = np.linalg.solve(jac, r)
-            except np.linalg.LinAlgError:
-                return lam, False, it
-            lam = lam - step
-        r = g(lam)
-    ok = bool(np.all(np.isfinite(r)) and np.linalg.norm(r) < cfg.tol)
-    return lam, ok, cfg.max_iter
+    """Newton on the projection residual A map(s0 + A'lambda) + 2 lambda;
+    returns (lam, converged, iterations)."""
+    d = s0.x.shape[0]
+
+    def g(lam):
+        return np.concatenate(_perturbed(map_fn, s0, lam[:d], lam[d:])[1:])
+
+    return newton(g, lam0, cfg)
 
 
 def _continuation(map_at_scale, s0: ExtendedState, cfg: ProjectionConfig):
     """Homotopy in the increment scale: follow lambda from the identity map
-    (theta = 0, lambda = 0) up to the full step (theta = 1)."""
-    lam = np.zeros(2 * s0.x.shape[0])
+    (theta = 0, lambda = 0) up to the full step (theta = 1), with one theta
+    schedule for the whole batch."""
+    lam = np.zeros((2 * s0.x.shape[0],) + s0.x.shape[1:])
     theta = 0.0
     h = 0.5
     total = 0
@@ -208,17 +198,9 @@ def _continuation(map_at_scale, s0: ExtendedState, cfg: ProjectionConfig):
 def projection_step(model: HamiltonianModel, recipe: CompositionRecipe, z: PhaseState,
                     grid: NoiseGrid, step: int, cfg: ProjectionConfig,
                     substeps: Optional[int] = None):
-    """One semi-explicit symplectic step on the original phase space.
-
-    Batched states retry non-trivial failures path by path so that the
-    unbatched fallback chain (full Newton, then homotopy continuation)
-    remains available.
-    """
+    """One semi-explicit symplectic step on the original phase space; ``z``
+    may carry a trailing batch axis."""
     incs = stage_increments(recipe, grid, step, substeps)  # frozen for all iterates
-    return _project_with_incs(model, recipe, z, incs, cfg)
-
-
-def _project_with_incs(model, recipe, z, incs, cfg):
     trig = f3_trig(recipe, incs)
 
     def map_fn(s):
@@ -229,33 +211,8 @@ def _project_with_incs(model, recipe, z, incs, cfg):
         strig = f3_trig(recipe, incs, theta)
         return lambda s: apply_stages(recipe, model, s, scaled, strig)
 
-    try:
-        corrected, rep = project_map(map_fn, lift(z), cfg, map_at_scale)
-        return restrict(corrected), rep
-    except NoConvergence:
-        if z.x.ndim != 2:
-            raise
-    # per-path retry with the scalar fallback chain
-    n = z.x.shape[1]
-    xs = np.empty_like(z.x)
-    ys = np.empty_like(z.y)
-    lams, iters, deltas, defects, residuals = [], 0, 0.0, 0.0, 0.0
-    fallback = False
-    for j in range(n):
-        zj = PhaseState(z.x[:, j], z.y[:, j])
-        incs_j = [StepIncrements(inc.delta[:, j]) for inc in incs]
-        out, repj = _project_with_incs(model, recipe, zj, incs_j, cfg)
-        xs[:, j] = out.x
-        ys[:, j] = out.y
-        lams.append(repj.lam)
-        iters = max(iters, repj.iterations)
-        deltas = max(deltas, repj.final_delta)
-        defects = max(defects, repj.defect_pre)
-        residuals = max(residuals, repj.residual)
-        fallback = fallback or repj.used_fallback
-    rep = ProjectionReport(np.stack(lams, axis=1), iters, deltas, defects,
-                           residuals, fallback)
-    return PhaseState(xs, ys), rep
+    corrected, rep = project_map(map_fn, lift(z), cfg, map_at_scale)
+    return restrict(corrected), rep
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import (ExtendedState, HamiltonianModel, NoiseGrid, PhaseState, StepIncrements,
-                   step_windows)
+                   fd_jacobian, step_windows)
 
 
 class FlowId(enum.Enum):
@@ -163,19 +163,13 @@ def compose(recipe: CompositionRecipe, model: HamiltonianModel, s: ExtendedState
 # Symplecticity diagnostics (finite-difference Jacobian tests)
 # ---------------------------------------------------------------------------
 
-def _fd_jacobian(fn: Callable, v0: np.ndarray, fd_step: float) -> np.ndarray:
-    n = v0.size
-    jac = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = fd_step
-        jac[:, j] = (fn(v0 + e) - fn(v0 - e)) / (2 * fd_step)
+def _two_form_residual(vec_map: Callable, v0: np.ndarray, fd_step: float,
+                       form: np.ndarray) -> float:
+    if fd_step <= 0:
+        raise ValueError("fd_step must be positive")
+    jac = fd_jacobian(vec_map, v0, fd_step)
     if not np.all(np.isfinite(jac)):
         raise FloatingPointError("non-finite Jacobian")
-    return jac
-
-
-def _two_form_residual(jac: np.ndarray, form: np.ndarray) -> float:
     return float(np.max(np.abs(jac.T @ form @ jac - form)))
 
 
@@ -202,8 +196,6 @@ def symplectic_residual_extended(map_fn: Callable[[ExtendedState], ExtendedState
                                  s: ExtendedState, fd_step: float) -> float:
     """max |M' J M - J| for the 4d x 4d finite-difference Jacobian M of the
     one-step extended map at fixed noise."""
-    if fd_step <= 0:
-        raise ValueError("fd_step must be positive")
     d = s.x.shape[0]
 
     def vec_map(v):
@@ -212,14 +204,12 @@ def symplectic_residual_extended(map_fn: Callable[[ExtendedState], ExtendedState
         return np.concatenate([out.x, out.u, out.y, out.v])
 
     v0 = np.concatenate([s.x, s.u, s.y, s.v])
-    return _two_form_residual(_fd_jacobian(vec_map, v0, fd_step), extended_form_matrix(d))
+    return _two_form_residual(vec_map, v0, fd_step, extended_form_matrix(d))
 
 
 def symplectic_residual_phase(map_fn: Callable, z, fd_step: float) -> float:
     """Same test for a map on the original phase space; ``map_fn`` takes and
     returns a PhaseState."""
-    if fd_step <= 0:
-        raise ValueError("fd_step must be positive")
     d = z.x.shape[0]
 
     def vec_map(v):
@@ -227,4 +217,4 @@ def symplectic_residual_phase(map_fn: Callable, z, fd_step: float) -> float:
         return np.concatenate([out.x, out.y])
 
     v0 = np.concatenate([z.x, z.y])
-    return _two_form_residual(_fd_jacobian(vec_map, v0, fd_step), phase_form_matrix(d))
+    return _two_form_residual(vec_map, v0, fd_step, phase_form_matrix(d))

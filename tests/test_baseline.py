@@ -6,6 +6,7 @@ from stosymp.baseline import (ImplicitSolverConfig, midpoint_step,
 from stosymp.core import (HamiltonianModel, PhaseState, StepIncrements,
                           build_noise_grid)
 from stosymp.modelzoo import get_example
+from stosymp.project import NoConvergence
 from stosymp.splitflow import symplectic_residual_phase
 
 
@@ -106,6 +107,16 @@ def test_sympeuler_fd_hessians_match_analytic():
     a = symplectic_euler_step(ex.model, z0, inc)
     b = symplectic_euler_step(stripped, z0, inc)
     assert max(abs(a.x[0] - b.x[0]), abs(a.y[0] - b.y[0])) <= 1e-8
+
+
+def test_midpoint_singular_jacobian_is_noconvergence():
+    # H0 = xy with dt = 2: the x-row of the midpoint residual is -2 x0 for
+    # every x1, so its Jacobian is singular
+    model = HamiltonianModel(d=1, m=0, h=(lambda x, y: x[0] * y[0],),
+                             grad_x=(lambda x, y: y.copy(),),
+                             grad_y=(lambda x, y: x.copy(),))
+    with pytest.raises(NoConvergence):
+        midpoint_step(model, PhaseState([1.0], [1.0]), StepIncrements([2.0]))
 
 
 def test_invalid_solver_config():

@@ -123,6 +123,24 @@ def test_gamma_list_of_wrong_length_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--example", "ex1", "--dt", "1", "--t-end", "0.1"],
+    ["track", "--example", "ex1", "--dt", "1", "--t-end", "0.1"],
+    ["nls", "--dt", "1", "--t-end", "0.1"],
+    ["order", "--example", "ex1", "--dt-list", "0.03", "--ref-dt", "0.01",
+     "--paths", "2", "--t-end", "0.1"],
+    ["order", "--example", "ex1", "--dt-list", "0.03", "--ref-dt", "0.007",
+     "--paths", "2", "--t-end", "0.1"],
+    ["timing", "--example", "ex1", "--dt-list", "0.03", "--ref-dt", "0.01",
+     "--t-end", "0.1"],
+], ids=["run-zero-steps", "track-zero-steps", "nls-zero-steps", "order-untiled-dt",
+        "order-ref-dt-not-dividing", "timing-untiled-dt"])
+def test_unrunnable_step_sizes_exit_2(argv, tmp_path, capsys):
+    assert run_cli(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not list(tmp_path.iterdir())
+
+
 def test_csv_has_17_significant_digits(tmp_path):
     out = tmp_path / "r.csv"
     run_cli(["run", "--example", "ex1", "--dt", "0.01", "--t-end", "0.02",

@@ -42,27 +42,34 @@ def test_project_constant_defect_fixed_point():
     assert abs(out.x[0] - out.u[0]) <= 1e-12
 
 
-def test_divergence_guard():
-    s0 = lift(PhaseState([0.0], [0.0]))
-
+@pytest.mark.filterwarnings("error")
+def test_no_solution_raises():
+    # the copy gap 1 - (x - u) keeps the residual at 1 whatever lambda is, so
+    # the simplified iteration stalls and the Newton Jacobian is singular
     def map_fn(s):
-        val = -5.0 * (s.x - s.u) + 4.0
+        val = 1.0 - (s.x - s.u)
         return ExtendedState(0.5 * val, -0.5 * val, s.y, s.v)
 
-    with pytest.raises(NoConvergence):
-        project_map(map_fn, s0, ProjectionConfig(fallback_full_newton=False))
+    for shape in ((1,), (1, 3)):
+        s0 = lift(PhaseState(np.zeros(shape), np.zeros(shape)))
+        with pytest.raises(NoConvergence) as err:
+            project_map(map_fn, s0, ProjectionConfig())
+        assert err.value.report.used_fallback
 
 
 def test_full_newton_fallback():
-    s0 = lift(PhaseState([0.0], [0.0]))
-
+    # the simplified iteration diverges (factor 3); Newton finds lambda = 0.5
     def map_fn(s):
         val = -5.0 * (s.x - s.u) + 4.0
         return ExtendedState(0.5 * val, -0.5 * val, s.y, s.v)
 
-    out, rep = project_map(map_fn, s0, ProjectionConfig())
-    assert rep.used_fallback
-    assert np.allclose(rep.lam, [0.5, 0.0], atol=1e-10)
+    for shape in ((1,), (1, 3)):
+        s0 = lift(PhaseState(np.zeros(shape), np.zeros(shape)))
+        out, rep = project_map(map_fn, s0, ProjectionConfig())
+        assert rep.used_fallback
+        assert rep.lam.shape == (2,) + shape[1:]
+        assert np.allclose(rep.lam[0], 0.5, atol=1e-10)
+        assert np.allclose(rep.lam[1], 0.0, atol=1e-10)
 
 
 def test_rotation_oracle_strang():
