@@ -14,8 +14,8 @@ from .project import (NoConvergence, ProjectionConfig, ProjectionReport,
                       simulate)
 from .baseline import ImplicitSolverConfig, midpoint_step, symplectic_euler_step
 from .modelzoo import EXAMPLES, ExampleSpec, get_example
-from .harness import (SCHEMES, ConvergenceSpec, OrderReport, TimingRow,
-                      cpu_compare, fit_slope, make_stepper, ms_error, track)
+from .harness import (SCHEMES, ConvergenceSpec, OrderReport, fit_slope, make_stepper,
+                      ms_error, track)
 from . import nls
 
 __version__ = "0.1.0"
@@ -32,7 +32,7 @@ __all__ = [
     "lift", "project_map", "projection_step", "restrict", "simulate",
     "ImplicitSolverConfig", "midpoint_step", "symplectic_euler_step",
     "EXAMPLES", "ExampleSpec", "get_example",
-    "SCHEMES", "ConvergenceSpec", "OrderReport", "TimingRow", "cpu_compare",
-    "fit_slope", "make_stepper", "ms_error", "track",
+    "SCHEMES", "ConvergenceSpec", "OrderReport", "fit_slope", "make_stepper",
+    "ms_error", "track",
     "nls",
 ]

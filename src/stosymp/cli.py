@@ -1,9 +1,11 @@
 """Command-line front end: trajectories, convergence orders, timing tables,
 invariant tracking, the Schrodinger lattice simulator, and model self-checks.
 
-Flags take precedence over a ``--config`` file of ``key = value`` lines
-(``#`` comments allowed).  All outputs are CSV with 17 significant digits;
-identical invocation and seed give byte-identical files.
+A ``--config`` file of ``key = value`` lines (``#`` comments allowed) is read
+as ``--key=value`` flags placed before the command line's own, so it gets the
+same checks and any flag given on the command line wins.  All outputs are CSV
+with 17 significant digits; identical invocation and seed give byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import harness, nls as nlsmod
-from .core import PhaseState, build_noise_grid, verify_gradients
+from .core import build_noise_grid, verify_gradients
 from .modelzoo import get_example
 from .project import NoConvergence, ProjectionConfig, simulate
 from .splitflow import symplectic_residual_phase
@@ -39,6 +41,10 @@ def write_csv(path: str, header: Sequence[str], rows) -> None:
 def _parse_gamma(text: str):
     parts = [float(p) for p in text.split(",")]
     return parts[0] if len(parts) == 1 else parts
+
+
+def _dt_list(text: str) -> tuple:
+    return tuple(float(p) for p in text.split(","))
 
 
 def _scheme_list(text: str):
@@ -71,20 +77,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "Hamiltonian systems, with convergence and invariant harnesses.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def shared(p):
+        p.add_argument("--config", help="file of 'key = value' lines read as flags "
+                                        "(command-line flags win)")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--tol", type=_positive, default=ProjectionConfig.tol)
+        p.add_argument("--max-iter", type=_positive_int, default=ProjectionConfig.max_iter)
+        p.add_argument("--out", default=None, help="output CSV path")
+
     def common(p, scheme=True):
-        p.add_argument("--config", help="file of 'key = value' lines merged with "
-                                        "flags (flags win)")
+        shared(p)
         p.add_argument("--example", default="ex1", choices=["ex1", "ex2", "ex3", "ex4"])
         if scheme:
             p.add_argument("--scheme", default="ses-sp-1", choices=harness.SCHEMES)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--gamma", type=_parse_gamma, default=0.0,
                        help="restraint constant; scalar applied to all channels "
                             "or a comma list per channel (default 0)")
         p.add_argument("--c", type=float, default=0.5, help="noise Hamiltonian scale")
-        p.add_argument("--tol", type=_positive, default=1e-12)
-        p.add_argument("--max-iter", type=_positive_int, default=50)
-        p.add_argument("--out", default=None, help="output CSV path")
 
     p_run = sub.add_parser("run", help="simulate a single path and dump the trajectory")
     common(p_run)
@@ -95,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_order, scheme=False)
     p_order.add_argument("--schemes", type=_scheme_list,
                          default=["ses-sp-1", "ses-sp-2", "midpoint"])
-    p_order.add_argument("--dt-list", default=DEFAULT_DT_LIST)
+    p_order.add_argument("--dt-list", type=_dt_list, default=DEFAULT_DT_LIST)
     p_order.add_argument("--ref-dt", type=_positive, default=None,
                          help="reference step (default min(dt_list)/16)")
     p_order.add_argument("--t-end", type=_positive, default=1.0)
@@ -105,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_timing, scheme=False)
     p_timing.add_argument("--schemes", type=_scheme_list,
                           default=["ses-sp-1", "ses-sp-2", "midpoint"])
-    p_timing.add_argument("--dt-list", default=DEFAULT_DT_LIST)
+    p_timing.add_argument("--dt-list", type=_dt_list, default=DEFAULT_DT_LIST)
     p_timing.add_argument("--ref-dt", type=_positive, default=None)
     p_timing.add_argument("--t-end", type=_positive, default=1.0)
     p_timing.add_argument("--paths", type=_positive_int, default=1)
@@ -118,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma list of registered invariant names")
 
     p_nls = sub.add_parser("nls", help="stochastic cubic Schrodinger lattice run")
-    p_nls.add_argument("--config")
+    shared(p_nls)
+    p_nls.set_defaults(tol=1e-13)
     p_nls.add_argument("--dt", type=_positive, required=True)
     p_nls.add_argument("--t-end", type=_positive, required=True)
     p_nls.add_argument("--h", type=_positive, default=1.0)
@@ -126,19 +136,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_nls.add_argument("--x-right", type=float, default=5.0)
     p_nls.add_argument("--modes", type=_positive_int, default=10)
     p_nls.add_argument("--recipe", default="strang-ab", choices=sorted(nlsmod.RECIPES))
-    p_nls.add_argument("--seed", type=int, default=0)
-    p_nls.add_argument("--tol", type=_positive, default=1e-13)
-    p_nls.add_argument("--max-iter", type=_positive_int, default=50)
-    p_nls.add_argument("--out", default=None)
 
     p_check = sub.add_parser("check", help="gradient and symplecticity self-checks")
     common(p_check)
+    p_check.set_defaults(tol=1e-13)
 
     return parser
 
 
-def _load_config(path: str) -> dict:
-    values = {}
+def _config_flags(path: str) -> list:
+    """``--key=value`` for each ``key = value`` line of a config file."""
+    flags = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -147,32 +155,22 @@ def _load_config(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, val = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = val
-    return values
+            flags.append(f"--{key.replace('_', '-')}={val}")
+    return flags
 
 
 def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     parser = build_parser()
+    argv = list(argv)
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
         try:
-            values = _load_config(args.config)
+            flags = _config_flags(args.config)
         except (OSError, ValueError) as err:
             parser.error(str(err))
-        unknown = set(values) - set(vars(args))
-        if unknown:
-            parser.error(f"unknown config keys: {sorted(unknown)}")
-        # flags given on the command line take precedence over the config file
-        given = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
-        sub = parser._subparsers._group_actions[0].choices[args.command]
-        for action in sub._actions:
-            if action.dest in values and not (set(action.option_strings) & given):
-                raw = values[action.dest]
-                try:
-                    val = action.type(raw) if action.type is not None else raw
-                except (ValueError, argparse.ArgumentTypeError) as err:
-                    parser.error(f"config key {action.dest}: {err}")
-                setattr(args, action.dest, val)
+        # right after the command, so the command line's own flags come later and win
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:at] + flags + argv[at:])
     return args
 
 
@@ -195,14 +193,11 @@ def _step_count(args) -> int:
     return n_steps
 
 
-def cmd_run(args) -> int:
+def cmd_run(args, cfg: ProjectionConfig) -> int:
     n_steps = _step_count(args)
     example = get_example(args.example, c=args.c)
-    grid = build_noise_grid(args.seed, 0, example.model.m, 0.0, n_steps * args.dt,
-                            n_steps * 2)
-    stepper = harness.make_stepper(args.scheme, example, grid, 2, args.gamma,
-                                   args.tol, args.max_iter)
-    traj = simulate(stepper, example.z0, n_steps, args.dt)
+    traj, _ = harness.track(example, args.scheme, args.t_end, args.dt, [], args.seed,
+                            args.gamma, cfg, keep_states=True)
     d = example.model.d
     header = ["t"] + [f"x{i+1}" for i in range(d)] + [f"y{i+1}" for i in range(d)]
     rows = [[t] + list(z.x) + list(z.y) for t, z in zip(traj.times, traj.states)]
@@ -214,30 +209,28 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _dt_grid(args) -> tuple:
-    dts = tuple(float(p) for p in str(args.dt_list).split(","))
-    ref_dt = args.ref_dt if args.ref_dt else min(dts) / 16.0
-    problem = harness.grid_mismatch(args.t_end, dts, ref_dt)
+def _order_reports(args, cfg: ProjectionConfig):
+    """One ``OrderReport`` per scheme of ``--schemes``, all on the same noise."""
+    ref_dt = args.ref_dt if args.ref_dt else min(args.dt_list) / 16.0
+    problem = harness.grid_mismatch(args.t_end, args.dt_list, ref_dt)
     if problem:
         raise UsageError(problem)
-    return dts, ref_dt
-
-
-def cmd_order(args) -> int:
-    dts, ref_dt = _dt_grid(args)
     example = get_example(args.example, c=args.c)
+    for scheme in args.schemes:
+        yield harness.ms_error(harness.ConvergenceSpec(
+            example, scheme, args.t_end, args.dt_list, ref_dt, args.paths, args.seed,
+            args.gamma, cfg))
+
+
+def cmd_order(args, cfg: ProjectionConfig) -> int:
     rows = []
     summary = []
-    for scheme in args.schemes:
-        spec = harness.ConvergenceSpec(example, scheme, args.t_end, dts, ref_dt,
-                                       args.paths, args.seed, args.gamma, args.tol,
-                                       args.max_iter)
-        rep = harness.ms_error(spec)
+    for rep in _order_reports(args, cfg):
         for i, dt in enumerate(rep.dts):
-            rows.append([scheme, dt, rep.err_x[i], rep.err_y[i], rep.err_norm[i],
+            rows.append([rep.scheme, dt, rep.err_x[i], rep.err_y[i], rep.err_norm[i],
                          rep.se_x[i], rep.se_y[i], rep.wall[i],
                          rep.slope_x, rep.slope_y])
-        summary.append(f"{scheme}: slope_x={rep.slope_x:.3f} slope_y={rep.slope_y:.3f}")
+        summary.append(f"{rep.scheme}: slope_x={rep.slope_x:.3f} slope_y={rep.slope_y:.3f}")
     out = _out_path(args, f"order_{args.example}.csv")
     write_csv(out, ["scheme", "dt", "err_x", "err_y", "err_norm", "se_x", "se_y",
                     "wall_s", "slope_x", "slope_y"], rows)
@@ -246,26 +239,23 @@ def cmd_order(args) -> int:
     return 0
 
 
-def cmd_timing(args) -> int:
-    dts, ref_dt = _dt_grid(args)
-    example = get_example(args.example, c=args.c)
-    rows = harness.cpu_compare(example, args.schemes, dts, args.paths, args.t_end,
-                               args.seed, args.gamma, ref_dt, args.tol)
+def cmd_timing(args, cfg: ProjectionConfig) -> int:
+    """Wall-clock time (noise generation excluded) and error per scheme per step."""
+    rows = [[rep.scheme, dt, err, wall] for rep in _order_reports(args, cfg)
+            for dt, err, wall in zip(rep.dts, rep.err_norm, rep.wall)]
     out = _out_path(args, f"timing_{args.example}.csv")
-    write_csv(out, ["scheme", "dt", "err", "wall_s"],
-              [[r.scheme, r.dt, r.err_norm, r.wall] for r in rows])
-    fastest = min(rows, key=lambda r: r.wall)
-    print(f"timing {args.example}: fastest {fastest.scheme} at dt={fastest.dt:g} "
-          f"({fastest.wall:.3f}s) -> {out}")
+    write_csv(out, ["scheme", "dt", "err", "wall_s"], rows)
+    scheme, dt, _, wall = min(rows, key=lambda r: r[3])
+    print(f"timing {args.example}: fastest {scheme} at dt={dt:g} ({wall:.3f}s) -> {out}")
     return 0
 
 
-def cmd_track(args) -> int:
+def cmd_track(args, cfg: ProjectionConfig) -> int:
     _step_count(args)
     example = get_example(args.example, c=args.c)
     names = [s.strip() for s in args.invariants.split(",") if s.strip()]
     traj, series = harness.track(example, args.scheme, args.t_end, args.dt, names,
-                                 args.seed, args.gamma, args.tol)
+                                 args.seed, args.gamma, cfg)
     stem = _out_path(args, f"track_{args.example}_{args.scheme}.csv")
     stem = stem[:-4] if stem.endswith(".csv") else stem
     outs = []
@@ -284,7 +274,7 @@ def cmd_track(args) -> int:
     return 0
 
 
-def cmd_nls(args) -> int:
+def cmd_nls(args, cfg: ProjectionConfig) -> int:
     span = args.x_right - args.x_left
     n_cells = span / args.h
     if abs(round(n_cells) - n_cells) > 1e-9 or round(n_cells) < 2:
@@ -293,39 +283,29 @@ def cmd_nls(args) -> int:
                                    args.modes)
     n_steps = _step_count(args)
     grid = build_noise_grid(args.seed, 0, args.modes, 0.0, n_steps * args.dt,
-                            n_steps * 2)
-    cfg = ProjectionConfig(tol=args.tol, max_iter=args.max_iter)
-    state = nlsmod.nls_initial(lattice)
-    charge0 = nlsmod.charge(state)
+                            n_steps * harness.FINE_STEPS)
+
+    def stepper(s, step):
+        return nlsmod.nls_step(lattice, args.recipe, s, grid, step, cfg, harness.FINE_STEPS)
+
+    traj = simulate(stepper, nlsmod.nls_initial(lattice), n_steps, args.dt,
+                    {"charge": nlsmod.charge})
     stem = args.out if args.out else f"nls_{args.recipe}"
     stem = stem[:-4] if stem.endswith(".csv") else stem
-    field_rows = []
-    summary_rows = [[0.0, charge0, 0.0, 0]]
-
-    def dump_field(t, s):
-        for xi, pi, qi in zip(lattice.nodes, s.p, s.q):
-            field_rows.append([t, xi, pi, qi])
-
-    dump_field(0.0, state)
-    try:
-        for n in range(n_steps):
-            state, rep = nlsmod.nls_step(lattice, args.recipe, state, grid, n, cfg, 2)
-            t = (n + 1) * args.dt
-            summary_rows.append([t, nlsmod.charge(state), rep.defect_pre, rep.iterations])
-            dump_field(t, state)
-    except NoConvergence as err:
-        print(f"error: projection failed at step {err.step}: {err}", file=sys.stderr)
-        return 1
-    write_csv(f"{stem}_field.csv", ["t", "x", "p", "q"], field_rows)
+    write_csv(f"{stem}_field.csv", ["t", "x", "p", "q"],
+              ([t, xi, pi, qi] for t, s in zip(traj.times, traj.states)
+               for xi, pi, qi in zip(lattice.nodes, s.p, s.q)))
+    charges = traj.tracked["charge"]
     write_csv(f"{stem}_summary.csv", ["t", "charge", "defect", "newton_iters"],
-              summary_rows)
-    drift = max(abs(r[1] - charge0) for r in summary_rows) / abs(charge0)
+              zip(traj.times, charges, [0.0, *traj.defect_series()],
+                  [0, *traj.iteration_series()]))
+    drift = np.max(np.abs(charges - charges[0])) / abs(charges[0])
     print(f"nls {args.recipe}: {n_steps} steps, max relative charge drift "
           f"{drift:.3e} -> {stem}_summary.csv")
     return 0
 
 
-def cmd_check(args) -> int:
+def cmd_check(args, cfg: ProjectionConfig) -> int:
     example = get_example(args.example, c=args.c)
     radius = 0.3 if args.example in ("ex2", "ex4") else 1.0
     rep = verify_gradients(example.model, samples=100, fd_step=1e-5, tol=1e-6,
@@ -335,8 +315,9 @@ def cmd_check(args) -> int:
           f"(worst deviation {rep.worst:.3e})")
 
     # spot-check symplecticity of one projected Strang step at fixed noise
-    grid = build_noise_grid(args.seed, 0, example.model.m, 0.0, 1e-2, 2)
-    stepper = harness.make_stepper("ses-sp-2", example, grid, 2, args.gamma, tol=1e-13)
+    grid = build_noise_grid(args.seed, 0, example.model.m, 0.0, 1e-2, harness.FINE_STEPS)
+    stepper = harness.make_stepper("ses-sp-2", example, grid, harness.FINE_STEPS,
+                                   args.gamma, cfg)
     res = symplectic_residual_phase(lambda z: stepper(z, 0)[0], example.z0, 1e-5)
     sym_ok = res <= 1e-5
     ok = ok and sym_ok
@@ -368,7 +349,7 @@ def dispatch(args) -> int:
             "track": cmd_track,
             "nls": cmd_nls,
             "check": cmd_check,
-        }[args.command](args)
+        }[args.command](args, ProjectionConfig(args.tol, args.max_iter))
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

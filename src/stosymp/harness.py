@@ -1,4 +1,4 @@
-"""Mean-square convergence estimation, CPU timing, and invariant tracking.
+"""Mean-square convergence estimation and invariant tracking.
 
 Every path draws one fine-resolution noise grid; the reference solution (the
 same scheme at the reference step) and all coarse solutions consume windows of
@@ -9,25 +9,25 @@ vectorized along a trailing batch axis and reduced in fixed path order.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .baseline import midpoint_step, symplectic_euler_step
 from .core import NoiseGrid, PhaseState, build_noise_grid, build_noise_grid_batch, step_windows
 from .modelzoo import ExampleSpec
-from .project import ProjectionConfig, Trajectory, projection_step, simulate
+from .project import ProjectionConfig, projection_step, simulate
 from .splitflow import lie_recipe, strang_recipe
 
 SCHEMES = ("ses-sp-1", "ses-sp-2", "midpoint", "sympeuler")
+FINE_STEPS = 2   # noise-grid steps per reference step: >= 2 for half windows
 
 
 def make_stepper(scheme: str, example: ExampleSpec, grid: NoiseGrid, substeps: int,
-                 gamma, tol: float = 1e-12, max_iter: int = 50) -> Callable:
+                 gamma, cfg: ProjectionConfig = ProjectionConfig()) -> Callable:
     """Bind a scheme id to a one-step callable ``(z, step) -> (z', report)``."""
     model = example.model
-    cfg = ProjectionConfig(tol=tol, max_iter=max_iter)
     if scheme in ("ses-sp-1", "ses-sp-2"):
         gammas = np.full(model.m + 1, gamma) if np.ndim(gamma) == 0 else np.asarray(gamma)
         recipe = lie_recipe(gammas) if scheme == "ses-sp-1" else strang_recipe(gammas)
@@ -54,25 +54,22 @@ class ConvergenceSpec:
     paths: int
     seed: int
     gamma: float = 0.0
-    tol: float = 1e-12
-    max_iter: int = 50
-    fine_factor: int = 2   # fine steps per reference step (>= 2 for half windows)
+    cfg: ProjectionConfig = ProjectionConfig()
 
     def __post_init__(self):
         if self.paths < 1:
             raise ValueError("at least 1 path required")
-        problem = grid_mismatch(self.t_end, self.dt_list, self.ref_dt, self.fine_factor)
+        problem = grid_mismatch(self.t_end, self.dt_list, self.ref_dt)
         if problem:
             raise ValueError(problem)
 
 
-def grid_mismatch(t_end: float, dt_list: Sequence[float], ref_dt: float,
-                  fine_factor: int = 2) -> Optional[str]:
+def grid_mismatch(t_end: float, dt_list: Sequence[float], ref_dt: float) -> Optional[str]:
     """Why a step of ``dt_list`` cannot run on the shared noise grid of
-    ``fine_factor`` fine steps per ``ref_dt`` over [0, t_end], or None."""
+    ``FINE_STEPS`` fine steps per ``ref_dt`` over [0, t_end], or None."""
     if min(dt_list) <= 0 or ref_dt <= 0:
         return f"steps must be positive (dt {list(dt_list)}, ref_dt {ref_dt})"
-    n_fine = int(round(t_end / ref_dt)) * fine_factor
+    n_fine = int(round(t_end / ref_dt)) * FINE_STEPS
     for dt in dt_list:
         if abs(round(dt / ref_dt) - dt / ref_dt) > 1e-9:
             return f"ref_dt {ref_dt} does not divide dt {dt}"
@@ -111,8 +108,7 @@ def fit_slope(dts: Sequence[float], errs: Sequence[float]) -> float:
 def _run_final(spec: ConvergenceSpec, grid: NoiseGrid, dt: float) -> tuple:
     n_steps = int(round(spec.t_end / dt))
     substeps = grid.n_fine // n_steps   # exact: ConvergenceSpec checked the tiling
-    stepper = make_stepper(spec.scheme, spec.example, grid, substeps, spec.gamma,
-                           spec.tol, spec.max_iter)
+    stepper = make_stepper(spec.scheme, spec.example, grid, substeps, spec.gamma, spec.cfg)
     z = PhaseState(np.repeat(spec.example.z0.x[:, None], spec.paths, axis=1),
                    np.repeat(spec.example.z0.y[:, None], spec.paths, axis=1))
     t_start = time.perf_counter()
@@ -125,7 +121,7 @@ def _run_final(spec: ConvergenceSpec, grid: NoiseGrid, dt: float) -> tuple:
 def ms_error(spec: ConvergenceSpec) -> OrderReport:
     """Root-mean-square endpoint errors against a coupled fine-mesh reference."""
     n_ref = int(round(spec.t_end / spec.ref_dt))
-    n_fine = n_ref * spec.fine_factor
+    n_fine = n_ref * FINE_STEPS
     grid = build_noise_grid_batch(spec.seed, range(spec.paths), spec.example.model.m,
                                   0.0, spec.t_end, n_fine)
     z_ref, _ = _run_final(spec, grid, spec.ref_dt)
@@ -166,47 +162,18 @@ def _jackknife_se(sq: np.ndarray) -> float:
     return float(np.sqrt((n - 1) / n * np.sum((loo - np.mean(loo)) ** 2)))
 
 
-@dataclass
-class TimingRow:
-    scheme: str
-    dt: float
-    err_norm: float
-    wall: float
-
-
-def cpu_compare(example: ExampleSpec, schemes: Sequence[str], dt_list: Sequence[float],
-                paths: int, t_end: float, seed: int, gamma: float = 0.0,
-                ref_dt: Optional[float] = None, tol: float = 1e-12) -> list:
-    """Wall-clock and error per scheme per step size on identical noise.
-
-    Noise generation is excluded from the timed region; runs are sequential in
-    a single worker.
-    """
-    rows = []
-    ref_dt = ref_dt if ref_dt is not None else min(dt_list) / 16.0
-    for scheme in schemes:
-        spec = ConvergenceSpec(example, scheme, t_end, tuple(dt_list), ref_dt,
-                               paths, seed, gamma, tol)
-        rep = ms_error(spec)
-        for dt, err, wall in zip(rep.dts, rep.err_norm, rep.wall):
-            rows.append(TimingRow(scheme, float(dt), float(err), float(wall)))
-    return rows
-
-
 def track(example: ExampleSpec, scheme: str, t_end: float, dt: float,
           invariants: Sequence[str], seed: int = 0, gamma: float = 0.0,
-          tol: float = 1e-12, path_index: int = 0, fine_factor: int = 2,
-          keep_states: bool = False) -> tuple:
-    """Relative-deviation series (I(t) - I(0)) / |I(0)| for named invariants,
-    plus the per-step pre-projection defect norm."""
+          cfg: ProjectionConfig = ProjectionConfig(), keep_states: bool = False) -> tuple:
+    """One path's trajectory and the relative-deviation series
+    (I(t) - I(0)) / |I(0)| of the named invariants."""
     for name in invariants:
         if name not in example.invariants:
             raise KeyError(f"unknown invariant {name!r} on {example.name}; "
                            f"registered: {sorted(example.invariants)}")
     n_steps = int(round(t_end / dt))
-    grid = build_noise_grid(seed, path_index, example.model.m, 0.0, n_steps * dt,
-                            n_steps * fine_factor)
-    stepper = make_stepper(scheme, example, grid, fine_factor, gamma, tol)
+    grid = build_noise_grid(seed, 0, example.model.m, 0.0, n_steps * dt, n_steps * FINE_STEPS)
+    stepper = make_stepper(scheme, example, grid, FINE_STEPS, gamma, cfg)
     trackers = {name: example.invariants[name] for name in invariants}
     traj = simulate(stepper, example.z0, n_steps, dt, trackers, keep_states=keep_states)
     series = {}

@@ -239,7 +239,7 @@ class Trajectory:
 
 
 def simulate(stepper: Callable, z0: PhaseState, n_steps: int, dt: float,
-             trackers: Optional[Dict[str, Callable]] = None, t0: float = 0.0,
+             trackers: Optional[Dict[str, Callable]] = None,
              keep_states: bool = True) -> Trajectory:
     """Drive a one-step map ``stepper(z, step) -> (z', report|None)``.
 
@@ -248,7 +248,7 @@ def simulate(stepper: Callable, z0: PhaseState, n_steps: int, dt: float,
     index attached.
     """
     trackers = trackers or {}
-    times = t0 + dt * np.arange(n_steps + 1)
+    times = dt * np.arange(n_steps + 1)
     z = z0
     states = [z0]
     reports = []

@@ -111,7 +111,7 @@ def test_criterion_04_projected_map_symplecticity():
 
 def drift_limit(example, scheme, gamma, invariant, n_steps, dt):
     _, series = track(example, scheme, n_steps * dt, dt, [invariant], seed=0,
-                      gamma=gamma, tol=1e-12)
+                      gamma=gamma)
     return float(np.max(np.abs(series[invariant])))
 
 

@@ -23,7 +23,8 @@ def test_zero_dt_is_usage_error():
     for argv in (["order", "--max-iter", "0"], ["order", "--paths", "0"],
                  ["timing", "--paths", "-1"],
                  ["nls", "--dt", "0.1", "--t-end", "1", "--modes", "0"],
-                 ["nls", "--dt", "0.1", "--t-end", "1", "--max-iter", "0"]):
+                 ["nls", "--dt", "0.1", "--t-end", "1", "--max-iter", "0"],
+                 ["order", "--dt-list", "0.1,abc"]):
         with pytest.raises(SystemExit) as err:
             parse_args(argv)
         assert err.value.code == 2
@@ -46,14 +47,20 @@ def test_config_file_merging_and_precedence(tmp_path):
     args2 = parse_args(["run", "--config", str(cfg), "--dt", "0.01",
                         "--t-end", "0.1", "--gamma", "1.0"])
     assert args2.gamma == 1.0
+    # an abbreviated flag wins as well
+    args3 = parse_args(["run", "--config", str(cfg), "--dt", "0.01",
+                        "--t-end", "0.1", "--gam", "1.0"])
+    assert args3.gamma == 1.0
 
 
 def test_config_unknown_key_rejected(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("bogus = 3\n")
-    with pytest.raises(SystemExit) as err:
-        parse_args(["run", "--config", str(cfg), "--dt", "0.01", "--t-end", "0.1"])
-    assert err.value.code == 2
+    # an unknown key, and a known key whose value fails the flag's choices
+    for line in ("bogus = 3", "example = ex9"):
+        cfg.write_text(line + "\n")
+        with pytest.raises(SystemExit) as err:
+            parse_args(["run", "--config", str(cfg), "--dt", "0.01", "--t-end", "0.1"])
+        assert err.value.code == 2
 
 
 def test_run_command_byte_identical(tmp_path):
@@ -139,6 +146,30 @@ def test_unrunnable_step_sizes_exit_2(argv, tmp_path, capsys):
     assert run_cli(argv + ["--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["track", "--example", "ex1", "--dt", "0.01", "--t-end", "0.05"],
+    ["timing", "--example", "ex1", "--schemes", "ses-sp-1", "--dt-list", "0.0625",
+     "--ref-dt", "0.015625", "--t-end", "0.125", "--paths", "2"],
+    ["check", "--example", "ex1"],
+], ids=["track", "timing", "check"])
+def test_max_iter_reaches_the_solver(argv, tmp_path, capsys):
+    # one iteration cannot meet the default tolerance, so each run must fail
+    assert run_cli(argv + ["--max-iter", "1", "--out", str(tmp_path / "out")]) == 1
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_timing_command_rows(tmp_path):
+    out = tmp_path / "timing.csv"
+    code = run_cli(["timing", "--example", "ex1", "--schemes", "ses-sp-1,midpoint",
+                    "--dt-list", "0.03125,0.015625", "--paths", "2", "--t-end", "0.125",
+                    "--out", str(out)])
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "scheme,dt,err,wall_s"
+    assert len(lines) == 5
+    assert all(float(line.split(",")[3]) > 0 for line in lines[1:])
 
 
 def test_csv_has_17_significant_digits(tmp_path):

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from stosymp.core import build_noise_grid
-from stosymp.harness import (ConvergenceSpec, cpu_compare, fit_slope,
-                             make_stepper, ms_error, track)
+from stosymp.harness import ConvergenceSpec, fit_slope, make_stepper, ms_error, track
 from stosymp.modelzoo import get_example
 
 
@@ -50,13 +49,6 @@ def test_jackknife_se_positive():
     spec = ConvergenceSpec(ex, "midpoint", 0.125, (0.03125,), 0.0078125, 8, 3)
     rep = ms_error(spec)
     assert rep.se_x[0] > 0 and rep.se_y[0] > 0
-
-
-def test_cpu_compare_rows():
-    ex = get_example("ex1")
-    rows = cpu_compare(ex, ["ses-sp-1", "midpoint"], [0.03125, 0.015625], 2, 0.125, 0)
-    assert len(rows) == 4
-    assert all(r.wall > 0 for r in rows)
 
 
 def test_track_unknown_invariant():

@@ -120,7 +120,7 @@ def test_defect_series_bounded():
     ex = get_example("ex1")
     n = 100
     g = build_noise_grid(11, 0, 1, 0.0, n * 1e-2, 2 * n)
-    st = make_stepper("ses-sp-1", ex, g, 2, 1.0, tol=1e-12)
+    st = make_stepper("ses-sp-1", ex, g, 2, 1.0, cfg=ProjectionConfig(tol=1e-12))
     traj = simulate(st, ex.z0, n, 1e-2)
     ds = traj.defect_series()
     assert np.all(np.isfinite(ds))
@@ -130,7 +130,8 @@ def test_defect_series_bounded():
 def test_noconvergence_carries_step_index():
     ex = get_example("ex1")
     g = build_noise_grid(0, 0, 1, 0.0, 0.1, 4)
-    st = make_stepper("ses-sp-1", ex, g, 2, 0.0, tol=1e-12, max_iter=1)
+    st = make_stepper("ses-sp-1", ex, g, 2, 0.0,
+                      cfg=ProjectionConfig(tol=1e-12, max_iter=1))
 
     def bad(z, step):
         raise NoConvergence("forced")
