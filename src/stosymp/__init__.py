@@ -12,7 +12,7 @@ from .splitflow import (CompositionRecipe, FlowId, compose, flow_f1, flow_f2,
 from .project import (NoConvergence, ProjectionConfig, ProjectionReport,
                       Trajectory, lift, project_map, projection_step, restrict,
                       simulate)
-from .baseline import ImplicitSolverConfig, midpoint_step, symplectic_euler_step
+from .baseline import midpoint_step, symplectic_euler_step
 from .modelzoo import EXAMPLES, ExampleSpec, get_example
 from .harness import (SCHEMES, ConvergenceSpec, OrderReport, fit_slope, make_stepper,
                       ms_error, track)
@@ -30,7 +30,7 @@ __all__ = [
     "symplectic_residual_phase",
     "NoConvergence", "ProjectionConfig", "ProjectionReport", "Trajectory",
     "lift", "project_map", "projection_step", "restrict", "simulate",
-    "ImplicitSolverConfig", "midpoint_step", "symplectic_euler_step",
+    "midpoint_step", "symplectic_euler_step",
     "EXAMPLES", "ExampleSpec", "get_example",
     "SCHEMES", "ConvergenceSpec", "OrderReport", "fit_slope", "make_stepper",
     "ms_error", "track",

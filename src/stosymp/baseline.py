@@ -3,7 +3,7 @@
 Both are implicit; the nonlinear systems are solved by ``project.newton``,
 the finite-difference Newton solver the projection fallback uses (robust for
 stiff nonseparable products at moderate step * increment sizes).  States may
-carry a trailing batch axis; the Jacobian solve is then batched.
+carry a trailing batch axis; every path is then solved on its own.
 """
 
 from __future__ import annotations
@@ -14,16 +14,10 @@ from .core import HamiltonianModel, PhaseState, StepIncrements, fd_jacobian
 from .project import NoConvergence, ProjectionConfig, newton
 
 
-# one config for every implicit solve; the old name stays importable
-ImplicitSolverConfig = ProjectionConfig
-
-
 def _solve(residual, w0: np.ndarray, cfg: ProjectionConfig) -> np.ndarray:
-    w, converged, _ = newton(residual, w0, cfg)
-    if not converged:
-        with np.errstate(all="ignore"):
-            r = float(np.max(np.abs(residual(w))))
-        raise NoConvergence(f"implicit solver stalled at residual {r:.3e}")
+    w, norm, _ = newton(residual, w0, cfg)
+    if not (norm < cfg.tol).all():
+        raise NoConvergence(f"implicit solver stalled at residual {np.max(norm):.3e}")
     return w
 
 
@@ -31,27 +25,25 @@ def midpoint_step(model: HamiltonianModel, z: PhaseState, inc: StepIncrements,
                   cfg: ProjectionConfig = ProjectionConfig()) -> PhaseState:
     """Stochastic midpoint rule: all H-derivatives at the state average."""
     d = model.d
-    x0, y0 = z.x, z.y
+    w0 = np.concatenate([z.x, z.y])
 
     def residual(w):
-        x1, y1 = w[:d], w[d:]
-        mx, my = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-        fx, fy = model.field(mx, my, inc.delta)
-        return np.concatenate([x1 - x0 - fx, y1 - y0 - fy])
+        mid = 0.5 * (w0 + w)
+        return w - w0 - np.concatenate(model.field(mid[:d], mid[d:], inc.delta))
 
-    fx0, fy0 = model.field(x0, y0, inc.delta)  # explicit Euler predictor
-    w = _solve(residual, np.concatenate([x0 + fx0, y0 + fy0]), cfg)
+    # explicit Euler predictor
+    w = _solve(residual, w0 + np.concatenate(model.field(z.x, z.y, inc.delta)), cfg)
     return PhaseState(w[:d], w[d:])
 
 
 def _hessians(model: HamiltonianModel, x, y, step_scale: float = 1e-6):
     """Second-derivative blocks of H_1, analytic when supplied, otherwise
-    central differences of the gradients."""
+    central differences of the gradients with a step scaled per path."""
     if model.hess_xx is not None:
         return (np.asarray(model.hess_xx(x, y), dtype=float),
                 np.asarray(model.hess_yy(x, y), dtype=float),
                 np.asarray(model.hess_yx(x, y), dtype=float))
-    h = step_scale * (1.0 + float(np.max(np.sqrt(x * x + y * y))))
+    h = step_scale * (1.0 + np.sqrt(x * x + y * y).max(axis=0))
     gx, gy = model.grad_x[1], model.grad_y[1]
     hxx = fd_jacobian(lambda v: gx(v, y), x, h)
     hyy = fd_jacobian(lambda v: gy(x, v), y, h)

@@ -3,9 +3,9 @@ invariant tracking, the Schrodinger lattice simulator, and model self-checks.
 
 A ``--config`` file of ``key = value`` lines (``#`` comments allowed) is read
 as ``--key=value`` flags placed before the command line's own, so it gets the
-same checks and any flag given on the command line wins.  All outputs are CSV
-with 17 significant digits; identical invocation and seed give byte-identical
-files.
+same checks, may supply required flags, and any flag given on the command line
+wins.  All outputs are CSV with 17 significant digits; identical invocation
+and seed give byte-identical files.
 """
 
 from __future__ import annotations
@@ -70,7 +70,9 @@ def _positive_int(text: str) -> int:
     return v
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(require: bool = True) -> argparse.ArgumentParser:
+    """The command-line parser; ``require=False`` makes every flag optional,
+    for the first pass that only looks for ``--config``."""
     parser = argparse.ArgumentParser(
         prog="stosymp",
         description="Semi-explicit symplectic integrators for stochastic "
@@ -95,10 +97,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "or a comma list per channel (default 0)")
         p.add_argument("--c", type=float, default=0.5, help="noise Hamiltonian scale")
 
+    def stepping(p):
+        p.add_argument("--dt", type=_positive, required=require)
+        p.add_argument("--t-end", type=_positive, required=require)
+
     p_run = sub.add_parser("run", help="simulate a single path and dump the trajectory")
     common(p_run)
-    p_run.add_argument("--dt", type=_positive, required=True)
-    p_run.add_argument("--t-end", type=_positive, required=True)
+    stepping(p_run)
 
     p_order = sub.add_parser("order", help="mean-square convergence order")
     common(p_order, scheme=False)
@@ -121,16 +126,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_track = sub.add_parser("track", help="invariant / defect series along one path")
     common(p_track)
-    p_track.add_argument("--dt", type=_positive, required=True)
-    p_track.add_argument("--t-end", type=_positive, required=True)
+    stepping(p_track)
     p_track.add_argument("--invariants", default="hamiltonian",
                          help="comma list of registered invariant names")
 
     p_nls = sub.add_parser("nls", help="stochastic cubic Schrodinger lattice run")
     shared(p_nls)
     p_nls.set_defaults(tol=1e-13)
-    p_nls.add_argument("--dt", type=_positive, required=True)
-    p_nls.add_argument("--t-end", type=_positive, required=True)
+    stepping(p_nls)
     p_nls.add_argument("--h", type=_positive, default=1.0)
     p_nls.add_argument("--x-left", type=float, default=-5.0)
     p_nls.add_argument("--x-right", type=float, default=5.0)
@@ -162,16 +165,17 @@ def _config_flags(path: str) -> list:
 def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     parser = build_parser()
     argv = list(argv)
-    args = parser.parse_args(argv)
-    if getattr(args, "config", None):
+    # the config file may supply required flags, so find it before they are checked
+    first = build_parser(require=False).parse_args(argv)
+    if first.config:
         try:
-            flags = _config_flags(args.config)
+            flags = _config_flags(first.config)
         except (OSError, ValueError) as err:
             parser.error(str(err))
         # right after the command, so the command line's own flags come later and win
-        at = argv.index(args.command) + 1
-        args = parser.parse_args(argv[:at] + flags + argv[at:])
-    return args
+        at = argv.index(first.command) + 1
+        argv = argv[:at] + flags + argv[at:]
+    return parser.parse_args(argv)
 
 
 # ---------------------------------------------------------------------------

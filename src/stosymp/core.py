@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -182,14 +182,6 @@ class NoiseGrid:
     seed: int
     path_index: object  # int or array of ints for a batch
 
-    @property
-    def t_end(self) -> float:
-        return self.t0 + self.dt_fine * self.n_fine
-
-    @property
-    def n_paths(self) -> Optional[int]:
-        return None if self.inc.ndim == 2 else self.inc.shape[2]
-
 
 def _channel_normals(seed: int, path_index: int, channel: int, size: int) -> np.ndarray:
     # Philox counter-based stream keyed by (seed, path, channel); uniforms on
@@ -237,13 +229,21 @@ def build_noise_grid_batch(seed: int, path_indices: Sequence[int], m: int, t0: f
     return NoiseGrid(m, float(t0), cols[0].dt_fine, int(n_fine), inc, int(seed), paths)
 
 
+def ordered_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the first axis left to right, in any layout; ``np.sum`` is
+    pairwise along a contiguous axis, so one path would round differently."""
+    if len(a) > 8:   # one call for a long sum; row by row is cheaper for a short one
+        return np.add.accumulate(a)[-1]
+    return reduce(lambda total, row: total + row, a)
+
+
 def coarsen(grid: NoiseGrid, factor: int) -> NoiseGrid:
-    """Merge groups of ``factor`` fine increments by fixed-order summation."""
+    """Merge groups of ``factor`` fine increments, summed left to right."""
     if factor < 1 or grid.n_fine % factor != 0:
         raise ValueError(f"factor {factor} does not divide n_fine {grid.n_fine}")
     n_coarse = grid.n_fine // factor
     shape = (grid.inc.shape[0], n_coarse, factor) + grid.inc.shape[2:]
-    inc = grid.inc.reshape(shape).sum(axis=2)
+    inc = ordered_sum(np.moveaxis(grid.inc.reshape(shape), 2, 0))
     return NoiseGrid(grid.m, grid.t0, grid.dt_fine * factor, n_coarse, inc,
                      grid.seed, grid.path_index)
 
@@ -275,14 +275,15 @@ def step_windows(grid: NoiseGrid, step: int, split: Sequence, substeps: Optional
 
     ``substeps`` is the number of fine increments per scheme step (defaults to
     the whole grid).  ``split`` lists positive fractions summing to 1; each
-    window boundary must land on a fine-grid point.
+    window boundary must land on a fine-grid point.  Windows sum left to
+    right, so a batch column gets the same increments as the path alone.
     """
     substeps = grid.n_fine if substeps is None else int(substeps)
     start = step * substeps
     if start < 0 or start + substeps > grid.n_fine:
         raise ValueError("step index outside the grid")
     inc = grid.inc
-    return [StepIncrements(inc[:, start + lo:start + hi].sum(axis=1))
+    return [StepIncrements(ordered_sum(inc[:, start + lo:start + hi].swapaxes(0, 1)))
             for lo, hi in _window_bounds(tuple(split), substeps)]
 
 

@@ -91,9 +91,6 @@ class OrderReport:
     wall: np.ndarray
     slope_x: float = np.nan
     slope_y: float = np.nan
-    slope_norm: float = np.nan
-    endpoint_slope_x: float = np.nan
-    endpoint_slope_y: float = np.nan
 
 
 def fit_slope(dts: Sequence[float], errs: Sequence[float]) -> float:
@@ -144,11 +141,6 @@ def ms_error(spec: ConvergenceSpec) -> OrderReport:
     if len(spec.dt_list) >= 2 and np.all(report.err_x > 0) and np.all(report.err_y > 0):
         report.slope_x = fit_slope(report.dts, report.err_x)
         report.slope_y = fit_slope(report.dts, report.err_y)
-        report.slope_norm = fit_slope(report.dts, report.err_norm)
-        l0, l1 = 0, len(spec.dt_list) - 1
-        span = np.log(report.dts[l0] / report.dts[l1])
-        report.endpoint_slope_x = float(np.log(report.err_x[l0] / report.err_x[l1]) / span)
-        report.endpoint_slope_y = float(np.log(report.err_y[l0] / report.err_y[l1]) / span)
     return report
 
 

@@ -1,4 +1,8 @@
-"""The four benchmark systems, their invariants and coordinate transforms."""
+"""The four benchmark systems, their invariants and coordinate transforms.
+
+Entries are squared as ``v * v``: ``v ** 2`` on a numpy scalar (one path)
+calls ``pow``, which may round differently from an array's square (a batch).
+"""
 
 from __future__ import annotations
 
@@ -32,21 +36,21 @@ def make_example1(c: float = 0.5) -> ExampleSpec:
     """Nonseparable oscillator with H0 = (x^2+1)(y^2+1)/2 and H1 = c*H0."""
 
     def h0(x, y):
-        return 0.5 * (x[0] ** 2 + 1.0) * (y[0] ** 2 + 1.0)
+        return 0.5 * (x[0] * x[0] + 1.0) * (y[0] * y[0] + 1.0)
 
     def gx(x, y):
-        return x * (y[0] ** 2 + 1.0)
+        return x * (y[0] * y[0] + 1.0)
 
     def gy(x, y):
-        return (x[0] ** 2 + 1.0) * y
+        return (x[0] * x[0] + 1.0) * y
 
     model = HamiltonianModel(
         d=1, m=1,
         h=(h0, _scaled(h0, c)),
         grad_x=(gx, _scaled(gx, c)),
         grad_y=(gy, _scaled(gy, c)),
-        hess_xx=lambda x, y: np.reshape(c * (y[0] ** 2 + 1.0), (1, 1) + np.shape(x[0])),
-        hess_yy=lambda x, y: np.reshape(c * (x[0] ** 2 + 1.0), (1, 1) + np.shape(x[0])),
+        hess_xx=lambda x, y: np.reshape(c * (y[0] * y[0] + 1.0), (1, 1) + np.shape(x[0])),
+        hess_yy=lambda x, y: np.reshape(c * (x[0] * x[0] + 1.0), (1, 1) + np.shape(x[0])),
         hess_yx=lambda x, y: np.reshape(2.0 * c * x[0] * y[0], (1, 1) + np.shape(x[0])),
         label="example1")
     z0 = PhaseState(np.array([0.0]), np.array([-3.0]))
@@ -115,7 +119,7 @@ def make_example3(c: float = 0.5) -> ExampleSpec:
         return 0.1 * (2.0 * x[0] - 3.0 * y[0])
 
     def g(x, y):
-        return 0.25 * (x[1] ** 2 + 2.0 * y[1] ** 2)
+        return 0.25 * (x[1] * x[1] + 2.0 * y[1] * y[1])
 
     def h0(x, y):
         return np.exp(f(x, y) * np.sin(g(x, y)))
@@ -161,15 +165,16 @@ def make_example4(c: float = 0.5, y0=(1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0), 0.
     c1 = 0.5 * float(y0 @ y0)
 
     def h0(x, y):
-        r2 = 2.0 * c1 - x[0] ** 2
-        return (r2 * np.cos(y[0]) ** 2 / (2.0 * _I1) + x[0] ** 2 / (2.0 * _I2)
-                + r2 * np.sin(y[0]) ** 2 / (2.0 * _I3))
+        r2 = 2.0 * c1 - x[0] * x[0]
+        return (r2 * (np.cos(y[0]) * np.cos(y[0])) / (2.0 * _I1) + x[0] * x[0] / (2.0 * _I2)
+                + r2 * (np.sin(y[0]) * np.sin(y[0])) / (2.0 * _I3))
 
     def gx(x, y):
-        return x * (-np.cos(y[0]) ** 2 / _I1 + 1.0 / _I2 - np.sin(y[0]) ** 2 / _I3)
+        cy, sy = np.cos(y[0]), np.sin(y[0])
+        return x * (-(cy * cy) / _I1 + 1.0 / _I2 - sy * sy / _I3)
 
     def gy(x, y):
-        r2 = 2.0 * c1 - x[0] ** 2
+        r2 = 2.0 * c1 - x[0] * x[0]
         return r2 * np.sin(y) * np.cos(y) * (1.0 / _I3 - 1.0 / _I1)
 
     model = HamiltonianModel(

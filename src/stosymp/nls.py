@@ -23,7 +23,7 @@ import numpy as np
 # step_windows and project_map are not called here; perfbench/tracing.py
 # patches those names on this module
 from .core import (ExtendedState, HamiltonianModel, NoiseGrid, PhaseState,
-                   step_windows)
+                   ordered_sum, step_windows)
 from .project import (ProjectionConfig, ProjectionReport, project_map,
                       projection_step)
 from .splitflow import CompositionRecipe, FlowId, compose
@@ -176,10 +176,7 @@ def compose_unprojected(lattice: NlsLattice, recipe: str, ext: ExtendedState,
 
 def charge(s: NlsState) -> float:
     """Discrete charge sum_i (P_i^2 + Q_i^2), fixed index order."""
-    total = 0.0
-    for i in range(s.p.shape[0]):
-        total += s.p[i] * s.p[i] + s.q[i] * s.q[i]
-    return total
+    return ordered_sum(s.p * s.p + s.q * s.q)
 
 
 def nls_initial(lattice: NlsLattice) -> NlsState:

@@ -11,14 +11,14 @@ finite-difference Newton solver that the implicit baselines use as well.
 
 from __future__ import annotations
 
-import math
+import contextlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from .core import (ExtendedState, HamiltonianModel, NoiseGrid, PhaseState, StepIncrements,
-                   fd_jacobian)
+                   fd_jacobian, ordered_sum)
 from .splitflow import CompositionRecipe, apply_stages, f3_trig, stage_increments
 
 
@@ -42,9 +42,10 @@ class ProjectionConfig:
 
 @dataclass
 class ProjectionReport:
+    """One solve; iterations, defect and residual are maxima over the paths."""
+
     lam: np.ndarray
     iterations: int
-    final_delta: float
     defect_pre: float
     residual: float
     used_fallback: bool = False
@@ -69,40 +70,51 @@ def restrict(s: ExtendedState) -> PhaseState:
     return PhaseState(0.5 * (s.x + s.u), 0.5 * (s.y + s.v))
 
 
-def _max_norm(a: np.ndarray, b: np.ndarray) -> float:
-    # Euclidean norm over state components, max over any batch axis.
-    sq = (a * a).sum(axis=0) + (b * b).sum(axis=0)
-    return float(np.sqrt(sq.max() if sq.ndim else sq))
+def _norm(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm per path: shape () for one path, (n_paths,) for a batch."""
+    return np.sqrt(ordered_sum(a * a))
 
 
-def _perturbed(map_fn, s0: ExtendedState, l1, l2):
-    """Map output at s0 + A'lambda and the x, y blocks of A out + 2 lambda."""
+def _perturbed(map_fn, s0: ExtendedState, lam: np.ndarray):
+    """Map output at s0 + A'lambda and the projection residual A out + 2 lambda."""
+    d = s0.x.shape[0]
+    l1, l2 = lam[:d], lam[d:]
     out = map_fn(ExtendedState(s0.x + l1, s0.u - l1, s0.y + l2, s0.v - l2))
-    return out, out.x - out.u + 2.0 * l1, out.y - out.v + 2.0 * l2
+    return out, np.concatenate([out.x - out.u, out.y - out.v]) + 2.0 * lam
 
 
-def newton(residual: Callable, w0: np.ndarray, cfg: ProjectionConfig):
-    """Newton iteration with a central-difference Jacobian, solved per path;
-    ``w0`` is (k,) or (k, n_paths).  Converged when every path's Euclidean
-    residual norm is below ``cfg.tol``; a non-finite norm or a singular
-    Jacobian stops it unconverged.  Returns (w, converged, iterations)."""
+def _newton_steps(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Solve jac[:, :, p] step[:, p] = r[:, p] for every path p; a path whose
+    Jacobian is singular gets a NaN step."""
+    k = len(r)
+    a = jac.reshape(k, k, -1).transpose(2, 0, 1)   # one (k, k) system per path
+    b = r.reshape(k, 1, -1).transpose(2, 0, 1)
+    try:
+        steps = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:   # find the singular paths one at a time
+        steps = np.full_like(b, np.nan)
+        for p in range(len(a)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                steps[p] = np.linalg.solve(a[p], b[p])
+    return steps.transpose(1, 2, 0).reshape(r.shape)
+
+
+def newton(residual: Callable, w0: np.ndarray, cfg: ProjectionConfig, live=True):
+    """Newton iteration with a central-difference Jacobian, one system per
+    path; ``w0`` is (k,) or (k, n_paths).  A path stops once its residual norm
+    is below ``cfg.tol`` or not finite (as after a singular Jacobian); paths
+    outside ``live`` keep ``w0``.  Returns (w, residual norm per path, iterations)."""
     w = w0.copy()
-    batched = w.ndim == 2
+    live = np.full(w.shape[1:], live)
     with np.errstate(all="ignore"):
         for it in range(cfg.max_iter + 1):
             r = residual(w)
-            norm = math.sqrt((r * r).sum(axis=0).max() if batched else r.dot(r))
-            if not math.isfinite(norm) or norm < cfg.tol or it == cfg.max_iter:
-                return w, norm < cfg.tol, it
-            jac = fd_jacobian(residual, w, FD_STEP)
-            try:
-                if batched:   # jac[i, j, p] = dr_i/dw_j for path p: one system per path
-                    step = np.linalg.solve(np.moveaxis(jac, -1, 0), r.T[..., None])[..., 0].T
-                else:
-                    step = np.linalg.solve(jac, r)
-            except np.linalg.LinAlgError:
-                return w, False, it
-            w = w - step
+            norm = _norm(r)
+            live &= (norm >= cfg.tol) & (norm < np.inf)
+            if it == cfg.max_iter or not np.count_nonzero(live):
+                return w, norm, it
+            step = _newton_steps(fd_jacobian(residual, w, FD_STEP), r)
+            np.subtract(w, step, out=w, where=live)
 
 
 def project_map(map_fn: Callable[[ExtendedState], ExtendedState], s0: ExtendedState,
@@ -110,81 +122,78 @@ def project_map(map_fn: Callable[[ExtendedState], ExtendedState], s0: ExtendedSt
     """Solve the symmetric-projection equation for an arbitrary extended map.
 
     ``map_fn`` must re-evaluate with the same frozen noise at every iterate.
-    A batch whose simplified Newton iteration diverges or stalls goes, as a
-    whole, to full Newton and then, when ``map_at_scale(theta)`` is given
-    (the map with all step increments scaled by theta), to a homotopy that
-    follows the solution branch from the identity.
+    Each path stops once its own update is below ``cfg.tol``.  A path whose
+    simplified Newton iteration diverges (restarting from zero) or stalls goes
+    to full Newton and then, when ``map_at_scale(theta)`` is given (the map
+    with all step increments scaled by theta), to a homotopy that follows the
+    solution branch from the identity, with one theta schedule for all such
+    paths.
     Returns (corrected extended state on ker(A), report).
     """
-    l1 = np.zeros_like(s0.x)
-    l2 = np.zeros_like(s0.y)
-    guard = 1e6 * (1.0 + _max_norm(s0.x, s0.y))
+    d = s0.x.shape[0]
+    lam = np.zeros((2 * d,) + s0.x.shape[1:])
+    guard = 1e6 * (1.0 + _norm(np.concatenate([s0.x, s0.y])))
+    live = np.ones(guard.shape, dtype=bool)    # still iterating
+    done = np.zeros(guard.shape, dtype=bool)   # last update below tol
     iterations = 0
 
-    def finish(l1, l2, iterations, delta, used_fallback):
-        out, g1, g2 = _perturbed(map_fn, s0, l1, l2)
-        defect_pre = _max_norm(out.x - out.u, out.y - out.v)
-        residual = _max_norm(g1, g2)
+    def finish(lam):
+        """Corrected state, pre-projection defect and residual per path."""
+        out, g = _perturbed(map_fn, s0, lam)
+        l1, l2 = lam[:d], lam[d:]
         corrected = ExtendedState(out.x + l1, out.u - l1, out.y + l2, out.v - l2)
-        rep = ProjectionReport(np.concatenate([l1, l2]), iterations, delta,
-                               defect_pre, residual, used_fallback)
-        return corrected, rep
+        return corrected, _norm(np.concatenate([out.x - out.u, out.y - out.v])), _norm(g)
 
     with np.errstate(all="ignore"):
-        for _ in range(cfg.max_iter):
-            _, g1, g2 = _perturbed(map_fn, s0, l1, l2)
-            delta = 0.25 * _max_norm(g1, g2)   # update size of l -= g/4
-            l1 = l1 - 0.25 * g1
-            l2 = l2 - 0.25 * g2
+        while iterations < cfg.max_iter and np.count_nonzero(live):
+            g = _perturbed(map_fn, s0, lam)[1]
+            lam = np.where(live, lam - 0.25 * g, lam)
             iterations += 1
-            bad = _max_norm(l1, l2)
-            if bad > guard or not np.isfinite(bad):
-                l1 = np.zeros_like(s0.x)   # restart the fallback from zero
-                l2 = np.zeros_like(s0.y)
-                break
-            if delta < cfg.tol:
-                corrected, rep = finish(l1, l2, iterations, delta, False)
-                if rep.residual <= 10.0 * cfg.tol:
-                    return corrected, rep
-                break
-
-    d = s0.x.shape[0]
-    lam, ok, extra = _full_newton(map_fn, s0, np.concatenate([l1, l2]), cfg)
-    if not ok and map_at_scale is not None:
-        lam, ok, more = _continuation(map_at_scale, s0, cfg)
-        extra += more
-    if ok:
-        corrected, rep = finish(lam[:d], lam[d:], iterations + extra, 0.0, True)
-        if rep.residual <= 10.0 * cfg.tol:
-            return corrected, rep
-    rep = ProjectionReport(lam, iterations + extra, np.nan, np.nan, np.nan, True)
-    raise NoConvergence("full Newton fallback did not converge", rep)
-
-
-def _full_newton(map_fn, s0: ExtendedState, lam0, cfg: ProjectionConfig):
-    """Newton on the projection residual A map(s0 + A'lambda) + 2 lambda;
-    returns (lam, converged, iterations)."""
-    d = s0.x.shape[0]
-
-    def g(lam):
-        return np.concatenate(_perturbed(map_fn, s0, lam[:d], lam[d:])[1:])
-
-    return newton(g, lam0, cfg)
+            live &= _norm(lam) <= guard   # a diverged or non-finite path leaves
+            done |= live & (0.25 * _norm(g) < cfg.tol)   # size of lam -= g/4
+            live &= ~done
+        lam = np.where(live | done, lam, 0.0)   # diverged paths restart from zero
+        if done.any():
+            corrected, defect, residual = finish(lam)
+            done &= residual <= 10.0 * cfg.tol
+        fallback = not done.all()
+        if fallback:
+            lam, norm, extra = _full_newton(map_fn, s0, lam, cfg, ~done)
+            solved = done | (norm < cfg.tol)
+            if not solved.all() and map_at_scale is not None:
+                cont, reached, more = _continuation(map_at_scale, s0, cfg, ~solved)
+                lam = np.where(solved, lam, cont)
+                solved |= reached
+                extra += more
+            iterations += extra
+            corrected, defect, residual = finish(lam)
+            solved &= residual <= 10.0 * cfg.tol
+    rep = ProjectionReport(lam, iterations, float(defect.max()), float(residual.max()),
+                           fallback)
+    if fallback and not solved.all():
+        raise NoConvergence("full Newton fallback did not converge", rep)
+    return corrected, rep
 
 
-def _continuation(map_at_scale, s0: ExtendedState, cfg: ProjectionConfig):
+def _full_newton(map_fn, s0: ExtendedState, lam0, cfg: ProjectionConfig, live=True):
+    """Newton on the projection residual A map(s0 + A'lambda) + 2 lambda for
+    the ``live`` paths; returns (lam, residual norm per path, iterations)."""
+    return newton(lambda lam: _perturbed(map_fn, s0, lam)[1], lam0, cfg, live)
+
+
+def _continuation(map_at_scale, s0: ExtendedState, cfg: ProjectionConfig, live=True):
     """Homotopy in the increment scale: follow lambda from the identity map
     (theta = 0, lambda = 0) up to the full step (theta = 1), with one theta
-    schedule for the whole batch."""
+    schedule for the ``live`` paths; returns (lam, reached 1, iterations)."""
     lam = np.zeros((2 * s0.x.shape[0],) + s0.x.shape[1:])
     theta = 0.0
     h = 0.5
     total = 0
     while theta < 1.0:
         trial = min(1.0, theta + h)
-        cand, ok, used = _full_newton(map_at_scale(trial), s0, lam, cfg)
+        cand, norm, used = _full_newton(map_at_scale(trial), s0, lam, cfg, live)
         total += used
-        if ok:
+        if np.all((norm < cfg.tol) | ~live):
             theta = trial
             lam = cand
             h = min(2.0 * h, 1.0 - theta) if theta < 1.0 else h

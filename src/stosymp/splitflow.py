@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import (ExtendedState, HamiltonianModel, NoiseGrid, PhaseState, StepIncrements,
-                   fd_jacobian, step_windows)
+                   fd_jacobian, ordered_sum, step_windows)
 
 
 class FlowId(enum.Enum):
@@ -92,7 +92,7 @@ def flow_f3(gammas, s: ExtendedState, inc: StepIncrements,
     so callers iterating a projection solve compute it once per step."""
     if trig is None:
         gammas = np.asarray(gammas, dtype=float)
-        theta = 4.0 * np.tensordot(gammas, inc.delta, axes=(0, 0))
+        theta = 4.0 * ordered_sum((inc.delta.T * gammas).T)
         c, sn = np.cos(theta), np.sin(theta)
     else:
         c, sn = trig
@@ -130,7 +130,7 @@ def f3_trig(recipe: CompositionRecipe, incs: Sequence[StepIncrements],
     out = {}
     for i, (flow, _) in enumerate(recipe.stages):
         if flow is FlowId.F3:
-            theta = 4.0 * scale * np.tensordot(gammas, incs[i].delta, axes=(0, 0))
+            theta = 4.0 * scale * ordered_sum((incs[i].delta.T * gammas).T)
             out[i] = (np.cos(theta), np.sin(theta))
     return out
 

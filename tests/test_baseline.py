@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from stosymp.baseline import (ImplicitSolverConfig, midpoint_step,
-                              symplectic_euler_step)
+from stosymp.baseline import midpoint_step, symplectic_euler_step
 from stosymp.core import (HamiltonianModel, PhaseState, StepIncrements,
                           build_noise_grid)
 from stosymp.modelzoo import get_example
-from stosymp.project import NoConvergence
+from stosymp.project import NoConvergence, ProjectionConfig
 from stosymp.splitflow import symplectic_residual_phase
 
 
@@ -61,8 +60,8 @@ def test_midpoint_solver_independence():
     ex = get_example("ex1")
     inc = StepIncrements([0.01, 0.02])
     tol = 1e-10
-    a = midpoint_step(ex.model, ex.z0, inc, ImplicitSolverConfig(tol=tol))
-    b = midpoint_step(ex.model, ex.z0, inc, ImplicitSolverConfig(tol=tol / 2))
+    a = midpoint_step(ex.model, ex.z0, inc, ProjectionConfig(tol=tol))
+    b = midpoint_step(ex.model, ex.z0, inc, ProjectionConfig(tol=tol / 2))
     assert max(abs(a.x[0] - b.x[0]), abs(a.y[0] - b.y[0])) <= 10 * tol
 
 
@@ -121,4 +120,4 @@ def test_midpoint_singular_jacobian_is_noconvergence():
 
 def test_invalid_solver_config():
     with pytest.raises(ValueError):
-        ImplicitSolverConfig(tol=0.0)
+        ProjectionConfig(tol=0.0)

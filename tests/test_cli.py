@@ -53,6 +53,17 @@ def test_config_file_merging_and_precedence(tmp_path):
     assert args3.gamma == 1.0
 
 
+def test_config_supplies_required_flags(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dt = 0.01\nt_end = 0.05\n")
+    out = tmp_path / "run.csv"
+    assert run_cli(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 6   # header and t = 0 .. 0.05
+    with pytest.raises(SystemExit) as err:   # still required without the file
+        parse_args(["run", "--out", str(out)])
+    assert err.value.code == 2
+
+
 def test_config_unknown_key_rejected(tmp_path):
     cfg = tmp_path / "run.cfg"
     # an unknown key, and a known key whose value fails the flag's choices

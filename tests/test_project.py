@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stosymp.core import ExtendedState, HamiltonianModel, PhaseState, build_noise_grid
-from stosymp.project import (NoConvergence, ProjectionConfig, lift, project_map,
+from stosymp.project import (NoConvergence, ProjectionConfig, lift, newton, project_map,
                              projection_step, restrict, simulate)
 from stosymp.splitflow import strang_recipe, lie_recipe
 from stosymp.harness import make_stepper
@@ -70,6 +70,36 @@ def test_full_newton_fallback():
         assert rep.lam.shape == (2,) + shape[1:]
         assert np.allclose(rep.lam[0], 0.5, atol=1e-10)
         assert np.allclose(rep.lam[1], 0.0, atol=1e-10)
+
+
+def test_paths_stop_on_their_own():
+    # per-column gain k: the simplified iteration contracts by (1 + k) / 2, so
+    # the columns converge at different iterations and k = -5 diverges into
+    # the Newton fallback; each column must match its own single-path solve
+    gains = np.array([0.0, -0.5, 0.6, -5.0])
+
+    def solve(k, shape):
+        def map_fn(s):
+            val = 1.0 - k * (s.x - s.u)
+            return ExtendedState(0.5 * val, -0.5 * val, s.y, s.v)
+        return project_map(map_fn, lift(PhaseState(np.zeros(shape), np.zeros(shape))),
+                           ProjectionConfig())
+
+    batch, rep = solve(gains, (1, 4))
+    assert rep.used_fallback
+    for p, k in enumerate(gains):
+        single, _ = solve(k, (1,))
+        for name in ("x", "u", "y", "v"):
+            assert np.array_equal(getattr(batch, name)[:, p], getattr(single, name))
+
+
+def test_newton_skips_finished_singular_column():
+    # w^2 = a: the first column starts at its root, where the Jacobian is 0
+    target = np.array([[0.0, 4.0]])
+    w, norm, _ = newton(lambda w: w * w - target, np.array([[0.0, 1.0]]),
+                        ProjectionConfig())
+    assert np.all(norm < 1e-12)
+    assert w[0, 0] == 0.0 and abs(w[0, 1] - 2.0) < 1e-12
 
 
 def test_rotation_oracle_strang():
