@@ -61,25 +61,21 @@ def symplectic_euler_step(model: HamiltonianModel, z: PhaseState, inc: StepIncre
     dt = inc.delta[0]
 
     def x_residual(x1):
-        sx = 0.0
-        for r in range(model.m + 1):
-            sx = sx + model.grad_y[r](x1, y0) * inc.delta[r]
+        fx = model.field(x1, y0, inc.delta)[0]
         hxx, hyy, hyx = _hessians(model, x1, y0)
         g1x = model.grad_x[1](x1, y0)
         g1y = model.grad_y[1](x1, y0)
         corr = 0.5 * (np.einsum("ij...,j...->i...", hyy, g1x)
                       - 0.5 * np.einsum("ij...,j...->i...", hyx, g1y))
-        return x1 - x0 - sx + corr * dt
+        return x1 - x0 - fx + corr * dt
 
     x1 = _solve(x_residual, x0, cfg)
 
-    sy = 0.0
-    for r in range(model.m + 1):
-        sy = sy + model.grad_x[r](x1, y0) * inc.delta[r]
+    fy = model.field(x1, y0, inc.delta)[1]
     hxx, hyy, hyx = _hessians(model, x1, y0)
     g1x = model.grad_x[1](x1, y0)
     g1y = model.grad_y[1](x1, y0)
     corr = 0.5 * (np.einsum("ij...,j...->i...", hxx, g1y)
                   - 0.5 * np.einsum("ij...,j...->i...", hyx, g1x))
-    y1 = y0 - sy - corr * dt
+    y1 = y0 + fy - corr * dt
     return PhaseState(x1, y1)

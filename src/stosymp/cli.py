@@ -11,6 +11,7 @@ and seed give byte-identical files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -20,7 +21,7 @@ from . import harness, nls as nlsmod
 from .core import build_noise_grid, verify_gradients
 from .modelzoo import get_example
 from .project import NoConvergence, ProjectionConfig, simulate
-from .splitflow import symplectic_residual_phase
+from .splitflow import stage_bounds, symplectic_residual_phase
 
 DEFAULT_DT_LIST = "0.03125,0.015625,0.0078125,0.00390625"  # 2^-5 .. 2^-8
 
@@ -38,13 +39,20 @@ def write_csv(path: str, header: Sequence[str], rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _finite(text: str) -> float:
+    v = float(text)
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
+    return v
+
+
 def _parse_gamma(text: str):
-    parts = [float(p) for p in text.split(",")]
+    parts = [_finite(p) for p in text.split(",")]
     return parts[0] if len(parts) == 1 else parts
 
 
 def _dt_list(text: str) -> tuple:
-    return tuple(float(p) for p in text.split(","))
+    return tuple(_finite(p) for p in text.split(","))
 
 
 def _scheme_list(text: str):
@@ -57,7 +65,7 @@ def _scheme_list(text: str):
 
 
 def _positive(text: str) -> float:
-    v = float(text)
+    v = _finite(text)
     if v <= 0:
         raise argparse.ArgumentTypeError(f"expected a positive value, got {text}")
     return v
@@ -95,7 +103,7 @@ def build_parser(require: bool = True) -> argparse.ArgumentParser:
         p.add_argument("--gamma", type=_parse_gamma, default=0.0,
                        help="restraint constant; scalar applied to all channels "
                             "or a comma list per channel (default 0)")
-        p.add_argument("--c", type=float, default=0.5, help="noise Hamiltonian scale")
+        p.add_argument("--c", type=_finite, default=0.5, help="noise Hamiltonian scale")
 
     def stepping(p):
         p.add_argument("--dt", type=_positive, required=require)
@@ -135,8 +143,8 @@ def build_parser(require: bool = True) -> argparse.ArgumentParser:
     p_nls.set_defaults(tol=1e-13)
     stepping(p_nls)
     p_nls.add_argument("--h", type=_positive, default=1.0)
-    p_nls.add_argument("--x-left", type=float, default=-5.0)
-    p_nls.add_argument("--x-right", type=float, default=5.0)
+    p_nls.add_argument("--x-left", type=_finite, default=-5.0)
+    p_nls.add_argument("--x-right", type=_finite, default=5.0)
     p_nls.add_argument("--modes", type=_positive_int, default=10)
     p_nls.add_argument("--recipe", default="strang-ab", choices=sorted(nlsmod.RECIPES))
 
@@ -289,8 +297,11 @@ def cmd_nls(args, cfg: ProjectionConfig) -> int:
     grid = build_noise_grid(args.seed, 0, args.modes, 0.0, n_steps * args.dt,
                             n_steps * harness.FINE_STEPS)
 
+    bounds = stage_bounds(nlsmod.RECIPES[args.recipe], harness.FINE_STEPS)
+
     def stepper(s, step):
-        return nlsmod.nls_step(lattice, args.recipe, s, grid, step, cfg, harness.FINE_STEPS)
+        return nlsmod.nls_step(lattice, args.recipe, s, grid, step, cfg, harness.FINE_STEPS,
+                               bounds)
 
     traj = simulate(stepper, nlsmod.nls_initial(lattice), n_steps, args.dt,
                     {"charge": nlsmod.charge})

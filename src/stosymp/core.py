@@ -64,6 +64,40 @@ class HamiltonianModel:
         return fx, fy
 
 
+@dataclass(frozen=True, kw_only=True)
+class ScaledNoiseModel(HamiltonianModel):
+    """A model whose noise Hamiltonians are multiples of the drift,
+    H_r = c[r-1] * H_0.  ``scaled`` derives the per-channel tuples from H_0,
+    so per-channel readers see every channel; ``field`` needs one gradient
+    pair, ``grad_x[0]`` and ``grad_y[0]``, weighted by
+    delta_0 + sum_r c_r delta_r."""
+
+    c: tuple
+
+    def __post_init__(self):
+        super().__post_init__()
+        if len(self.c) != self.m:
+            raise ValueError(f"c must have m = {self.m} entries")
+
+    @classmethod
+    def scaled(cls, d: int, h0: Callable, grad_x0: Callable, grad_y0: Callable, c,
+               **kwargs) -> "ScaledNoiseModel":
+        """The model with drift H_0 and one noise channel per entry of ``c``."""
+        c = tuple(float(cr) for cr in np.atleast_1d(c))
+
+        def channels(fn):
+            return (fn,) + tuple((lambda x, y, cr=cr: cr * fn(x, y)) for cr in c)
+
+        return cls(d=d, m=len(c), h=channels(h0), grad_x=channels(grad_x0),
+                   grad_y=channels(grad_y0), c=c, **kwargs)
+
+    def field(self, x, y, delta):
+        w = delta[0]
+        for r, cr in enumerate(self.c, 1):
+            w = w + cr * delta[r]
+        return self.grad_y[0](x, y) * w, -(self.grad_x[0](x, y) * w)
+
+
 @dataclass(frozen=True)
 class PhaseState:
     x: np.ndarray
@@ -249,9 +283,10 @@ def coarsen(grid: NoiseGrid, factor: int) -> NoiseGrid:
 
 
 @lru_cache(maxsize=256)
-def _window_bounds(split: tuple, substeps: int) -> tuple:
-    """Integer fine-grid offsets of the window boundaries within one scheme
-    step; cached because the same split repeats at every step."""
+def window_bounds(split: tuple, substeps: int) -> tuple:
+    """Integer fine-grid offsets (lo, hi) of the windows that ``split``, a
+    tuple of positive fractions summing to 1, cuts from one scheme step of
+    ``substeps`` fine steps; each boundary must land on a fine-grid point."""
     fracs = [Fraction(f).limit_denominator(10**9) if not isinstance(f, Fraction) else f
              for f in split]
     if any(f <= 0 for f in fracs):
@@ -270,21 +305,27 @@ def _window_bounds(split: tuple, substeps: int) -> tuple:
     return tuple(bounds)
 
 
-def step_windows(grid: NoiseGrid, step: int, split: Sequence, substeps: Optional[int] = None):
-    """Extract sub-interval increments of scheme step ``step``.
-
-    ``substeps`` is the number of fine increments per scheme step (defaults to
-    the whole grid).  ``split`` lists positive fractions summing to 1; each
-    window boundary must land on a fine-grid point.  Windows sum left to
-    right, so a batch column gets the same increments as the path alone.
-    """
-    substeps = grid.n_fine if substeps is None else int(substeps)
+def grid_windows(grid: NoiseGrid, step: int, substeps: int, bounds: Sequence) -> list:
+    """Increments of scheme step ``step`` (``substeps`` fine steps) over the
+    fine-grid windows ``bounds`` of ``window_bounds``.  Windows sum left to
+    right, so a batch column gets the same increments as the path alone."""
     start = step * substeps
     if start < 0 or start + substeps > grid.n_fine:
         raise ValueError("step index outside the grid")
     inc = grid.inc
     return [StepIncrements(ordered_sum(inc[:, start + lo:start + hi].swapaxes(0, 1)))
-            for lo, hi in _window_bounds(tuple(split), substeps)]
+            for lo, hi in bounds]
+
+
+def step_windows(grid: NoiseGrid, step: int, split: Sequence, substeps: Optional[int] = None):
+    """Extract sub-interval increments of scheme step ``step``.
+
+    ``substeps`` is the number of fine increments per scheme step (defaults to
+    the whole grid).  ``split`` lists positive fractions summing to 1; each
+    window boundary must land on a fine-grid point.
+    """
+    substeps = grid.n_fine if substeps is None else int(substeps)
+    return grid_windows(grid, step, substeps, window_bounds(tuple(split), substeps))
 
 
 # ---------------------------------------------------------------------------

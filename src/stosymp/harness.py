@@ -15,10 +15,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .baseline import midpoint_step, symplectic_euler_step
-from .core import NoiseGrid, PhaseState, build_noise_grid, build_noise_grid_batch, step_windows
+# step_windows is not called here; perfbench/tracing.py patches the name on
+# this module
+from .core import (NoiseGrid, PhaseState, build_noise_grid, build_noise_grid_batch,
+                   grid_windows, step_windows)
 from .modelzoo import ExampleSpec
 from .project import ProjectionConfig, projection_step, simulate
-from .splitflow import lie_recipe, strang_recipe
+from .splitflow import lie_recipe, stage_bounds, strang_recipe
 
 SCHEMES = ("ses-sp-1", "ses-sp-2", "midpoint", "sympeuler")
 FINE_STEPS = 2   # noise-grid steps per reference step: >= 2 for half windows
@@ -26,17 +29,19 @@ FINE_STEPS = 2   # noise-grid steps per reference step: >= 2 for half windows
 
 def make_stepper(scheme: str, example: ExampleSpec, grid: NoiseGrid, substeps: int,
                  gamma, cfg: ProjectionConfig = ProjectionConfig()) -> Callable:
-    """Bind a scheme id to a one-step callable ``(z, step) -> (z', report)``."""
+    """Bind a scheme id to a one-step callable ``(z, step) -> (z', report)``;
+    the fine-grid windows of a step are found here, once."""
     model = example.model
     if scheme in ("ses-sp-1", "ses-sp-2"):
         gammas = np.full(model.m + 1, gamma) if np.ndim(gamma) == 0 else np.asarray(gamma)
         recipe = lie_recipe(gammas) if scheme == "ses-sp-1" else strang_recipe(gammas)
+        bounds = stage_bounds(recipe, substeps)
 
         def stepper(z, step):
-            return projection_step(model, recipe, z, grid, step, cfg, substeps)
+            return projection_step(model, recipe, z, grid, step, cfg, substeps, bounds)
     elif scheme in ("midpoint", "sympeuler"):
         def stepper(z, step):
-            (inc,) = step_windows(grid, step, [1], substeps)
+            (inc,) = grid_windows(grid, step, substeps, ((0, substeps),))
             implicit = midpoint_step if scheme == "midpoint" else symplectic_euler_step
             return implicit(model, z, inc, cfg), None
     else:

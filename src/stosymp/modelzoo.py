@@ -1,5 +1,8 @@
 """The four benchmark systems, their invariants and coordinate transforms.
 
+Each has one noise channel with H_1 = c * H_0, so each is a
+``ScaledNoiseModel``: one gradient pair per field evaluation.
+
 Entries are squared as ``v * v``: ``v ** 2`` on a numpy scalar (one path)
 calls ``pow``, which may round differently from an array's square (a batch).
 """
@@ -12,7 +15,7 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from .core import (HamiltonianModel, LinearInvariant, PhaseState, QuadraticInvariant,
-                   eval_linear, eval_quadratic)
+                   ScaledNoiseModel, eval_linear, eval_quadratic)
 
 
 @dataclass(frozen=True)
@@ -28,10 +31,6 @@ class ExampleSpec:
     quadratic: Optional[QuadraticInvariant] = None
 
 
-def _scaled(fn, c):
-    return lambda x, y: c * fn(x, y)
-
-
 def make_example1(c: float = 0.5) -> ExampleSpec:
     """Nonseparable oscillator with H0 = (x^2+1)(y^2+1)/2 and H1 = c*H0."""
 
@@ -44,11 +43,8 @@ def make_example1(c: float = 0.5) -> ExampleSpec:
     def gy(x, y):
         return (x[0] * x[0] + 1.0) * y
 
-    model = HamiltonianModel(
-        d=1, m=1,
-        h=(h0, _scaled(h0, c)),
-        grad_x=(gx, _scaled(gx, c)),
-        grad_y=(gy, _scaled(gy, c)),
+    model = ScaledNoiseModel.scaled(
+        1, h0, gx, gy, c,
         hess_xx=lambda x, y: np.reshape(c * (y[0] * y[0] + 1.0), (1, 1) + np.shape(x[0])),
         hess_yy=lambda x, y: np.reshape(c * (x[0] * x[0] + 1.0), (1, 1) + np.shape(x[0])),
         hess_yx=lambda x, y: np.reshape(2.0 * c * x[0] * y[0], (1, 1) + np.shape(x[0])),
@@ -83,12 +79,7 @@ def make_example2(a: float = -2.0, b: float = -1.0, v: float = -0.5, omega: floa
     def gy(x, y):
         return (a * b * b * v * e1(x, y) - np.exp(-y[0]) - omega)[None]
 
-    model = HamiltonianModel(
-        d=1, m=1,
-        h=(h0, _scaled(h0, c)),
-        grad_x=(gx, lambda x, y: c * gx(x, y)),
-        grad_y=(gy, lambda x, y: c * gy(x, y)),
-        label="example2")
+    model = ScaledNoiseModel.scaled(1, h0, gx, gy, c, label="example2")
 
     # x = ln y3, y = -ln y2 (transform-consistent; y2 = exp(-Y) forces the sign)
     z0 = PhaseState(np.array([np.log(y0[2])]), np.array([-np.log(y0[1])]))
@@ -136,12 +127,7 @@ def make_example3(c: float = 0.5) -> ExampleSpec:
         fcg = f(x, y) * np.cos(g(x, y))
         return np.stack([h * sg * (-0.3), h * fcg * y[1]])
 
-    model = HamiltonianModel(
-        d=2, m=1,
-        h=(h0, _scaled(h0, c)),
-        grad_x=(gx, lambda x, y: c * gx(x, y)),
-        grad_y=(gy, lambda x, y: c * gy(x, y)),
-        label="example3")
+    model = ScaledNoiseModel.scaled(2, h0, gx, gy, c, label="example3")
     z0 = PhaseState(np.array([-1.0, 2.0]), np.array([1.0, -1.0]))
     linear = LinearInvariant(np.array([0.2, 0.0]), np.array([-0.3, 0.0]))
     quadratic = QuadraticInvariant(np.diag([0.0, 0.5]), np.zeros((2, 2)), np.diag([0.0, 1.0]))
@@ -177,12 +163,7 @@ def make_example4(c: float = 0.5, y0=(1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0), 0.
         r2 = 2.0 * c1 - x[0] * x[0]
         return r2 * np.sin(y) * np.cos(y) * (1.0 / _I3 - 1.0 / _I1)
 
-    model = HamiltonianModel(
-        d=1, m=1,
-        h=(h0, _scaled(h0, c)),
-        grad_x=(gx, lambda x, y: c * gx(x, y)),
-        grad_y=(gy, lambda x, y: c * gy(x, y)),
-        label="example4")
+    model = ScaledNoiseModel.scaled(1, h0, gx, gy, c, label="example4")
 
     z0 = PhaseState(np.array([y0[1]]), np.array([np.arctan2(y0[2], y0[0])]))
 

@@ -156,13 +156,14 @@ RECIPES = {name: CompositionRecipe(stages, ()) for name, stages in {
 
 
 def nls_step(lattice: NlsLattice, recipe: str, s: NlsState, grid: NoiseGrid, step: int,
-             cfg: ProjectionConfig = ProjectionConfig(),
-             substeps: Optional[int] = None) -> Tuple[NlsState, ProjectionReport]:
-    """One projected multi-symplectic step on (Q, P)."""
+             cfg: ProjectionConfig = ProjectionConfig(), substeps: Optional[int] = None,
+             bounds: Optional[tuple] = None) -> Tuple[NlsState, ProjectionReport]:
+    """One projected multi-symplectic step on (Q, P); ``bounds`` as in
+    ``projection_step``."""
     if recipe not in RECIPES:
         raise KeyError(f"unknown recipe {recipe!r}; choose from {sorted(RECIPES)}")
     z, rep = projection_step(lattice.model, RECIPES[recipe], PhaseState(s.q, s.p),
-                             grid, step, cfg, substeps)
+                             grid, step, cfg, substeps, bounds)
     return NlsState(z.x, z.y), rep
 
 

@@ -34,7 +34,7 @@ class ProjectionConfig:
     max_iter: int = 50
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:   # NaN fails this test too
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
@@ -206,10 +206,11 @@ def _continuation(map_at_scale, s0: ExtendedState, cfg: ProjectionConfig, live=T
 
 def projection_step(model: HamiltonianModel, recipe: CompositionRecipe, z: PhaseState,
                     grid: NoiseGrid, step: int, cfg: ProjectionConfig,
-                    substeps: Optional[int] = None):
+                    substeps: Optional[int] = None, bounds: Optional[tuple] = None):
     """One semi-explicit symplectic step on the original phase space; ``z``
-    may carry a trailing batch axis."""
-    incs = stage_increments(recipe, grid, step, substeps)  # frozen for all iterates
+    may carry a trailing batch axis.  A stepper passes the recipe's
+    ``stage_bounds`` at ``substeps`` as ``bounds``, found once for all steps."""
+    incs = stage_increments(recipe, grid, step, substeps, bounds)  # frozen for all iterates
     trig = f3_trig(recipe, incs)
 
     def map_fn(s):

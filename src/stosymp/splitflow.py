@@ -10,14 +10,16 @@ space.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+# step_windows is not called here; perfbench/tracing.py patches the name on
+# this module
 from .core import (ExtendedState, HamiltonianModel, NoiseGrid, PhaseState, StepIncrements,
-                   fd_jacobian, ordered_sum, step_windows)
+                   fd_jacobian, grid_windows, ordered_sum, step_windows, window_bounds)
 
 
 class FlowId(enum.Enum):
@@ -33,14 +35,18 @@ class CompositionRecipe:
     Each stage is (flow, fraction); per flow family the fractions must sum
     to 1.  Stages execute left to right, leftmost first.  The i-th occurrence
     of a flow consumes the i-th consecutive time window of that family's
-    fraction sequence; the windows tile the full step.
+    fraction sequence; the windows tile the full step.  With every restraint
+    constant 0 (``restrained`` false) F3 is the identity, and the engine
+    skips it.
     """
 
     stages: tuple
     gammas: np.ndarray
+    restrained: bool = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gammas", np.asarray(self.gammas, dtype=float))
+        object.__setattr__(self, "restrained", bool(np.any(self.gammas)))
         if not self.stages:
             raise ValueError("stage list must be non-empty")
         stages = tuple((FlowId(f), Fraction(frac)) for f, frac in self.stages)
@@ -110,27 +116,37 @@ def flow_f3(gammas, s: ExtendedState, inc: StepIncrements,
 # Composition engine
 # ---------------------------------------------------------------------------
 
-def stage_increments(recipe: CompositionRecipe, grid: NoiseGrid, step: int,
-                     substeps: Optional[int] = None):
-    """Per-stage increments for one scheme step, with the window allocation
-    described in CompositionRecipe."""
+def stage_bounds(recipe: CompositionRecipe, substeps: int) -> tuple:
+    """Fine-grid window (lo, hi) of every stage within one scheme step of
+    ``substeps`` fine steps, with the allocation described in
+    CompositionRecipe; a stepper finds them once and reuses them every step."""
     windows = {}
     for flow in FlowId:
         fracs = recipe.family_fractions(flow)
         if fracs:
-            windows[flow] = iter(step_windows(grid, step, fracs, substeps))
-    return [next(windows[flow]) for flow, _ in recipe.stages]
+            windows[flow] = iter(window_bounds(tuple(fracs), substeps))
+    return tuple(next(windows[flow]) for flow, _ in recipe.stages)
+
+
+def stage_increments(recipe: CompositionRecipe, grid: NoiseGrid, step: int,
+                     substeps: Optional[int] = None, bounds: Optional[tuple] = None):
+    """Per-stage increments for one scheme step; ``bounds`` are the recipe's
+    ``stage_bounds`` at ``substeps``, found here when not given."""
+    substeps = grid.n_fine if substeps is None else int(substeps)
+    if bounds is None:
+        bounds = stage_bounds(recipe, substeps)
+    return grid_windows(grid, step, substeps, bounds)
 
 
 def f3_trig(recipe: CompositionRecipe, incs: Sequence[StepIncrements],
             scale: float = 1.0) -> dict:
     """Precomputed (cos, sin) of the restraint rotation angle per F3 stage;
-    valid for every iterate of a projection solve at frozen noise."""
-    gammas = np.asarray(recipe.gammas, dtype=float)
+    valid for every iterate of a projection solve at frozen noise.  Empty
+    when the recipe has no restraint, since the engine then skips F3."""
     out = {}
     for i, (flow, _) in enumerate(recipe.stages):
-        if flow is FlowId.F3:
-            theta = 4.0 * scale * ordered_sum((incs[i].delta.T * gammas).T)
+        if flow is FlowId.F3 and recipe.restrained:
+            theta = 4.0 * scale * ordered_sum((incs[i].delta.T * recipe.gammas).T)
             out[i] = (np.cos(theta), np.sin(theta))
     return out
 
@@ -138,12 +154,14 @@ def f3_trig(recipe: CompositionRecipe, incs: Sequence[StepIncrements],
 def apply_stages(recipe: CompositionRecipe, model: HamiltonianModel, s: ExtendedState,
                  incs: Sequence[StepIncrements],
                  trig: Optional[dict] = None) -> ExtendedState:
+    """The recipe's stages at the frozen increments ``incs``, F3 left out
+    when the recipe has no restraint."""
     for i, ((flow, _), inc) in enumerate(zip(recipe.stages, incs)):
         if flow is FlowId.F1:
             s = flow_f1(model, s, inc)
         elif flow is FlowId.F2:
             s = flow_f2(model, s, inc)
-        else:
+        elif recipe.restrained:
             s = flow_f3(recipe.gammas, s, inc,
                         None if trig is None else trig.get(i))
     return s

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stosymp.cli import main, parse_args
+from stosymp.project import ProjectionConfig
 
 
 def run_cli(args):
@@ -157,6 +158,30 @@ def test_unrunnable_step_sizes_exit_2(argv, tmp_path, capsys):
     assert run_cli(argv + ["--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--dt", "nan", "--t-end", "1"],
+    ["order", "--dt-list", "0.1,nan"],
+    ["run", "--dt", "0.1", "--t-end", "inf"],
+    ["run", "--dt", "0.1", "--t-end", "0.2", "--tol", "nan"],
+    ["run", "--dt", "0.1", "--t-end", "0.2", "--gamma", "nan"],
+    ["run", "--dt", "0.1", "--t-end", "0.2", "--gamma", "0.1,inf"],
+    ["run", "--dt", "0.1", "--t-end", "0.2", "--c", "inf"],
+    ["nls", "--dt", "0.1", "--t-end", "0.2", "--x-left=-inf"],
+], ids=["dt-nan", "dt-list-nan", "t-end-inf", "tol-nan", "gamma-nan", "gamma-list-inf",
+        "c-inf", "x-left-inf"])
+def test_non_finite_numbers_exit_2(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(argv + ["--out", str(tmp_path / "out")])
+    assert err.value.code == 2
+    assert "expected a finite number" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_nan_tol_rejected_by_config():
+    with pytest.raises(ValueError, match="tol must be positive"):
+        ProjectionConfig(tol=float("nan"))
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from stosymp.core import PhaseState, verify_gradients
+from stosymp.core import PhaseState, ScaledNoiseModel, verify_gradients
 from stosymp.modelzoo import get_example
 
 
@@ -20,6 +22,34 @@ def test_example1_noise_proportionality():
         y = rng.standard_normal(1)
         assert ex.model.h[1](x, y) == 0.15 * ex.model.h[0](x, y)
         assert np.array_equal(ex.model.grad_x[1](x, y), 0.15 * ex.model.grad_x[0](x, y))
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3", "ex4"])
+def test_replaced_gradients_reach_the_field(name):
+    # a tracer swaps the gradient tuples this way and counts what field calls
+    model = get_example(name).model
+    calls = []
+
+    def counted(fn):
+        def grad(x, y):
+            calls.append(fn)
+            return fn(x, y)
+        return grad
+
+    swapped = dataclasses.replace(model, grad_x=tuple(map(counted, model.grad_x)),
+                                  grad_y=tuple(map(counted, model.grad_y)))
+    assert isinstance(swapped, ScaledNoiseModel) and swapped.c == model.c
+    x, y = np.full(model.d, 0.3), np.full(model.d, -0.2)
+    delta = np.array([0.01, -0.05])
+    for got, want in zip(swapped.field(x, y, delta), model.field(x, y, delta)):
+        assert np.array_equal(got, want)
+    assert calls == [model.grad_y[0], model.grad_x[0]]
+
+
+def test_scaled_model_checks_channel_count():
+    model = get_example("ex1").model
+    with pytest.raises(ValueError, match="c must have"):
+        dataclasses.replace(model, c=(0.1, 0.2))
 
 
 def test_example2_casimir_constant_value():

@@ -3,15 +3,17 @@
 Hypothesis draws states around each example's start point and the frozen
 noise of one step.  The projected step must be symplectic, must keep the
 example-3 invariants and the lattice charge to solver tolerance, and a
-batched column must equal the same path run alone, bit for bit.
+batched column must equal the same path run alone, bit for bit.  The fused
+field of the examples must equal the generic channel sum.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stosymp.core import (NoiseGrid, PhaseState, build_noise_grid, build_noise_grid_batch,
-                          eval_linear, eval_quadratic)
+from stosymp.core import (HamiltonianModel, NoiseGrid, PhaseState, ScaledNoiseModel,
+                          build_noise_grid, build_noise_grid_batch, eval_linear,
+                          eval_quadratic)
 from stosymp.harness import SCHEMES, make_stepper
 from stosymp.modelzoo import get_example
 from stosymp.nls import RECIPES, build_lattice, nls_initial
@@ -62,6 +64,40 @@ def lattice_steps(draw):
 
 def projected(model, recipe, grid):
     return lambda z: projection_step(model, recipe, z, grid, 0, CFG, 2)[0]
+
+
+@st.composite
+def field_points(draw):
+    """(model, x, y, delta) of an example, one path or a batch of 3, with
+    increments of either sign."""
+    ex = get_example(draw(st.sampled_from(sorted(SCALE))), c=draw(st.floats(-2.0, 2.0)))
+    d, m = ex.model.d, ex.model.m
+    batch = draw(st.sampled_from([(), (3,)]))
+    paths = int(np.prod(batch))
+    n = d * paths
+    unit = st.floats(-1.0, 1.0)
+    offset = np.array(draw(st.lists(unit, min_size=2 * n, max_size=2 * n)))
+    x0 = ex.z0.x.reshape((d,) + (1,) * len(batch))
+    y0 = ex.z0.y.reshape((d,) + (1,) * len(batch))
+    x = x0 + SCALE[ex.name] * offset[:n].reshape((d,) + batch)
+    y = y0 + SCALE[ex.name] * offset[n:].reshape((d,) + batch)
+    k = (m + 1) * paths
+    delta = np.array(draw(st.lists(st.floats(-0.5, 0.5), min_size=k, max_size=k)))
+    return ex.model, x, y, delta.reshape((m + 1,) + batch)
+
+
+@PROPERTY
+@given(field_points())
+def test_fused_field_equals_channel_sum(case):
+    model, x, y, delta = case
+    assert isinstance(model, ScaledNoiseModel)
+    fused = model.field(x, y, delta)
+    generic = HamiltonianModel.field(model, x, y, delta)
+    weight = np.abs(delta[0]) + sum(abs(cr) * np.abs(delta[r])
+                                    for r, cr in enumerate(model.c, 1))
+    for f, g, grad in zip(fused, generic, (model.grad_y[0], model.grad_x[0])):
+        assert f.shape == g.shape
+        assert np.all(np.abs(f - g) <= 1e-14 * np.abs(grad(x, y)) * weight)
 
 
 @PROPERTY

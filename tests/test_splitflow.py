@@ -3,8 +3,10 @@ import pytest
 
 from stosymp.core import (ExtendedState, HamiltonianModel, StepIncrements,
                           build_noise_grid)
-from stosymp.splitflow import (CompositionRecipe, FlowId, compose, flow_f1,
-                               flow_f2, flow_f3, lie_recipe, strang_recipe,
+from stosymp import splitflow
+from stosymp.splitflow import (CompositionRecipe, FlowId, apply_stages, compose, flow_f1,
+                               flow_f2, flow_f3, lie_recipe, stage_bounds,
+                               stage_increments, strang_recipe,
                                symplectic_residual_extended)
 from stosymp.modelzoo import get_example
 
@@ -196,3 +198,39 @@ def test_linear_invariant_preserved_by_recipes():
             before = a_x @ (s.x + s.u) + a_y @ (s.y + s.v)
             after = a_x @ (out.x + out.u) + a_y @ (out.y + out.v)
             assert abs(after - before) <= 1e-12 * max(1.0, abs(before))
+
+
+@pytest.mark.parametrize("make", [lie_recipe, strang_recipe])
+def test_unrestrained_recipe_skips_f3(make, monkeypatch):
+    ex = get_example("ex3")
+    model = ex.model
+    recipe = make([0.0, 0.0])
+    assert not recipe.restrained and make([0.0, 0.1]).restrained
+    g = build_noise_grid(5, 0, 1, 0.0, 0.02, 2)
+    incs = stage_increments(recipe, g, 0, 2)
+    s = ExtendedState(ex.z0.x, ex.z0.x + [0.3, -0.1], ex.z0.y, ex.z0.y + [-0.2, 0.4])
+    explicit = s
+    for (flow, _), inc in zip(recipe.stages, incs):
+        if flow is FlowId.F1:
+            explicit = flow_f1(model, explicit, inc)
+        elif flow is FlowId.F2:
+            explicit = flow_f2(model, explicit, inc)
+        else:   # rotation by angle 0
+            explicit = flow_f3(recipe.gammas, explicit, inc)
+
+    def not_called(*args):
+        raise AssertionError("F3 evaluated at gamma = 0")
+
+    monkeypatch.setattr(splitflow, "flow_f3", not_called)
+    skipped = apply_stages(recipe, model, s, incs)
+    for name in ("x", "u", "y", "v"):
+        a, b = getattr(skipped, name), getattr(explicit, name)
+        assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b)), name
+
+
+def test_stage_bounds_tile_each_family():
+    # F1 and F2 take half windows in turn, F3 the whole step
+    assert stage_bounds(strang_recipe([0.0]), 4) == ((0, 2), (0, 2), (0, 4), (2, 4), (2, 4))
+    assert stage_bounds(lie_recipe([0.0]), 3) == ((0, 3),) * 3
+    with pytest.raises(ValueError, match="not representable"):
+        stage_bounds(strang_recipe([0.0]), 3)
