@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import HamiltonianModel, PhaseState, StepIncrements, fd_jacobian
+from .core import HamiltonianModel, PhaseState, fd_jacobian
 from .project import NoConvergence, ProjectionConfig, newton
 
 
@@ -21,18 +21,19 @@ def _solve(residual, w0: np.ndarray, cfg: ProjectionConfig) -> np.ndarray:
     return w
 
 
-def midpoint_step(model: HamiltonianModel, z: PhaseState, inc: StepIncrements,
+def midpoint_step(model: HamiltonianModel, z: PhaseState, delta: np.ndarray,
                   cfg: ProjectionConfig = ProjectionConfig()) -> PhaseState:
-    """Stochastic midpoint rule: all H-derivatives at the state average."""
+    """Stochastic midpoint rule: all H-derivatives at the state average.
+    ``delta`` holds the step's increments, as a window of ``core.grid_windows``."""
     d = model.d
     w0 = np.concatenate([z.x, z.y])
 
     def residual(w):
         mid = 0.5 * (w0 + w)
-        return w - w0 - np.concatenate(model.field(mid[:d], mid[d:], inc.delta))
+        return w - w0 - np.concatenate(model.field(mid[:d], mid[d:], delta))
 
     # explicit Euler predictor
-    w = _solve(residual, w0 + np.concatenate(model.field(z.x, z.y, inc.delta)), cfg)
+    w = _solve(residual, w0 + np.concatenate(model.field(z.x, z.y, delta)), cfg)
     return PhaseState(w[:d], w[d:])
 
 
@@ -51,17 +52,17 @@ def _hessians(model: HamiltonianModel, x, y, step_scale: float = 1e-6):
     return hxx, hyy, hyx
 
 
-def symplectic_euler_step(model: HamiltonianModel, z: PhaseState, inc: StepIncrements,
+def symplectic_euler_step(model: HamiltonianModel, z: PhaseState, delta: np.ndarray,
                           cfg: ProjectionConfig = ProjectionConfig()) -> PhaseState:
     """Symplectic Euler with the printed drift-correction terms; single noise
     channel only.  Implicit in the x-update, explicit in the y-update."""
     if model.m != 1:
         raise ValueError("symplectic Euler baseline requires exactly one noise channel")
     x0, y0 = z.x, z.y
-    dt = inc.delta[0]
+    dt = delta[0]
 
     def x_residual(x1):
-        fx = model.field(x1, y0, inc.delta)[0]
+        fx = model.field(x1, y0, delta)[0]
         hxx, hyy, hyx = _hessians(model, x1, y0)
         g1x = model.grad_x[1](x1, y0)
         g1y = model.grad_y[1](x1, y0)
@@ -71,7 +72,7 @@ def symplectic_euler_step(model: HamiltonianModel, z: PhaseState, inc: StepIncre
 
     x1 = _solve(x_residual, x0, cfg)
 
-    fy = model.field(x1, y0, inc.delta)[1]
+    fy = model.field(x1, y0, delta)[1]
     hxx, hyy, hyx = _hessians(model, x1, y0)
     g1x = model.grad_x[1](x1, y0)
     g1y = model.grad_y[1](x1, y0)

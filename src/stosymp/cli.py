@@ -87,16 +87,17 @@ def build_parser(require: bool = True) -> argparse.ArgumentParser:
                     "Hamiltonian systems, with convergence and invariant harnesses.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def shared(p):
+    def shared(p, out=True):
         p.add_argument("--config", help="file of 'key = value' lines read as flags "
                                         "(command-line flags win)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", type=_positive, default=ProjectionConfig.tol)
         p.add_argument("--max-iter", type=_positive_int, default=ProjectionConfig.max_iter)
-        p.add_argument("--out", default=None, help="output CSV path")
+        if out:
+            p.add_argument("--out", default=None, help="output CSV path")
 
-    def common(p, scheme=True):
-        shared(p)
+    def common(p, scheme=True, out=True):
+        shared(p, out)
         p.add_argument("--example", default="ex1", choices=["ex1", "ex2", "ex3", "ex4"])
         if scheme:
             p.add_argument("--scheme", default="ses-sp-1", choices=harness.SCHEMES)
@@ -148,9 +149,10 @@ def build_parser(require: bool = True) -> argparse.ArgumentParser:
     p_nls.add_argument("--modes", type=_positive_int, default=10)
     p_nls.add_argument("--recipe", default="strang-ab", choices=sorted(nlsmod.RECIPES))
 
-    p_check = sub.add_parser("check", help="gradient and symplecticity self-checks")
-    common(p_check)
-    p_check.set_defaults(tol=1e-13)
+    p_check = sub.add_parser("check", help="gradient and symplecticity self-checks "
+                                           "(writes no file)")
+    common(p_check, out=False)
+    p_check.set_defaults(tol=1e-13, scheme="ses-sp-2")
 
     return parser
 
@@ -329,9 +331,9 @@ def cmd_check(args, cfg: ProjectionConfig) -> int:
     print(f"gradients: {'pass' if rep.passed else 'FAIL'} "
           f"(worst deviation {rep.worst:.3e})")
 
-    # spot-check symplecticity of one projected Strang step at fixed noise
+    # spot-check symplecticity of one --scheme step at fixed noise
     grid = build_noise_grid(args.seed, 0, example.model.m, 0.0, 1e-2, harness.FINE_STEPS)
-    stepper = harness.make_stepper("ses-sp-2", example, grid, harness.FINE_STEPS,
+    stepper = harness.make_stepper(args.scheme, example, grid, harness.FINE_STEPS,
                                    args.gamma, cfg)
     res = symplectic_residual_phase(lambda z: stepper(z, 0)[0], example.z0, 1e-5)
     sym_ok = res <= 1e-5

@@ -2,7 +2,10 @@
 
 States may carry a trailing batch axis, i.e. ``x`` has shape ``(d,)`` for a
 single sample or ``(d, n_paths)`` for a vectorized Monte Carlo batch.  All
-model callbacks are expected to broadcast over that axis.
+model callbacks are expected to broadcast over that axis.  Inside the stepping
+core the doubled state (x, u, y, v) is one ``(4, d[, n_paths])`` array in that
+row order, and a window's increments are one ``(m+1[, n_paths])`` array whose
+row 0 is the window length and row r the Brownian increment of channel r.
 """
 
 from __future__ import annotations
@@ -108,40 +111,6 @@ class PhaseState:
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
         if self.x.shape != self.y.shape:
             raise ValueError("x and y must have identical shapes")
-
-
-@dataclass(frozen=True)
-class ExtendedState:
-    """Doubled phase-space state (x, u, y, v); (u, v) is the second copy."""
-
-    x: np.ndarray
-    u: np.ndarray
-    y: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        for name in ("x", "u", "y", "v"):
-            val = getattr(self, name)
-            if not (isinstance(val, np.ndarray) and val.dtype == np.float64):
-                object.__setattr__(self, name, np.asarray(val, dtype=float))
-
-    def on_diagonal(self, tol: float = 0.0) -> bool:
-        return (np.max(np.abs(self.x - self.u)) <= tol
-                and np.max(np.abs(self.y - self.v)) <= tol)
-
-
-@dataclass(frozen=True)
-class StepIncrements:
-    """Per-window increments; ``delta[0]`` is the window length, ``delta[r]``
-    the Brownian increment of channel r over the window."""
-
-    delta: np.ndarray
-
-    def __post_init__(self):
-        if not (isinstance(self.delta, np.ndarray) and self.delta.dtype == np.float64):
-            object.__setattr__(self, "delta", np.asarray(self.delta, dtype=float))
-        if np.any(self.delta[0] < 0):
-            raise ValueError("window length must be non-negative")
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +275,15 @@ def window_bounds(split: tuple, substeps: int) -> tuple:
 
 
 def grid_windows(grid: NoiseGrid, step: int, substeps: int, bounds: Sequence) -> list:
-    """Increments of scheme step ``step`` (``substeps`` fine steps) over the
-    fine-grid windows ``bounds`` of ``window_bounds``.  Windows sum left to
-    right, so a batch column gets the same increments as the path alone."""
+    """Increments, one ``(m+1[, n_paths])`` array per window, of scheme step
+    ``step`` (``substeps`` fine steps) over the fine-grid windows ``bounds`` of
+    ``window_bounds``.  Windows sum left to right, so a batch column gets the
+    same increments as the path alone."""
     start = step * substeps
     if start < 0 or start + substeps > grid.n_fine:
         raise ValueError("step index outside the grid")
     inc = grid.inc
-    return [StepIncrements(ordered_sum(inc[:, start + lo:start + hi].swapaxes(0, 1)))
-            for lo, hi in bounds]
+    return [ordered_sum(inc[:, start + lo:start + hi].swapaxes(0, 1)) for lo, hi in bounds]
 
 
 def step_windows(grid: NoiseGrid, step: int, split: Sequence, substeps: Optional[int] = None):

@@ -41,9 +41,9 @@ def make_stepper(scheme: str, example: ExampleSpec, grid: NoiseGrid, substeps: i
             return projection_step(model, recipe, z, grid, step, cfg, substeps, bounds)
     elif scheme in ("midpoint", "sympeuler"):
         def stepper(z, step):
-            (inc,) = grid_windows(grid, step, substeps, ((0, substeps),))
+            (delta,) = grid_windows(grid, step, substeps, ((0, substeps),))
             implicit = midpoint_step if scheme == "midpoint" else symplectic_euler_step
-            return implicit(model, z, inc, cfg), None
+            return implicit(model, z, delta, cfg), None
     else:
         raise KeyError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     return stepper

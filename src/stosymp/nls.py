@@ -22,11 +22,10 @@ import numpy as np
 
 # step_windows and project_map are not called here; perfbench/tracing.py
 # patches those names on this module
-from .core import (ExtendedState, HamiltonianModel, NoiseGrid, PhaseState,
-                   ordered_sum, step_windows)
+from .core import HamiltonianModel, NoiseGrid, PhaseState, ordered_sum, step_windows
 from .project import (ProjectionConfig, ProjectionReport, project_map,
                       projection_step)
-from .splitflow import CompositionRecipe, FlowId, compose
+from .splitflow import CompositionRecipe, FlowId, compose, flow_f1, flow_f2
 
 
 @dataclass(frozen=True)
@@ -129,20 +128,18 @@ class NlsModel(HamiltonianModel):
                 x * w - delta[0] * (lat.laplacian(x) + cubic * x))
 
 
-def subflow_a(lattice: NlsLattice, s: ExtendedState, tau: float,
-              dbeta: np.ndarray) -> ExtendedState:
+def subflow_a(lattice: NlsLattice, s: np.ndarray, tau: float,
+              dbeta: np.ndarray) -> np.ndarray:
     """F1 of the lattice model: freezes (q, v); advances (u, y).  Extended
-    blocks are laid out as (x, u, y, v) = (Q, X, P, Y); ``tau`` may be
+    rows are laid out as (x, u, y, v) = (Q, X, P, Y); ``tau`` may be
     negative."""
-    du, dy = lattice.model.field(s.x, s.v, np.concatenate(([tau], dbeta)))
-    return ExtendedState(s.x, s.u + du, s.y + dy, s.v)
+    return flow_f1(lattice.model, s, np.concatenate(([tau], dbeta)))
 
 
-def subflow_b(lattice: NlsLattice, s: ExtendedState, tau: float,
-              dbeta: np.ndarray) -> ExtendedState:
+def subflow_b(lattice: NlsLattice, s: np.ndarray, tau: float,
+              dbeta: np.ndarray) -> np.ndarray:
     """F2 of the lattice model: freezes (u, y); advances (q, v)."""
-    dx, dv = lattice.model.field(s.u, s.y, np.concatenate(([tau], dbeta)))
-    return ExtendedState(s.x + dx, s.u, s.y, s.v + dv)
+    return flow_f2(lattice.model, s, np.concatenate(([tau], dbeta)))
 
 
 _A, _B, _HALF = FlowId.F1, FlowId.F2, Fraction(1, 2)
@@ -167,9 +164,9 @@ def nls_step(lattice: NlsLattice, recipe: str, s: NlsState, grid: NoiseGrid, ste
     return NlsState(z.x, z.y), rep
 
 
-def compose_unprojected(lattice: NlsLattice, recipe: str, ext: ExtendedState,
+def compose_unprojected(lattice: NlsLattice, recipe: str, ext: np.ndarray,
                         grid: NoiseGrid, step: int,
-                        substeps: Optional[int] = None) -> ExtendedState:
+                        substeps: Optional[int] = None) -> np.ndarray:
     """The raw extended-space composition, without projection (for defect
     contrast experiments)."""
     return compose(RECIPES[recipe], lattice.model, ext, grid, step, substeps)

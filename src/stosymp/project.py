@@ -1,9 +1,10 @@
 """Symmetric projection: semi-explicit symplectic stepping on the original
 phase space.
 
-The lifted state is perturbed by A'lambda, pushed through the extended-space
-integrator with frozen noise, and corrected by the same A'lambda so the result
-returns to the diagonal ker(A), with A = [I -I 0 0; 0 0 I -I].  lambda is
+The lifted state, one ``(4, d[, n_paths])`` array in (x, u, y, v) row order,
+is perturbed by A'lambda, pushed through the extended-space integrator with
+frozen noise, and corrected by the same A'lambda so the result returns to the
+diagonal ker(A), with A = [I -I 0 0; 0 0 I -I].  lambda is
 found by a simplified Newton iteration with the constant Jacobian
 approximation 4I (note AA' = 2I), falling back to ``newton``, the one
 finite-difference Newton solver that the implicit baselines use as well.
@@ -17,8 +18,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .core import (ExtendedState, HamiltonianModel, NoiseGrid, PhaseState, StepIncrements,
-                   fd_jacobian, ordered_sum)
+from .core import HamiltonianModel, NoiseGrid, PhaseState, fd_jacobian, ordered_sum
 from .splitflow import CompositionRecipe, apply_stages, f3_trig, stage_increments
 
 
@@ -59,15 +59,15 @@ class NoConvergence(RuntimeError):
         self.step = step
 
 
-def lift(z: PhaseState) -> ExtendedState:
+def lift(z: PhaseState) -> np.ndarray:
     """Duplicate (x, y) onto the diagonal of the extended space."""
-    return ExtendedState(z.x, z.x.copy(), z.y, z.y.copy())
+    return np.stack((z.x, z.x, z.y, z.y))
 
 
-def restrict(s: ExtendedState) -> PhaseState:
+def restrict(s: np.ndarray) -> PhaseState:
     """Mean of the two copies; exact on the diagonal and halves the Newton
     residual off it."""
-    return PhaseState(0.5 * (s.x + s.u), 0.5 * (s.y + s.v))
+    return PhaseState(0.5 * (s[0] + s[1]), 0.5 * (s[2] + s[3]))
 
 
 def _norm(a: np.ndarray) -> np.ndarray:
@@ -75,12 +75,25 @@ def _norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(ordered_sum(a * a))
 
 
-def _perturbed(map_fn, s0: ExtendedState, lam: np.ndarray):
+def _copy_gap(s: np.ndarray) -> np.ndarray:
+    """A s = (x - u, y - v) as one (2d[, n_paths]) vector."""
+    gap = s[0::2] - s[1::2]
+    return gap.reshape((-1,) + gap.shape[2:])
+
+
+def _shifted(s: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """s + A'lambda: x and y move by lambda's halves, u and v by their negatives."""
+    shift = lam.reshape(s[0::2].shape)
+    out = np.empty_like(s)
+    out[0::2] = s[0::2] + shift
+    out[1::2] = s[1::2] - shift
+    return out
+
+
+def _perturbed(map_fn, s0: np.ndarray, lam: np.ndarray):
     """Map output at s0 + A'lambda and the projection residual A out + 2 lambda."""
-    d = s0.x.shape[0]
-    l1, l2 = lam[:d], lam[d:]
-    out = map_fn(ExtendedState(s0.x + l1, s0.u - l1, s0.y + l2, s0.v - l2))
-    return out, np.concatenate([out.x - out.u, out.y - out.v]) + 2.0 * lam
+    out = map_fn(_shifted(s0, lam))
+    return out, _copy_gap(out) + 2.0 * lam
 
 
 def _newton_steps(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -117,7 +130,7 @@ def newton(residual: Callable, w0: np.ndarray, cfg: ProjectionConfig, live=True)
             np.subtract(w, step, out=w, where=live)
 
 
-def project_map(map_fn: Callable[[ExtendedState], ExtendedState], s0: ExtendedState,
+def project_map(map_fn: Callable[[np.ndarray], np.ndarray], s0: np.ndarray,
                 cfg: ProjectionConfig, map_at_scale: Optional[Callable] = None):
     """Solve the symmetric-projection equation for an arbitrary extended map.
 
@@ -130,9 +143,8 @@ def project_map(map_fn: Callable[[ExtendedState], ExtendedState], s0: ExtendedSt
     paths.
     Returns (corrected extended state on ker(A), report).
     """
-    d = s0.x.shape[0]
-    lam = np.zeros((2 * d,) + s0.x.shape[1:])
-    guard = 1e6 * (1.0 + _norm(np.concatenate([s0.x, s0.y])))
+    lam = np.zeros((2 * s0.shape[1],) + s0.shape[2:])
+    guard = 1e6 * (1.0 + _norm(s0[0::2].reshape(lam.shape)))   # norm of (x, y)
     live = np.ones(guard.shape, dtype=bool)    # still iterating
     done = np.zeros(guard.shape, dtype=bool)   # last update below tol
     iterations = 0
@@ -140,9 +152,7 @@ def project_map(map_fn: Callable[[ExtendedState], ExtendedState], s0: ExtendedSt
     def finish(lam):
         """Corrected state, pre-projection defect and residual per path."""
         out, g = _perturbed(map_fn, s0, lam)
-        l1, l2 = lam[:d], lam[d:]
-        corrected = ExtendedState(out.x + l1, out.u - l1, out.y + l2, out.v - l2)
-        return corrected, _norm(np.concatenate([out.x - out.u, out.y - out.v])), _norm(g)
+        return _shifted(out, lam), _norm(_copy_gap(out)), _norm(g)
 
     with np.errstate(all="ignore"):
         while iterations < cfg.max_iter and np.count_nonzero(live):
@@ -175,17 +185,17 @@ def project_map(map_fn: Callable[[ExtendedState], ExtendedState], s0: ExtendedSt
     return corrected, rep
 
 
-def _full_newton(map_fn, s0: ExtendedState, lam0, cfg: ProjectionConfig, live=True):
+def _full_newton(map_fn, s0: np.ndarray, lam0, cfg: ProjectionConfig, live=True):
     """Newton on the projection residual A map(s0 + A'lambda) + 2 lambda for
     the ``live`` paths; returns (lam, residual norm per path, iterations)."""
     return newton(lambda lam: _perturbed(map_fn, s0, lam)[1], lam0, cfg, live)
 
 
-def _continuation(map_at_scale, s0: ExtendedState, cfg: ProjectionConfig, live=True):
+def _continuation(map_at_scale, s0: np.ndarray, cfg: ProjectionConfig, live=True):
     """Homotopy in the increment scale: follow lambda from the identity map
     (theta = 0, lambda = 0) up to the full step (theta = 1), with one theta
     schedule for the ``live`` paths; returns (lam, reached 1, iterations)."""
-    lam = np.zeros((2 * s0.x.shape[0],) + s0.x.shape[1:])
+    lam = np.zeros((2 * s0.shape[1],) + s0.shape[2:])
     theta = 0.0
     h = 0.5
     total = 0
@@ -217,7 +227,7 @@ def projection_step(model: HamiltonianModel, recipe: CompositionRecipe, z: Phase
         return apply_stages(recipe, model, s, incs, trig)
 
     def map_at_scale(theta):
-        scaled = [StepIncrements(theta * inc.delta) for inc in incs]
+        scaled = [theta * delta for delta in incs]
         strig = f3_trig(recipe, incs, theta)
         return lambda s: apply_stages(recipe, model, s, scaled, strig)
 

@@ -1,10 +1,12 @@
 """Closed-form extended phase-space flows and their compositions.
 
-Three explicit maps act on the doubled state (x, u, y, v): two cross-coupled
-shear maps driven by the model Hamiltonians and a rotation of the copy
-difference driven by the restraint constants.  Compositions (Lie, Strang, or
-any user recipe) yield explicit symplectic one-step maps on the extended
-space.
+Three explicit maps act on the doubled state (x, u, y, v), one
+``(4, d[, n_paths])`` array in that row order: two cross-coupled shear maps
+driven by the model Hamiltonians and a rotation of the copy difference driven
+by the restraint constants.  Each flow takes the increments of its window as
+one ``(m+1[, n_paths])`` array (row 0 the window length, of either sign) and
+returns a new array.  Compositions (Lie, Strang, or any user recipe) yield
+explicit symplectic one-step maps on the extended space.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import numpy as np
 
 # step_windows is not called here; perfbench/tracing.py patches the name on
 # this module
-from .core import (ExtendedState, HamiltonianModel, NoiseGrid, PhaseState, StepIncrements,
-                   fd_jacobian, grid_windows, ordered_sum, step_windows, window_bounds)
+from .core import (HamiltonianModel, NoiseGrid, PhaseState, fd_jacobian, grid_windows,
+                   ordered_sum, step_windows, window_bounds)
 
 
 class FlowId(enum.Enum):
@@ -78,38 +80,43 @@ def strang_recipe(gammas) -> CompositionRecipe:
 # The three exact flows
 # ---------------------------------------------------------------------------
 
-def flow_f1(model: HamiltonianModel, s: ExtendedState, inc: StepIncrements) -> ExtendedState:
+def flow_f1(model: HamiltonianModel, s: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """Shear driven by H_r(x, v): updates (u, y), freezes (x, v)."""
-    du, dy = model.field(s.x, s.v, inc.delta)
-    return ExtendedState(s.x, s.u + du, s.y + dy, s.v)
+    du, dy = model.field(s[0], s[3], delta)
+    out = s.copy()
+    out[1] += du
+    out[2] += dy
+    return out
 
 
-def flow_f2(model: HamiltonianModel, s: ExtendedState, inc: StepIncrements) -> ExtendedState:
+def flow_f2(model: HamiltonianModel, s: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """Shear driven by H_r(u, y): updates (x, v), freezes (u, y)."""
-    dx, dv = model.field(s.u, s.y, inc.delta)
-    return ExtendedState(s.x + dx, s.u, s.y, s.v + dv)
+    dx, dv = model.field(s[1], s[2], delta)
+    out = s.copy()
+    out[0] += dx
+    out[3] += dv
+    return out
 
 
-def flow_f3(gammas, s: ExtendedState, inc: StepIncrements,
-            trig: Optional[tuple] = None) -> ExtendedState:
+def flow_f3(gammas, s: np.ndarray, delta: np.ndarray,
+            trig: Optional[tuple] = None) -> np.ndarray:
     """Restraint rotation: sums x+u, y+v are preserved exactly; the copy
     differences rotate by the angle 4*sum_r gamma_r*delta_r.  ``trig`` may
     carry precomputed (cos, sin) of that angle; it depends only on the noise,
     so callers iterating a projection solve compute it once per step."""
     if trig is None:
         gammas = np.asarray(gammas, dtype=float)
-        theta = 4.0 * ordered_sum((inc.delta.T * gammas).T)
+        theta = 4.0 * ordered_sum((delta.T * gammas).T)
         c, sn = np.cos(theta), np.sin(theta)
     else:
         c, sn = trig
-    dx = s.x - s.u
-    dy = s.y - s.v
-    sx = s.x + s.u
-    sy = s.y + s.v
-    ndx = c * dx + sn * dy
-    ndy = -sn * dx + c * dy
-    return ExtendedState(0.5 * (sx + ndx), 0.5 * (sx - ndx),
-                         0.5 * (sy + ndy), 0.5 * (sy - ndy))
+    dx, dy = s[0::2] - s[1::2]   # copy differences x - u and y - v
+    total = s[0::2] + s[1::2]
+    turned = np.stack((c * dx + sn * dy, -sn * dx + c * dy))
+    out = np.empty_like(s)
+    out[0::2] = 0.5 * (total + turned)
+    out[1::2] = 0.5 * (total - turned)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +145,7 @@ def stage_increments(recipe: CompositionRecipe, grid: NoiseGrid, step: int,
     return grid_windows(grid, step, substeps, bounds)
 
 
-def f3_trig(recipe: CompositionRecipe, incs: Sequence[StepIncrements],
+def f3_trig(recipe: CompositionRecipe, incs: Sequence[np.ndarray],
             scale: float = 1.0) -> dict:
     """Precomputed (cos, sin) of the restraint rotation angle per F3 stage;
     valid for every iterate of a projection solve at frozen noise.  Empty
@@ -146,33 +153,31 @@ def f3_trig(recipe: CompositionRecipe, incs: Sequence[StepIncrements],
     out = {}
     for i, (flow, _) in enumerate(recipe.stages):
         if flow is FlowId.F3 and recipe.restrained:
-            theta = 4.0 * scale * ordered_sum((incs[i].delta.T * recipe.gammas).T)
+            theta = 4.0 * scale * ordered_sum((incs[i].T * recipe.gammas).T)
             out[i] = (np.cos(theta), np.sin(theta))
     return out
 
 
-def apply_stages(recipe: CompositionRecipe, model: HamiltonianModel, s: ExtendedState,
-                 incs: Sequence[StepIncrements],
-                 trig: Optional[dict] = None) -> ExtendedState:
+def apply_stages(recipe: CompositionRecipe, model: HamiltonianModel, s: np.ndarray,
+                 incs: Sequence[np.ndarray], trig: Optional[dict] = None) -> np.ndarray:
     """The recipe's stages at the frozen increments ``incs``, F3 left out
     when the recipe has no restraint."""
-    for i, ((flow, _), inc) in enumerate(zip(recipe.stages, incs)):
+    for i, ((flow, _), delta) in enumerate(zip(recipe.stages, incs)):
         if flow is FlowId.F1:
-            s = flow_f1(model, s, inc)
+            s = flow_f1(model, s, delta)
         elif flow is FlowId.F2:
-            s = flow_f2(model, s, inc)
+            s = flow_f2(model, s, delta)
         elif recipe.restrained:
-            s = flow_f3(recipe.gammas, s, inc,
+            s = flow_f3(recipe.gammas, s, delta,
                         None if trig is None else trig.get(i))
     return s
 
 
-def compose(recipe: CompositionRecipe, model: HamiltonianModel, s: ExtendedState,
-            grid: NoiseGrid, step: int, substeps: Optional[int] = None) -> ExtendedState:
+def compose(recipe: CompositionRecipe, model: HamiltonianModel, s: np.ndarray,
+            grid: NoiseGrid, step: int, substeps: Optional[int] = None) -> np.ndarray:
     """Apply the recipe over scheme step ``step`` of the grid."""
     out = apply_stages(recipe, model, s, stage_increments(recipe, grid, step, substeps))
-    if not (np.all(np.isfinite(out.x)) and np.all(np.isfinite(out.u))
-            and np.all(np.isfinite(out.y)) and np.all(np.isfinite(out.v))):
+    if not np.all(np.isfinite(out)):
         raise FloatingPointError("non-finite state after composition")
     return out
 
@@ -210,19 +215,12 @@ def phase_form_matrix(d: int) -> np.ndarray:
     return J
 
 
-def symplectic_residual_extended(map_fn: Callable[[ExtendedState], ExtendedState],
-                                 s: ExtendedState, fd_step: float) -> float:
+def symplectic_residual_extended(map_fn: Callable[[np.ndarray], np.ndarray],
+                                 s: np.ndarray, fd_step: float) -> float:
     """max |M' J M - J| for the 4d x 4d finite-difference Jacobian M of the
-    one-step extended map at fixed noise."""
-    d = s.x.shape[0]
-
-    def vec_map(v):
-        st = ExtendedState(v[0:d], v[d:2 * d], v[2 * d:3 * d], v[3 * d:4 * d])
-        out = map_fn(st)
-        return np.concatenate([out.x, out.u, out.y, out.v])
-
-    v0 = np.concatenate([s.x, s.u, s.y, s.v])
-    return _two_form_residual(vec_map, v0, fd_step, extended_form_matrix(d))
+    one-step extended map at fixed noise, at the single-path state ``s``."""
+    return _two_form_residual(lambda v: map_fn(v.reshape(s.shape)).reshape(-1),
+                              s.reshape(-1), fd_step, extended_form_matrix(s.shape[1]))
 
 
 def symplectic_residual_phase(map_fn: Callable, z, fd_step: float) -> float:

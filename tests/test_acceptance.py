@@ -11,10 +11,9 @@ import time
 import numpy as np
 
 from stosymp.baseline import midpoint_step, symplectic_euler_step
-from stosymp.core import (ExtendedState, HamiltonianModel, LinearInvariant,
-                          PhaseState, QuadraticInvariant, StepIncrements,
-                          build_noise_grid, build_noise_grid_batch, eval_linear,
-                          eval_quadratic)
+from stosymp.core import (HamiltonianModel, LinearInvariant, PhaseState,
+                          QuadraticInvariant, build_noise_grid, build_noise_grid_batch,
+                          eval_linear, eval_quadratic)
 from stosymp.harness import ConvergenceSpec, make_stepper, ms_error, track
 from stosymp.modelzoo import get_example
 from stosymp.nls import (NlsState, build_lattice, charge, nls_initial, nls_step,
@@ -266,18 +265,17 @@ def test_criterion_12_unit_oracles():
     xy = HamiltonianModel(d=1, m=0, h=(lambda x, y: x[0] * y[0],),
                           grad_x=(lambda x, y: y.copy(),),
                           grad_y=(lambda x, y: x.copy(),))
-    s = flow_f1(xy, ExtendedState([1.0], [0.0], [0.0], [2.0]), StepIncrements([0.5]))
-    close("subflow one", [s.x[0], s.u[0], s.y[0], s.v[0]], [1, 0.5, -1, 2])
-    s = flow_f2(xy, ExtendedState([1.0], [2.0], [3.0], [0.0]), StepIncrements([0.5]))
-    close("subflow two", [s.x[0], s.u[0], s.y[0], s.v[0]], [2, 2, 3, -1.5])
-    s = flow_f3([np.pi / 8], ExtendedState([1.0], [0.0], [0.0], [0.0]),
-                StepIncrements([1.0]))
-    close("copy rotation", [s.x[0], s.u[0], s.y[0], s.v[0]], [0.5, 0.5, -0.5, 0.5])
+    s = flow_f1(xy, np.array([[1.0], [0.0], [0.0], [2.0]]), np.array([0.5]))
+    close("subflow one", s[:, 0], [1, 0.5, -1, 2])
+    s = flow_f2(xy, np.array([[1.0], [2.0], [3.0], [0.0]]), np.array([0.5]))
+    close("subflow two", s[:, 0], [2, 2, 3, -1.5])
+    s = flow_f3([np.pi / 8], np.array([[1.0], [0.0], [0.0], [0.0]]), np.array([1.0]))
+    close("copy rotation", s[:, 0], [0.5, 0.5, -0.5, 0.5])
 
     osc = HamiltonianModel(d=1, m=0, h=(lambda x, y: 0.5 * (x[0] ** 2 + y[0] ** 2),),
                            grad_x=(lambda x, y: x.copy(),),
                            grad_y=(lambda x, y: y.copy(),))
-    z = midpoint_step(osc, PhaseState([1.0], [0.0]), StepIncrements([2.0]))
+    z = midpoint_step(osc, PhaseState([1.0], [0.0]), np.array([2.0]))
     close("Cayley map", [z.x[0], z.y[0]], [0.0, -1.0])
 
     silent = HamiltonianModel(d=1, m=1,
@@ -286,8 +284,7 @@ def test_criterion_12_unit_oracles():
                                       lambda x, y: np.zeros_like(x)),
                               grad_y=(lambda x, y: x.copy(),
                                       lambda x, y: np.zeros_like(x)))
-    z = symplectic_euler_step(silent, PhaseState([1.0], [1.0]),
-                              StepIncrements([0.5, 0.0]))
+    z = symplectic_euler_step(silent, PhaseState([1.0], [1.0]), np.array([0.5, 0.0]))
     close("one-sided Euler map", [z.x[0], z.y[0]], [2.0, 0.5])
 
     lin = LinearInvariant(np.array([0.2, 0.0]), np.array([-0.3, 0.0]))
@@ -314,9 +311,9 @@ def test_criterion_12_unit_oracles():
     close("node charge", charge(NlsState(np.array([3.0]), np.array([4.0]))), 25.0,
           tol=1e-14)
     lat9 = build_lattice(-5.0, 5.0, 9, modes=10)
-    sa = subflow_a(lat9, ExtendedState(np.ones(9), np.zeros(9), np.zeros(9),
-                                       np.zeros(9)), 0.1, np.zeros(10))
-    close("frozen components", np.concatenate([sa.x - 1.0, sa.v]), np.zeros(18),
+    sa = subflow_a(lat9, np.stack((np.ones(9), np.zeros(9), np.zeros(9), np.zeros(9))),
+                   0.1, np.zeros(10))
+    close("frozen components", np.concatenate([sa[0] - 1.0, sa[3]]), np.zeros(18),
           tol=1e-14)
 
     failed = [tag for tag, good in checks if not good]

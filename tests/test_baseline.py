@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from stosymp.baseline import midpoint_step, symplectic_euler_step
-from stosymp.core import (HamiltonianModel, PhaseState, StepIncrements,
-                          build_noise_grid)
+from stosymp.core import HamiltonianModel, PhaseState, build_noise_grid
 from stosymp.modelzoo import get_example
 from stosymp.project import NoConvergence, ProjectionConfig
 from stosymp.splitflow import symplectic_residual_phase
@@ -17,13 +16,13 @@ def osc_model():
 
 
 def test_midpoint_cayley_oracle():
-    z = midpoint_step(osc_model(), PhaseState([1.0], [0.0]), StepIncrements([2.0]))
+    z = midpoint_step(osc_model(), PhaseState([1.0], [0.0]), np.array([2.0]))
     assert np.allclose([z.x[0], z.y[0]], [0.0, -1.0], atol=1e-11)
 
 
 def test_midpoint_identity_on_zero_increments():
     z0 = PhaseState([0.4], [-1.2])
-    z = midpoint_step(osc_model(), z0, StepIncrements([0.0]))
+    z = midpoint_step(osc_model(), z0, np.array([0.0]))
     assert np.allclose([z.x[0], z.y[0]], [0.4, -1.2], atol=1e-14)
 
 
@@ -32,7 +31,7 @@ def test_midpoint_preserves_circle():
     z = PhaseState([0.8], [0.6])
     r_prev = 1.0
     for _ in range(50):
-        z = midpoint_step(osc_model(), z, StepIncrements([rng.uniform(0, 1)]))
+        z = midpoint_step(osc_model(), z, np.array([rng.uniform(0, 1)]))
         r = z.x[0] ** 2 + z.y[0] ** 2
         assert abs(r - r_prev) <= 1e-12  # per-step preservation
         r_prev = r
@@ -44,13 +43,13 @@ def test_midpoint_preserves_example3_quadratic():
     z = ex.z0
     q0 = ex.invariants["quadratic"](z)
     for n in range(1000):
-        z = midpoint_step(ex.model, z, StepIncrements(g.inc[:, n]))
+        z = midpoint_step(ex.model, z, g.inc[:, n])
     assert abs(ex.invariants["quadratic"](z) - q0) <= 1e-10 * abs(q0)
 
 
 def test_midpoint_symplectic_at_fixed_noise():
     ex = get_example("ex1")
-    inc = StepIncrements([0.01, 0.037])
+    inc = np.array([0.01, 0.037])
     res = symplectic_residual_phase(
         lambda z: midpoint_step(ex.model, z, inc), ex.z0, 1e-5)
     assert res <= 1e-5
@@ -58,7 +57,7 @@ def test_midpoint_symplectic_at_fixed_noise():
 
 def test_midpoint_solver_independence():
     ex = get_example("ex1")
-    inc = StepIncrements([0.01, 0.02])
+    inc = np.array([0.01, 0.02])
     tol = 1e-10
     a = midpoint_step(ex.model, ex.z0, inc, ProjectionConfig(tol=tol))
     b = midpoint_step(ex.model, ex.z0, inc, ProjectionConfig(tol=tol / 2))
@@ -76,14 +75,14 @@ def xy_with_silent_noise():
 def test_sympeuler_hand_oracle():
     # H0 = XY, H1 = 0, dt = 0.5: X' = X/(1-dt), Y' = Y(1-dt)
     z = symplectic_euler_step(xy_with_silent_noise(), PhaseState([1.0], [1.0]),
-                              StepIncrements([0.5, 0.0]))
+                              np.array([0.5, 0.0]))
     assert np.allclose([z.x[0], z.y[0]], [2.0, 0.5], atol=1e-11)
     assert abs(z.x[0] * z.y[0] - 1.0) <= 1e-10
 
 
 def test_sympeuler_identity_on_zero_increments():
     z = symplectic_euler_step(xy_with_silent_noise(), PhaseState([0.3], [-0.7]),
-                              StepIncrements([0.0, 0.0]))
+                              np.array([0.0, 0.0]))
     assert np.allclose([z.x[0], z.y[0]], [0.3, -0.7], atol=1e-13)
 
 
@@ -94,14 +93,14 @@ def test_sympeuler_rejects_multichannel():
                              grad_x=(zero,) * 3, grad_y=(zero,) * 3)
     with pytest.raises(ValueError):
         symplectic_euler_step(model, PhaseState([0.0], [0.0]),
-                              StepIncrements([0.1, 0.0, 0.0]))
+                              np.array([0.1, 0.0, 0.0]))
 
 
 def test_sympeuler_fd_hessians_match_analytic():
     ex = get_example("ex1")  # has analytic second derivatives
     stripped = HamiltonianModel(d=1, m=1, h=ex.model.h, grad_x=ex.model.grad_x,
                                 grad_y=ex.model.grad_y)
-    inc = StepIncrements([0.01, 0.015])
+    inc = np.array([0.01, 0.015])
     z0 = PhaseState([0.3], [-2.0])
     a = symplectic_euler_step(ex.model, z0, inc)
     b = symplectic_euler_step(stripped, z0, inc)
@@ -115,7 +114,7 @@ def test_midpoint_singular_jacobian_is_noconvergence():
                              grad_x=(lambda x, y: y.copy(),),
                              grad_y=(lambda x, y: x.copy(),))
     with pytest.raises(NoConvergence):
-        midpoint_step(model, PhaseState([1.0], [1.0]), StepIncrements([2.0]))
+        midpoint_step(model, PhaseState([1.0], [1.0]), np.array([2.0]))
 
 
 def test_invalid_solver_config():

@@ -129,6 +129,25 @@ def test_check_command():
     assert run_cli(["check", "--example", "ex3"]) == 0
 
 
+def test_check_honours_scheme(capsys):
+    assert run_cli(["check", "--example", "ex1"]) == 0
+    plain = capsys.readouterr().out
+    assert run_cli(["check", "--example", "ex1", "--scheme", "ses-sp-2"]) == 0
+    assert capsys.readouterr().out == plain   # ses-sp-2 is the default
+    assert run_cli(["check", "--example", "ex1", "--scheme", "midpoint"]) == 0
+    midpoint = capsys.readouterr().out
+    sym = [line for line in midpoint.splitlines() if line.startswith("symplecticity")]
+    assert sym and sym[0] not in plain
+
+
+def test_check_rejects_out(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        run_cli(["check", "--example", "ex1", "--scheme", "midpoint", "--out", "x.csv"])
+    assert err.value.code == 2
+    assert not list(tmp_path.iterdir())
+
+
 def test_gamma_uniform_list_matches_scalar(capsys):
     assert run_cli(["check", "--example", "ex1", "--gamma", "0.3"]) == 0
     scalar = capsys.readouterr().out
@@ -191,8 +210,10 @@ def test_nan_tol_rejected_by_config():
     ["check", "--example", "ex1"],
 ], ids=["track", "timing", "check"])
 def test_max_iter_reaches_the_solver(argv, tmp_path, capsys):
-    # one iteration cannot meet the default tolerance, so each run must fail
-    assert run_cli(argv + ["--max-iter", "1", "--out", str(tmp_path / "out")]) == 1
+    # one iteration cannot meet the default tolerance, so each run must fail;
+    # check writes no file and takes no --out
+    out = [] if argv[0] == "check" else ["--out", str(tmp_path / "out")]
+    assert run_cli(argv + ["--max-iter", "1"] + out) == 1
     assert "numerical failure" in capsys.readouterr().err
 
 

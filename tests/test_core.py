@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from stosymp.core import (HamiltonianModel, LinearInvariant, PhaseState,
-                          QuadraticInvariant, StepIncrements, build_noise_grid,
+                          QuadraticInvariant, build_noise_grid,
                           build_noise_grid_batch, coarsen, eval_linear,
                           eval_quadratic, step_windows, verify_gradients)
 from stosymp.modelzoo import make_example1
@@ -75,12 +75,11 @@ def test_coarsen_full_and_invalid():
 def test_step_windows_full_and_halves():
     g = build_noise_grid(0, 0, 1, 0.0, 1.0, 4)
     (w,) = step_windows(g, 0, [1], substeps=2)
-    assert np.isclose(w.delta[1], g.inc[1][:2].sum(), rtol=0, atol=0)
+    assert np.isclose(w[1], g.inc[1][:2].sum(), rtol=0, atol=0)
     h1, h2 = step_windows(g, 1, [0.5, 0.5], substeps=2)
-    assert h1.delta[1] == g.inc[1][2]
-    assert h2.delta[1] == g.inc[1][3]
-    assert np.isclose(h1.delta[1] + h2.delta[1],
-                      step_windows(g, 1, [1], substeps=2)[0].delta[1])
+    assert h1[1] == g.inc[1][2]
+    assert h2[1] == g.inc[1][3]
+    assert np.isclose(h1[1] + h2[1], step_windows(g, 1, [1], substeps=2)[0][1])
 
 
 def test_step_windows_unrepresentable_boundary():
@@ -151,5 +150,3 @@ def test_verify_gradients_constant_hamiltonian():
 def test_state_validation():
     with pytest.raises(ValueError):
         PhaseState([1.0, 2.0], [1.0])
-    with pytest.raises(ValueError):
-        StepIncrements([-0.1, 0.0])

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stosymp.core import (ExtendedState, HamiltonianModel, NoiseGrid, build_noise_grid,
-                          verify_gradients)
+from stosymp.core import HamiltonianModel, NoiseGrid, build_noise_grid, verify_gradients
 from stosymp.nls import (build_lattice, charge, compose_unprojected, nls_initial,
                          nls_step, noise_vector, subflow_a, subflow_b, NlsState,
                          RECIPES)
@@ -63,26 +62,24 @@ def test_noise_vector_oracles():
 
 
 def E(q, x, p, y):
-    return ExtendedState([q], [x], [p], [y])
+    return np.array([[q], [x], [p], [y]], dtype=float)
 
 
 def test_subflow_a_hand_oracles():
     lat = unit_lattice()
     out = subflow_a(lat, E(1, 0, 0, 0), 0.1, np.zeros(1))
-    assert np.allclose([out.x[0], out.u[0], out.y[0], out.v[0]], [1, 0, 0, 0],
-                       atol=1e-14)
+    assert np.allclose(out[:, 0], [1, 0, 0, 0], atol=1e-14)
     out2 = subflow_a(lat, E(2, 0, 0, 0), 0.1, np.zeros(1))
-    assert np.isclose(out2.y[0], -0.6)
+    assert np.isclose(out2[2, 0], -0.6)
     ident = subflow_a(lat, E(0.3, -0.1, 0.7, 0.2), 0.0, np.zeros(1))
-    assert np.allclose([ident.x[0], ident.u[0], ident.y[0], ident.v[0]],
-                       [0.3, -0.1, 0.7, 0.2], atol=1e-15)
+    assert np.allclose(ident[:, 0], [0.3, -0.1, 0.7, 0.2], atol=1e-15)
 
 
 def test_subflow_b_hand_oracle():
     lat = unit_lattice()
     out = subflow_b(lat, E(0, 1, 1, 0), 0.1, np.zeros(1))
-    assert np.isclose(out.x[0], 0.1)
-    assert np.isclose(out.v[0], -0.1)
+    assert np.isclose(out[0, 0], 0.1)
+    assert np.isclose(out[3, 0], -0.1)
 
 
 def test_subflow_swap_symmetry():
@@ -92,10 +89,10 @@ def test_subflow_swap_symmetry():
     rng = np.random.default_rng(2)
     q, x, p, y = rng.standard_normal((4, 9))
     db = rng.standard_normal(4)
-    b_out = subflow_b(lat, ExtendedState(q, x, p, y), 0.05, db)
-    a_out = subflow_a(lat, ExtendedState(p, y, q, x), -0.05, -db)
-    assert np.allclose(b_out.x, a_out.y, atol=1e-14)   # Q' matches P'-slot
-    assert np.allclose(b_out.v, a_out.u, atol=1e-14)   # Y' matches X'-slot
+    b_out = subflow_b(lat, np.stack((q, x, p, y)), 0.05, db)
+    a_out = subflow_a(lat, np.stack((p, y, q, x)), -0.05, -db)
+    assert np.allclose(b_out[0], a_out[2], atol=1e-14)   # Q' matches P'-slot
+    assert np.allclose(b_out[3], a_out[1], atol=1e-14)   # Y' matches X'-slot
 
 
 def zero_grid(modes, n=2):
@@ -155,14 +152,14 @@ def test_unprojected_defect_grows_projected_does_not():
     n_steps = 50
     g = build_noise_grid(5, 0, 10, 0.0, n_steps * 1e-2, 2 * n_steps)
     s = nls_initial(lat)
-    ext = ExtendedState(s.q, s.q.copy(), s.p, s.p.copy())
+    ext = np.stack((s.q, s.q, s.p, s.p))
     cfg = ProjectionConfig(tol=1e-13)
     max_proj_defect = 0.0
     for n in range(n_steps):
         ext = compose_unprojected(lat, "strang-ab", ext, g, n, 2)
         s, rep = nls_step(lat, "strang-ab", s, g, n, cfg, 2)
         max_proj_defect = max(max_proj_defect, rep.residual)
-    raw_defect = np.sqrt(np.sum((ext.x - ext.u) ** 2 + (ext.y - ext.v) ** 2))
+    raw_defect = np.sqrt(np.sum((ext[0] - ext[1]) ** 2 + (ext[2] - ext[3]) ** 2))
     assert raw_defect > 1e-6          # splitting desynchronizes the copies
     assert max_proj_defect <= 1e-11   # projection keeps them together
 

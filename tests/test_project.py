@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stosymp.core import ExtendedState, HamiltonianModel, PhaseState, build_noise_grid
+from stosymp.core import HamiltonianModel, PhaseState, build_noise_grid
 from stosymp.project import (NoConvergence, ProjectionConfig, lift, newton, project_map,
                              projection_step, restrict, simulate)
 from stosymp.splitflow import strang_recipe, lie_recipe
@@ -12,11 +12,10 @@ from stosymp.modelzoo import get_example
 def test_lift_restrict_oracles():
     z = PhaseState([1.0], [2.0])
     s = lift(z)
-    assert np.array_equal([s.x[0], s.u[0], s.y[0], s.v[0]], [1, 1, 2, 2])
-    assert s.on_diagonal()
+    assert np.array_equal(s[:, 0], [1, 1, 2, 2])
     back = restrict(s)
     assert back.x[0] == 1.0 and back.y[0] == 2.0
-    avg = restrict(ExtendedState([1.0], [3.0], [0.0], [4.0]))
+    avg = restrict(np.array([[1.0], [3.0], [0.0], [4.0]]))
     assert avg.x[0] == 2.0 and avg.y[0] == 2.0
 
 
@@ -25,7 +24,7 @@ def test_project_identity_map():
     out, rep = project_map(lambda s: s, s0, ProjectionConfig())
     assert rep.iterations == 1
     assert np.all(rep.lam == 0.0)
-    assert np.array_equal(out.x, s0.x) and np.array_equal(out.y, s0.y)
+    assert np.array_equal(out[0], s0[0]) and np.array_equal(out[2], s0[2])
 
 
 def test_project_constant_defect_fixed_point():
@@ -33,13 +32,13 @@ def test_project_constant_defect_fixed_point():
     s0 = lift(PhaseState([0.0], [0.0]))
 
     def map_fn(s):
-        return ExtendedState([2.0], [-2.0], s.y, s.v)
+        return np.stack(([2.0], [-2.0], s[2], s[3]))
 
     out, rep = project_map(map_fn, s0, ProjectionConfig(tol=1e-14))
     assert np.allclose(rep.lam, [-2.0, 0.0], atol=1e-12)
     assert rep.residual <= 1e-12
     # corrected state back on the diagonal
-    assert abs(out.x[0] - out.u[0]) <= 1e-12
+    assert abs(out[0, 0] - out[1, 0]) <= 1e-12
 
 
 @pytest.mark.filterwarnings("error")
@@ -47,8 +46,8 @@ def test_no_solution_raises():
     # the copy gap 1 - (x - u) keeps the residual at 1 whatever lambda is, so
     # the simplified iteration stalls and the Newton Jacobian is singular
     def map_fn(s):
-        val = 1.0 - (s.x - s.u)
-        return ExtendedState(0.5 * val, -0.5 * val, s.y, s.v)
+        val = 1.0 - (s[0] - s[1])
+        return np.stack((0.5 * val, -0.5 * val, s[2], s[3]))
 
     for shape in ((1,), (1, 3)):
         s0 = lift(PhaseState(np.zeros(shape), np.zeros(shape)))
@@ -60,8 +59,8 @@ def test_no_solution_raises():
 def test_full_newton_fallback():
     # the simplified iteration diverges (factor 3); Newton finds lambda = 0.5
     def map_fn(s):
-        val = -5.0 * (s.x - s.u) + 4.0
-        return ExtendedState(0.5 * val, -0.5 * val, s.y, s.v)
+        val = -5.0 * (s[0] - s[1]) + 4.0
+        return np.stack((0.5 * val, -0.5 * val, s[2], s[3]))
 
     for shape in ((1,), (1, 3)):
         s0 = lift(PhaseState(np.zeros(shape), np.zeros(shape)))
@@ -80,8 +79,8 @@ def test_paths_stop_on_their_own():
 
     def solve(k, shape):
         def map_fn(s):
-            val = 1.0 - k * (s.x - s.u)
-            return ExtendedState(0.5 * val, -0.5 * val, s.y, s.v)
+            val = 1.0 - k * (s[0] - s[1])
+            return np.stack((0.5 * val, -0.5 * val, s[2], s[3]))
         return project_map(map_fn, lift(PhaseState(np.zeros(shape), np.zeros(shape))),
                            ProjectionConfig())
 
@@ -89,8 +88,7 @@ def test_paths_stop_on_their_own():
     assert rep.used_fallback
     for p, k in enumerate(gains):
         single, _ = solve(k, (1,))
-        for name in ("x", "u", "y", "v"):
-            assert np.array_equal(getattr(batch, name)[:, p], getattr(single, name))
+        assert np.array_equal(batch[..., p], single)
 
 
 def test_newton_skips_finished_singular_column():
@@ -127,14 +125,14 @@ def test_kernel_membership_and_defect_symmetry():
     l1, l2 = lam[:1], lam[1:]
     from stosymp.splitflow import stage_increments, apply_stages
     incs = stage_increments(recipe, g, 0, 2)
-    s_in = ExtendedState(z.x + l1, z.x - l1, z.y + l2, z.y - l2)
+    s_in = np.stack((z.x + l1, z.x - l1, z.y + l2, z.y - l2))
     s_out = apply_stages(recipe, ex.model, s_in, incs)
-    assert abs((s_out.u[0] - s_out.x[0]) - (s_in.x[0] - s_in.u[0])) <= 4 * cfg.tol
-    assert abs((s_out.v[0] - s_out.y[0]) - (s_in.y[0] - s_in.v[0])) <= 4 * cfg.tol
+    assert abs((s_out[1, 0] - s_out[0, 0]) - (s_in[0, 0] - s_in[1, 0])) <= 4 * cfg.tol
+    assert abs((s_out[3, 0] - s_out[2, 0]) - (s_in[2, 0] - s_in[3, 0])) <= 4 * cfg.tol
     # corrected output is on ker(A) within 2 tol
-    corr = ExtendedState(s_out.x + l1, s_out.u - l1, s_out.y + l2, s_out.v - l2)
-    assert abs(corr.x[0] - corr.u[0]) <= 2 * cfg.tol
-    assert abs(corr.y[0] - corr.v[0]) <= 2 * cfg.tol
+    corr = np.stack((s_out[0] + l1, s_out[1] - l1, s_out[2] + l2, s_out[3] - l2))
+    assert abs(corr[0, 0] - corr[1, 0]) <= 2 * cfg.tol
+    assert abs(corr[2, 0] - corr[3, 0]) <= 2 * cfg.tol
 
 
 def test_simulate_zero_steps():

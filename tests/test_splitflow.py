@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from stosymp.core import (ExtendedState, HamiltonianModel, StepIncrements,
-                          build_noise_grid)
+from stosymp.core import HamiltonianModel, build_noise_grid
 from stosymp import splitflow
 from stosymp.splitflow import (CompositionRecipe, FlowId, apply_stages, compose, flow_f1,
                                flow_f2, flow_f3, lie_recipe, stage_bounds,
@@ -26,70 +25,70 @@ def osc_model():
 
 
 def S(x, u, y, v):
-    return ExtendedState([x], [u], [y], [v])
+    return np.array([[x], [u], [y], [v]], dtype=float)
 
 
 def assert_state(s, x, u, y, v, tol=1e-14):
-    got = np.array([s.x[0], s.u[0], s.y[0], s.v[0]])
+    got = s[:, 0]
     assert np.allclose(got, [x, u, y, v], rtol=0, atol=tol), got
 
 
 def test_flow_f1_hand_oracle():
-    out = flow_f1(xy_model(), S(1, 0, 0, 2), StepIncrements([0.5]))
+    out = flow_f1(xy_model(), S(1, 0, 0, 2), np.array([0.5]))
     assert_state(out, 1, 0.5, -1, 2)
 
 
 def test_flow_f1_zero_increment_identity():
     s = S(1.3, -0.4, 0.2, 2.0)
-    out = flow_f1(xy_model(), s, StepIncrements([0.0]))
+    out = flow_f1(xy_model(), s, np.array([0.0]))
     assert_state(out, 1.3, -0.4, 0.2, 2.0)
 
 
 def test_flow_f1_semigroup_in_increments():
     m = xy_model()
     s = S(0.7, -1.1, 0.4, 0.9)
-    once = flow_f1(m, flow_f1(m, s, StepIncrements([0.3])), StepIncrements([0.2]))
-    direct = flow_f1(m, s, StepIncrements([0.5]))
-    assert_state(once, direct.x[0], direct.u[0], direct.y[0], direct.v[0])
+    once = flow_f1(m, flow_f1(m, s, np.array([0.3])), np.array([0.2]))
+    direct = flow_f1(m, s, np.array([0.5]))
+    assert_state(once, *direct[:, 0])
 
 
 def test_flow_f2_hand_oracle():
-    out = flow_f2(xy_model(), S(1, 2, 3, 0), StepIncrements([0.5]))
+    out = flow_f2(xy_model(), S(1, 2, 3, 0), np.array([0.5]))
     assert_state(out, 2, 2, 3, -1.5)
 
 
 def test_flow_f2_semigroup():
     m = xy_model()
     s = S(0.7, -1.1, 0.4, 0.9)
-    once = flow_f2(m, flow_f2(m, s, StepIncrements([0.3])), StepIncrements([0.2]))
-    direct = flow_f2(m, s, StepIncrements([0.5]))
-    assert_state(once, direct.x[0], direct.u[0], direct.y[0], direct.v[0])
+    once = flow_f2(m, flow_f2(m, s, np.array([0.3])), np.array([0.2]))
+    direct = flow_f2(m, s, np.array([0.5]))
+    assert_state(once, *direct[:, 0])
 
 
 def test_flow_f3_zero_gamma_identity():
-    out = flow_f3([0.0], S(1, 2, 3, 4), StepIncrements([0.7]))
+    out = flow_f3([0.0], S(1, 2, 3, 4), np.array([0.7]))
     assert_state(out, 1, 2, 3, 4)
 
 
 def test_flow_f3_quarter_rotation_oracle():
-    out = flow_f3([np.pi / 8], S(1, 0, 0, 0), StepIncrements([1.0]))
+    out = flow_f3([np.pi / 8], S(1, 0, 0, 0), np.array([1.0]))
     assert_state(out, 0.5, 0.5, -0.5, 0.5)
 
 
 def test_flow_f3_full_rotation_identity():
-    out = flow_f3([np.pi / 2], S(0.3, -0.8, 1.1, 0.2), StepIncrements([1.0]))
+    out = flow_f3([np.pi / 2], S(0.3, -0.8, 1.1, 0.2), np.array([1.0]))
     assert_state(out, 0.3, -0.8, 1.1, 0.2, tol=1e-15)
 
 
 def test_flow_f3_preserves_sums_and_difference_norm():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        s = ExtendedState(*rng.standard_normal((4, 3)))
-        out = flow_f3([0.37, -0.8], s, StepIncrements([0.5, 1.2]))
-        assert np.allclose(out.x + out.u, s.x + s.u, rtol=0, atol=1e-14)
-        assert np.allclose(out.y + out.v, s.y + s.v, rtol=0, atol=1e-14)
-        n0 = np.sum((s.x - s.u) ** 2 + (s.y - s.v) ** 2)
-        n1 = np.sum((out.x - out.u) ** 2 + (out.y - out.v) ** 2)
+        s = rng.standard_normal((4, 3))
+        out = flow_f3([0.37, -0.8], s, np.array([0.5, 1.2]))
+        assert np.allclose(out[0] + out[1], s[0] + s[1], rtol=0, atol=1e-14)
+        assert np.allclose(out[2] + out[3], s[2] + s[3], rtol=0, atol=1e-14)
+        n0 = np.sum((s[0] - s[1]) ** 2 + (s[2] - s[3]) ** 2)
+        n1 = np.sum((out[0] - out[1]) ** 2 + (out[2] - out[3]) ** 2)
         assert abs(n1 - n0) <= 1e-13 * n0
 
 
@@ -105,9 +104,9 @@ def test_lie_reduces_to_f2_after_f1_at_zero_gamma():
     g = build_noise_grid(0, 0, 0, 0.0, 0.5, 1)
     s = S(0.4, 0.1, -0.7, 1.2)
     lie = compose(lie_recipe([0.0]), m, s, g, 0)
-    inc = StepIncrements(g.inc[:, 0])
+    inc = g.inc[:, 0]
     byhand = flow_f2(m, flow_f1(m, s, inc), inc)
-    assert_state(lie, byhand.x[0], byhand.u[0], byhand.y[0], byhand.v[0])
+    assert_state(lie, *byhand[:, 0])
 
 
 def test_lie_hand_computed_two_stage():
@@ -127,8 +126,7 @@ def test_strang_is_palindrome():
     s = S(0.9, 0.9, -0.4, -0.4)
     a = compose(rec, m, s, g, 0, substeps=2)
     b = compose(rev, m, s, g, 0, substeps=2)
-    for blk in ("x", "u", "y", "v"):
-        assert np.allclose(getattr(a, blk), getattr(b, blk), rtol=0, atol=1e-14)
+    assert np.allclose(a, b, rtol=0, atol=1e-14)
 
 
 def test_symplectic_residual_identity_zero():
@@ -138,7 +136,7 @@ def test_symplectic_residual_identity_zero():
 
 def test_symplectic_residual_rotation_exact():
     def rot(s):
-        return flow_f3([np.pi / 3], s, StepIncrements([1.0]))
+        return flow_f3([np.pi / 3], s, np.array([1.0]))
 
     res = symplectic_residual_extended(rot, S(0.3, 0.1, -0.2, 0.5), 1e-5)
     assert res <= 1e-9
@@ -146,7 +144,7 @@ def test_symplectic_residual_rotation_exact():
 
 def test_symplectic_residual_doubling_map():
     def double(s):
-        return ExtendedState(2 * s.x, 2 * s.u, 2 * s.y, 2 * s.v)
+        return 2 * s
 
     res = symplectic_residual_extended(double, S(0.3, 0.1, -0.2, 0.5), 1e-5)
     assert np.isclose(res, 3.0, atol=1e-8)
@@ -163,7 +161,7 @@ def test_composed_map_is_symplectic(name):
             base = np.concatenate([ex.z0.x, ex.z0.x, ex.z0.y, ex.z0.y])
             v = base + 0.3 * rng.standard_normal(base.size)
             d = ex.model.d
-            s = ExtendedState(v[:d], v[d:2 * d], v[2 * d:3 * d], v[3 * d:])
+            s = v.reshape(4, d)
             res = symplectic_residual_extended(
                 lambda st: compose(recipe, ex.model, st, g, 0, substeps=2), s, 1e-5)
             assert res <= 1e-6
@@ -178,9 +176,9 @@ def test_defect_growth_first_order():
         sq = []
         for path in range(32):   # RMS over paths smooths increment cancellations
             g = build_noise_grid(3, path, ex.model.m, 0.0, dt, 2)
-            s = ExtendedState(ex.z0.x, ex.z0.x.copy(), ex.z0.y, ex.z0.y.copy())
+            s = np.stack((ex.z0.x, ex.z0.x, ex.z0.y, ex.z0.y))
             out = compose(lie_recipe([0.0, 0.0]), ex.model, s, g, 0, substeps=2)
-            sq.append(np.sum((out.x - out.u) ** 2 + (out.y - out.v) ** 2))
+            sq.append(np.sum((out[0] - out[1]) ** 2 + (out[2] - out[3]) ** 2))
         defects.append(np.sqrt(np.mean(sq)))
     slope = np.polyfit(np.log(dts), np.log(defects), 1)[0]
     assert slope >= 0.9
@@ -193,10 +191,10 @@ def test_linear_invariant_preserved_by_recipes():
     rng = np.random.default_rng(5)
     for recipe in (lie_recipe([0.3, 0.1]), strang_recipe([0.3, 0.1])):
         for _ in range(20):
-            s = ExtendedState(*(0.5 * rng.standard_normal((4, 2))))
+            s = 0.5 * rng.standard_normal((4, 2))
             out = compose(recipe, ex.model, s, g, 0, substeps=2)
-            before = a_x @ (s.x + s.u) + a_y @ (s.y + s.v)
-            after = a_x @ (out.x + out.u) + a_y @ (out.y + out.v)
+            before = a_x @ (s[0] + s[1]) + a_y @ (s[2] + s[3])
+            after = a_x @ (out[0] + out[1]) + a_y @ (out[2] + out[3])
             assert abs(after - before) <= 1e-12 * max(1.0, abs(before))
 
 
@@ -208,7 +206,7 @@ def test_unrestrained_recipe_skips_f3(make, monkeypatch):
     assert not recipe.restrained and make([0.0, 0.1]).restrained
     g = build_noise_grid(5, 0, 1, 0.0, 0.02, 2)
     incs = stage_increments(recipe, g, 0, 2)
-    s = ExtendedState(ex.z0.x, ex.z0.x + [0.3, -0.1], ex.z0.y, ex.z0.y + [-0.2, 0.4])
+    s = np.stack((ex.z0.x, ex.z0.x + [0.3, -0.1], ex.z0.y, ex.z0.y + [-0.2, 0.4]))
     explicit = s
     for (flow, _), inc in zip(recipe.stages, incs):
         if flow is FlowId.F1:
@@ -223,8 +221,7 @@ def test_unrestrained_recipe_skips_f3(make, monkeypatch):
 
     monkeypatch.setattr(splitflow, "flow_f3", not_called)
     skipped = apply_stages(recipe, model, s, incs)
-    for name in ("x", "u", "y", "v"):
-        a, b = getattr(skipped, name), getattr(explicit, name)
+    for name, a, b in zip("xuyv", skipped, explicit):
         assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b)), name
 
 

@@ -18,3 +18,23 @@ def test_tracer_patches_existing_names(monkeypatch):
     with tracing.Tracer().install():
         assert cli.write_csv is not write_csv
     assert cli.write_csv is write_csv
+
+
+def test_traced_run_counts_every_layer(monkeypatch, tmp_path):
+    # counts that do not depend on the hardware; a stepping layer that is no
+    # longer called through its module name reads 0 here
+    monkeypatch.syspath_prepend(PERFBENCH)
+    monkeypatch.chdir(tmp_path)
+    import tracing
+
+    tracer = tracing.Tracer()
+    with tracer.install():
+        assert cli.main(["track", "--example", "ex1", "--scheme", "ses-sp-2",
+                         "--dt", "0.01", "--t-end", "0.05"]) == 0
+        assert cli.main(["nls", "--dt", "0.001", "--t-end", "0.003", "--h", "1"]) == 0
+    stats = tracer.stats["-"]
+    assert stats["project.map_evals"] == 58
+    assert stats["splitflow.apply_stages.calls"] == 58
+    assert stats["splitflow.flow_f1.calls"] == 116
+    assert stats["splitflow.flow_f2.calls"] == 104
+    assert stats["modelzoo.grad.calls"] == 368
