@@ -21,7 +21,7 @@ from . import harness, nls as nlsmod
 from .core import build_noise_grid, verify_gradients
 from .modelzoo import get_example
 from .project import NoConvergence, ProjectionConfig, simulate
-from .splitflow import stage_bounds, symplectic_residual_phase
+from .splitflow import symplectic_residual_phase
 
 DEFAULT_DT_LIST = "0.03125,0.015625,0.0078125,0.00390625"  # 2^-5 .. 2^-8
 
@@ -224,30 +224,35 @@ def cmd_run(args, cfg: ProjectionConfig) -> int:
 
 
 def _order_reports(args, cfg: ProjectionConfig):
-    """One ``OrderReport`` per scheme of ``--schemes``, all on the same noise."""
+    """One ``OrderReport`` per scheme of ``--schemes``, all on the same noise,
+    each run when it is asked for; the flags are checked here, before any."""
     ref_dt = args.ref_dt if args.ref_dt else min(args.dt_list) / 16.0
     problem = harness.grid_mismatch(args.t_end, args.dt_list, ref_dt)
     if problem:
         raise UsageError(problem)
     example = get_example(args.example, c=args.c)
-    for scheme in args.schemes:
-        yield harness.ms_error(harness.ConvergenceSpec(
-            example, scheme, args.t_end, args.dt_list, ref_dt, args.paths, args.seed,
-            args.gamma, cfg))
+    return (harness.ms_error(harness.ConvergenceSpec(
+        example, scheme, args.t_end, args.dt_list, ref_dt, args.paths, args.seed,
+        args.gamma, cfg)) for scheme in args.schemes)
 
 
 def cmd_order(args, cfg: ProjectionConfig) -> int:
-    rows = []
+    """Rows go to the CSV as each scheme finishes, so a scheme that fails
+    keeps the rows of those before it."""
+    reports = _order_reports(args, cfg)
     summary = []
-    for rep in _order_reports(args, cfg):
-        for i, dt in enumerate(rep.dts):
-            rows.append([rep.scheme, dt, rep.err_x[i], rep.err_y[i], rep.err_norm[i],
-                         rep.se_x[i], rep.se_y[i], rep.wall[i],
-                         rep.slope_x, rep.slope_y])
-        summary.append(f"{rep.scheme}: slope_x={rep.slope_x:.3f} slope_y={rep.slope_y:.3f}")
+
+    def rows():
+        for rep in reports:
+            summary.append(f"{rep.scheme}: slope_x={rep.slope_x:.3f} "
+                           f"slope_y={rep.slope_y:.3f}")
+            for i, dt in enumerate(rep.dts):
+                yield [rep.scheme, dt, rep.err_x[i], rep.err_y[i], rep.err_norm[i],
+                       rep.se_x[i], rep.se_y[i], rep.wall[i], rep.slope_x, rep.slope_y]
+
     out = _out_path(args, f"order_{args.example}.csv")
     write_csv(out, ["scheme", "dt", "err_x", "err_y", "err_norm", "se_x", "se_y",
-                    "wall_s", "slope_x", "slope_y"], rows)
+                    "wall_s", "slope_x", "slope_y"], rows())
     print(f"order {args.example} ({args.paths} paths): " + "; ".join(summary)
           + f" -> {out}")
     return 0
@@ -299,12 +304,7 @@ def cmd_nls(args, cfg: ProjectionConfig) -> int:
     grid = build_noise_grid(args.seed, 0, args.modes, 0.0, n_steps * args.dt,
                             n_steps * harness.FINE_STEPS)
 
-    bounds = stage_bounds(nlsmod.RECIPES[args.recipe], harness.FINE_STEPS)
-
-    def stepper(s, step):
-        return nlsmod.nls_step(lattice, args.recipe, s, grid, step, cfg, harness.FINE_STEPS,
-                               bounds)
-
+    stepper = nlsmod.nls_stepper(lattice, args.recipe, grid, cfg, harness.FINE_STEPS)
     traj = simulate(stepper, nlsmod.nls_initial(lattice), n_steps, args.dt,
                     {"charge": nlsmod.charge})
     stem = args.out if args.out else f"nls_{args.recipe}"
@@ -313,12 +313,14 @@ def cmd_nls(args, cfg: ProjectionConfig) -> int:
               ([t, xi, pi, qi] for t, s in zip(traj.times, traj.states)
                for xi, pi, qi in zip(lattice.nodes, s.p, s.q)))
     charges = traj.tracked["charge"]
+    iters = traj.iteration_series()
     write_csv(f"{stem}_summary.csv", ["t", "charge", "defect", "newton_iters"],
-              zip(traj.times, charges, [0.0, *traj.defect_series()],
-                  [0, *traj.iteration_series()]))
+              zip(traj.times, charges, [0.0, *traj.defect_series()], [0, *iters]))
     drift = np.max(np.abs(charges - charges[0])) / abs(charges[0])
+    fallbacks = sum(rep.used_fallback for rep in traj.reports)
     print(f"nls {args.recipe}: {n_steps} steps, max relative charge drift "
-          f"{drift:.3e} -> {stem}_summary.csv")
+          f"{drift:.3e}, newton iterations per step mean {iters.mean():.2f} "
+          f"max {iters.max()}, fallback steps {fallbacks} -> {stem}_summary.csv")
     return 0
 
 

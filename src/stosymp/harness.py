@@ -20,7 +20,8 @@ from .baseline import midpoint_step, symplectic_euler_step
 from .core import (NoiseGrid, PhaseState, build_noise_grid, build_noise_grid_batch,
                    grid_windows, step_windows)
 from .modelzoo import ExampleSpec
-from .project import ProjectionConfig, projection_step, simulate
+from .project import (NoConvergence, ProjectionConfig, linearised_config, projection_step,
+                      simulate)
 from .splitflow import lie_recipe, stage_bounds, strang_recipe
 
 SCHEMES = ("ses-sp-1", "ses-sp-2", "midpoint", "sympeuler")
@@ -29,13 +30,15 @@ FINE_STEPS = 2   # noise-grid steps per reference step: >= 2 for half windows
 
 def make_stepper(scheme: str, example: ExampleSpec, grid: NoiseGrid, substeps: int,
                  gamma, cfg: ProjectionConfig = ProjectionConfig()) -> Callable:
-    """Bind a scheme id to a one-step callable ``(z, step) -> (z', report)``;
-    the fine-grid windows of a step are found here, once."""
+    """Bind a scheme id to a one-step callable ``(z, step) -> (z', report)``
+    from ``example.z0``; the fine-grid windows of a step and the projection's
+    simplified-Newton matrix are found here, once."""
     model = example.model
     if scheme in ("ses-sp-1", "ses-sp-2"):
         gammas = np.full(model.m + 1, gamma) if np.ndim(gamma) == 0 else np.asarray(gamma)
         recipe = lie_recipe(gammas) if scheme == "ses-sp-1" else strang_recipe(gammas)
         bounds = stage_bounds(recipe, substeps)
+        cfg = linearised_config(cfg, model, recipe, example.z0, bounds, grid.dt_fine)
 
         def stepper(z, step):
             return projection_step(model, recipe, z, grid, step, cfg, substeps, bounds)
@@ -115,7 +118,11 @@ def _run_final(spec: ConvergenceSpec, grid: NoiseGrid, dt: float) -> tuple:
                    np.repeat(spec.example.z0.y[:, None], spec.paths, axis=1))
     t_start = time.perf_counter()
     for n in range(n_steps):
-        z, _ = stepper(z, n)
+        try:
+            z, _ = stepper(z, n)
+        except NoConvergence as err:
+            raise NoConvergence(f"{spec.scheme} at dt={dt:g}: {err}", err.report,
+                                n) from err
     wall = time.perf_counter() - t_start
     return z, wall
 

@@ -16,16 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 # step_windows and project_map are not called here; perfbench/tracing.py
 # patches those names on this module
 from .core import HamiltonianModel, NoiseGrid, PhaseState, ordered_sum, step_windows
-from .project import (ProjectionConfig, ProjectionReport, project_map,
+from .project import (ProjectionConfig, ProjectionReport, linearised_config, project_map,
                       projection_step)
-from .splitflow import CompositionRecipe, FlowId, compose, flow_f1, flow_f2
+from .splitflow import CompositionRecipe, FlowId, compose, flow_f1, flow_f2, stage_bounds
 
 
 @dataclass(frozen=True)
@@ -162,6 +162,21 @@ def nls_step(lattice: NlsLattice, recipe: str, s: NlsState, grid: NoiseGrid, ste
     z, rep = projection_step(lattice.model, RECIPES[recipe], PhaseState(s.q, s.p),
                              grid, step, cfg, substeps, bounds)
     return NlsState(z.x, z.y), rep
+
+
+def nls_stepper(lattice: NlsLattice, recipe: str, grid: NoiseGrid, cfg: ProjectionConfig,
+                substeps: int) -> Callable:
+    """Bind ``nls_step`` to a one-step callable ``(s, step) -> (s', report)``
+    for a run from ``nls_initial(lattice)``; the stage windows and the
+    projection's simplified-Newton matrix are found here, once."""
+    bounds = stage_bounds(RECIPES[recipe], substeps)
+    s0 = nls_initial(lattice)
+    cfg = linearised_config(cfg, lattice.model, RECIPES[recipe], PhaseState(s0.q, s0.p),
+                            bounds, grid.dt_fine)
+
+    def stepper(s, step):
+        return nls_step(lattice, recipe, s, grid, step, cfg, substeps, bounds)
+    return stepper
 
 
 def compose_unprojected(lattice: NlsLattice, recipe: str, ext: np.ndarray,

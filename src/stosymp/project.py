@@ -4,16 +4,20 @@ phase space.
 The lifted state, one ``(4, d[, n_paths])`` array in (x, u, y, v) row order,
 is perturbed by A'lambda, pushed through the extended-space integrator with
 frozen noise, and corrected by the same A'lambda so the result returns to the
-diagonal ker(A), with A = [I -I 0 0; 0 0 I -I].  lambda is
-found by a simplified Newton iteration with the constant Jacobian
-approximation 4I (note AA' = 2I), falling back to ``newton``, the one
-finite-difference Newton solver that the implicit baselines use as well.
+diagonal ker(A), with A = [I -I 0 0; 0 0 I -I].  lambda is found by a
+simplified Newton iteration with one constant matrix P per stepper
+(``linearised_config``), which keeps the linear part of the drift, such as
+the lattice Laplacian, that the identity map's Jacobian 4I (AA' = 2I) leaves
+out; where the cubic term dominates, as on the h = 0.5 lattice at dt = 0.25,
+its iteration count grows from step to step.  Paths it does not solve fall
+back to ``newton``, the one finite-difference Newton solver that the implicit
+baselines use as well.
 """
 
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Optional
 
 import numpy as np
@@ -28,10 +32,13 @@ FD_STEP = 1e-7  # central-difference step of every Newton Jacobian
 @dataclass(frozen=True)
 class ProjectionConfig:
     """Stopping rule of every implicit solve: the projection iteration, its
-    Newton fallback and the implicit baselines."""
+    Newton fallback and the implicit baselines.  ``newton_matrix`` is the
+    projection's simplified-Newton matrix P, set by the steppers through
+    ``linearised_config``; None stands for the inverse of 4I."""
 
     tol: float = 1e-12
     max_iter: int = 50
+    newton_matrix: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.tol > 0:   # NaN fails this test too
@@ -83,10 +90,10 @@ def _copy_gap(s: np.ndarray) -> np.ndarray:
 
 def _shifted(s: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """s + A'lambda: x and y move by lambda's halves, u and v by their negatives."""
-    shift = lam.reshape(s[0::2].shape)
-    out = np.empty_like(s)
-    out[0::2] = s[0::2] + shift
-    out[1::2] = s[1::2] - shift
+    shift = lam.reshape((2,) + s.shape[1:])
+    out = s.copy()
+    out[0::2] += shift
+    out[1::2] -= shift
     return out
 
 
@@ -94,6 +101,18 @@ def _perturbed(map_fn, s0: np.ndarray, lam: np.ndarray):
     """Map output at s0 + A'lambda and the projection residual A out + 2 lambda."""
     out = map_fn(_shifted(s0, lam))
     return out, _copy_gap(out) + 2.0 * lam
+
+
+def _simplified_step(P: Optional[np.ndarray], g: np.ndarray) -> np.ndarray:
+    """P g, or g / 4 when P is None, rounded alike for a batch column and the
+    path alone (a matrix-matrix product would not be): for a short lambda the
+    products P[:, j] g[j] summed left to right, cheaper than one BLAS call per
+    path of a batch; for a long one a matrix-vector product per path."""
+    if P is None:
+        return 0.25 * g
+    if len(g) <= 8:
+        return ordered_sum(P.T.reshape(P.shape + (1,) * (g.ndim - 1)) * g[:, None])
+    return np.matmul(P, np.ascontiguousarray(g.T)[..., None])[..., 0].T
 
 
 def _newton_steps(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -135,16 +154,19 @@ def project_map(map_fn: Callable[[np.ndarray], np.ndarray], s0: np.ndarray,
     """Solve the symmetric-projection equation for an arbitrary extended map.
 
     ``map_fn`` must re-evaluate with the same frozen noise at every iterate.
-    Each path stops once its own update is below ``cfg.tol``.  A path whose
-    simplified Newton iteration diverges (restarting from zero) or stalls goes
-    to full Newton and then, when ``map_at_scale(theta)`` is given (the map
-    with all step increments scaled by theta), to a homotopy that follows the
-    solution branch from the identity, with one theta schedule for all such
-    paths.
+    The simplified Newton update is lambda -= P g with P = ``cfg.newton_matrix``
+    (g / 4 when None), and each path stops once its own update is below
+    ``cfg.tol``.  A path whose simplified Newton iteration diverges
+    (restarting from zero) or stalls goes to full Newton and then, when
+    ``map_at_scale(theta)`` is given (the map with all step increments scaled
+    by theta), to a homotopy that follows the solution branch from the
+    identity, with one theta schedule for all such paths.
     Returns (corrected extended state on ker(A), report).
     """
     lam = np.zeros((2 * s0.shape[1],) + s0.shape[2:])
-    guard = 1e6 * (1.0 + _norm(s0[0::2].reshape(lam.shape)))   # norm of (x, y)
+    # the loop tests squared norms against squared bounds, so it takes no sqrt;
+    # lambda's bound grows with the norm of (x, y)
+    guard = (1e6 * (1.0 + _norm(s0[0::2].reshape(lam.shape)))) ** 2
     live = np.ones(guard.shape, dtype=bool)    # still iterating
     done = np.zeros(guard.shape, dtype=bool)   # last update below tol
     iterations = 0
@@ -156,12 +178,13 @@ def project_map(map_fn: Callable[[np.ndarray], np.ndarray], s0: np.ndarray,
 
     with np.errstate(all="ignore"):
         while iterations < cfg.max_iter and np.count_nonzero(live):
-            g = _perturbed(map_fn, s0, lam)[1]
-            lam = np.where(live, lam - 0.25 * g, lam)
+            step = _simplified_step(cfg.newton_matrix, _perturbed(map_fn, s0, lam)[1])
+            np.subtract(lam, step, out=lam, where=live)
             iterations += 1
-            live &= _norm(lam) <= guard   # a diverged or non-finite path leaves
-            done |= live & (0.25 * _norm(g) < cfg.tol)   # size of lam -= g/4
-            live &= ~done
+            live &= ordered_sum(lam * lam) <= guard   # a diverged or non-finite path leaves
+            stop = live & (ordered_sum(step * step) < cfg.tol ** 2)
+            done |= stop
+            live ^= stop
         lam = np.where(live | done, lam, 0.0)   # diverged paths restart from zero
         if done.any():
             corrected, defect, residual = finish(lam)
@@ -212,6 +235,31 @@ def _continuation(map_at_scale, s0: np.ndarray, cfg: ProjectionConfig, live=True
             if h < 2.0 ** -10:
                 return lam, False, total
     return lam, True, total
+
+
+def linearised_config(cfg: ProjectionConfig, model: HamiltonianModel,
+                      recipe: CompositionRecipe, z0: PhaseState, bounds: tuple,
+                      dt_fine: float) -> ProjectionConfig:
+    """``cfg`` with a stepper's simplified-Newton matrix P: the inverse of the
+    central-difference Jacobian of lambda -> A map(lift(z0) + A'lambda) +
+    2 lambda at lambda = 0, with map the recipe's stages over the windows
+    ``bounds`` at zero noise and z0 the run's initial state.  The fixed point,
+    and so the scheme, does not depend on P; a singular Jacobian keeps 4I."""
+    incs = [np.zeros(model.m + 1) for _ in bounds]
+    for delta, (lo, hi) in zip(incs, bounds):
+        delta[0] = (hi - lo) * dt_fine
+    trig = f3_trig(recipe, incs)
+    s0 = lift(z0)
+
+    def map_fn(s):
+        return apply_stages(recipe, model, s, incs, trig)
+
+    jac = fd_jacobian(lambda lam: _perturbed(map_fn, s0, lam)[1], np.zeros(2 * model.d),
+                      FD_STEP)
+    try:
+        return replace(cfg, newton_matrix=np.linalg.inv(jac))
+    except np.linalg.LinAlgError:
+        return cfg
 
 
 def projection_step(model: HamiltonianModel, recipe: CompositionRecipe, z: PhaseState,

@@ -95,6 +95,21 @@ def test_order_command_writes_slopes(tmp_path):
     assert "slope_x" in header and "err_x" in header
 
 
+def test_order_keeps_finished_schemes_and_names_the_failure(tmp_path, capsys):
+    # symplectic Euler's Newton solve stalls at dt 2^-5 on this noise
+    out = tmp_path / "order.csv"
+    code = run_cli(["order", "--example", "ex1", "--paths", "20", "--t-end", "0.25",
+                    "--dt-list", "0.03125,0.015625", "--ref-dt", "0.00390625",
+                    "--gamma", "0.01", "--seed", "2",
+                    "--schemes", "ses-sp-1,ses-sp-2,midpoint,sympeuler", "--out", str(out)])
+    assert code == 1
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [(r[0], float(r[1])) for r in rows] == [
+        (s, dt) for s in ("ses-sp-1", "ses-sp-2", "midpoint") for dt in (0.03125, 0.015625)]
+    err = capsys.readouterr().err
+    assert "sympeuler at dt=0.03125" in err and "(step " in err
+
+
 def test_track_command(tmp_path):
     stem = tmp_path / "trk"
     code = run_cli(["track", "--example", "ex3", "--scheme", "ses-sp-1",
@@ -117,6 +132,17 @@ def test_nls_command_charge_column(tmp_path):
     assert lines[0] == "t,charge,defect,newton_iters"
     charges = np.array([float(l.split(",")[1]) for l in lines[1:]])
     assert np.max(np.abs(charges - charges[0])) <= 1e-8 * charges[0]
+
+
+def test_nls_summary_line_reports_the_solver(tmp_path, capsys):
+    stem = tmp_path / "nls"
+    assert run_cli(["nls", "--dt", "0.01", "--t-end", "0.03", "--h", "0.5",
+                    "--out", str(stem)]) == 0
+    rows = (tmp_path / "nls_summary.csv").read_text().splitlines()[2:]
+    iters = [int(float(row.split(",")[3])) for row in rows]
+    line = capsys.readouterr().out
+    assert (f"newton iterations per step mean {np.mean(iters):.2f} max {max(iters)}, "
+            "fallback steps 0 ->") in line
 
 
 def test_nls_bad_spacing_exit_2(tmp_path, capsys):

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from stosymp.core import HamiltonianModel, NoiseGrid, build_noise_grid, verify_gradients
 from stosymp.nls import (build_lattice, charge, compose_unprojected, nls_initial,
-                         nls_step, noise_vector, subflow_a, subflow_b, NlsState,
-                         RECIPES)
+                         nls_step, nls_stepper, noise_vector, subflow_a, subflow_b,
+                         NlsState, RECIPES)
 from stosymp.project import ProjectionConfig
 from stosymp.splitflow import phase_form_matrix
 
@@ -210,3 +210,17 @@ def test_fused_field_matches_channel_sum(data):
     generic = HamiltonianModel.field(model, x, y, delta)
     for a, b in zip(fused, generic):
         assert np.max(np.abs(a - b)) <= 1e-13
+
+
+def test_stiff_lattice_steps_without_fallback():
+    # h = 0.25 on [-5, 5] at dt/h^2 = 1: with the identity's 4I as the
+    # simplified-Newton matrix every step falls back to full Newton
+    lat = build_lattice(-5.0, 5.0, 39, modes=10)
+    dt = lat.h ** 2
+    g = build_noise_grid(0, 0, 10, 0.0, 4 * dt, 8)
+    stepper = nls_stepper(lat, "strang-ab", g, ProjectionConfig(tol=1e-13), 2)
+    s = s0 = nls_initial(lat)
+    for n in range(4):
+        s, rep = stepper(s, n)
+        assert not rep.used_fallback, n
+    assert abs(charge(s) - charge(s0)) <= 1e-12 * charge(s0)

@@ -2,8 +2,9 @@
 
 Hypothesis draws states around each example's start point and the frozen
 noise of one step.  The projected step must be symplectic, must keep the
-example-3 invariants and the lattice charge to solver tolerance, and a
-batched column must equal the same path run alone, bit for bit.  The fused
+example-3 invariants and the lattice charge to solver tolerance, must not
+depend on the simplified-Newton matrix beyond that tolerance, and a batched
+column must equal the same path run alone, bit for bit.  The fused
 field of the examples must equal the generic channel sum.
 """
 
@@ -17,8 +18,9 @@ from stosymp.core import (HamiltonianModel, NoiseGrid, PhaseState, ScaledNoiseMo
 from stosymp.harness import SCHEMES, make_stepper
 from stosymp.modelzoo import get_example
 from stosymp.nls import RECIPES, build_lattice, nls_initial
-from stosymp.project import ProjectionConfig, projection_step
-from stosymp.splitflow import lie_recipe, strang_recipe, symplectic_residual_phase
+from stosymp.project import ProjectionConfig, linearised_config, projection_step
+from stosymp.splitflow import (lie_recipe, stage_bounds, strang_recipe,
+                               symplectic_residual_phase)
 
 CFG = ProjectionConfig(tol=1e-13, max_iter=100)
 SCALE = {"ex1": 0.3, "ex2": 0.15, "ex3": 0.3, "ex4": 0.15}   # state spread per example
@@ -139,6 +141,30 @@ def test_lattice_charge(case):
     out = projected(model, recipe, grid)(z)
     c0 = np.sum(z.x * z.x + z.y * z.y)
     assert abs(np.sum(out.x * out.x + out.y * out.y) - c0) <= 1e-12 * c0
+
+
+@st.composite
+def linearised_steps(draw):
+    """(model, recipe, start state, one-step grid, the run's initial state)
+    of an example at gamma 0 or 0.3, or of the 5-node lattice."""
+    if draw(st.booleans()):
+        model, recipe, z, grid = draw(lattice_steps())
+        s0 = nls_initial(model.lattice)
+        return model, recipe, z, grid, PhaseState(s0.q, s0.p)
+    ex, recipe, z, grid = draw(ode_steps(gamma=draw(st.sampled_from([0.0, 0.3]))))
+    return ex.model, recipe, z, grid, ex.z0
+
+
+@PROPERTY
+@given(linearised_steps())
+def test_linearised_matrix_keeps_the_fixed_point(case):
+    model, recipe, z, grid, z0 = case
+    cfg = linearised_config(CFG, model, recipe, z0, stage_bounds(recipe, 2), grid.dt_fine)
+    assert cfg.newton_matrix is not None
+    out = projection_step(model, recipe, z, grid, 0, cfg, 2)[0]
+    ref = projected(model, recipe, grid)(z)   # the identity's 4I
+    assert np.max(np.abs(out.x - ref.x)) <= 10 * CFG.tol
+    assert np.max(np.abs(out.y - ref.y)) <= 10 * CFG.tol
 
 
 @pytest.mark.parametrize("substeps", [2, 64])
