@@ -5,12 +5,14 @@ The lifted state, one ``(4, d[, n_paths])`` array in (x, u, y, v) row order,
 is perturbed by A'lambda, pushed through the extended-space integrator with
 frozen noise, and corrected by the same A'lambda so the result returns to the
 diagonal ker(A), with A = [I -I 0 0; 0 0 I -I].  lambda is found by a
-simplified Newton iteration with one constant matrix P per stepper
-(``linearised_config``), which keeps the linear part of the drift, such as
-the lattice Laplacian, that the identity map's Jacobian 4I (AA' = 2I) leaves
-out; where the cubic term dominates, as on the h = 0.5 lattice at dt = 0.25,
-its iteration count grows from step to step.  Paths it does not solve fall
-back to ``newton``, the one finite-difference Newton solver that the implicit
+simplified Newton iteration with one constant matrix per stepper
+(``linearised_config``): the identity map's Jacobian 4I (AA' = 2I), or,
+where the drift's linear part outweighs the noise's at the run's initial
+state, as the lattice Laplacian does, the inverse P of the Jacobian
+linearised there at zero noise.  Where the cubic term dominates, as on the
+h = 0.5 lattice at dt = 0.25, P's iteration count grows from step to step
+and 4I does better.  Paths the iteration does not solve fall back to
+``newton``, the one finite-difference Newton solver that the implicit
 baselines use as well.
 """
 
@@ -104,15 +106,15 @@ def _perturbed(map_fn, s0: np.ndarray, lam: np.ndarray):
 
 
 def _simplified_step(P: Optional[np.ndarray], g: np.ndarray) -> np.ndarray:
-    """P g, or g / 4 when P is None, rounded alike for a batch column and the
-    path alone (a matrix-matrix product would not be): for a short lambda the
-    products P[:, j] g[j] summed left to right, cheaper than one BLAS call per
-    path of a batch; for a long one a matrix-vector product per path."""
+    """P g, or g / 4 when P is None.  For a short lambda (2d <= 8, ex1-ex4) the
+    products P[:, j] g[j] are summed left to right, so a batch column rounds
+    as the path alone (a matrix-matrix product would not); a long lambda (the
+    lattice, run as one path) takes one matrix-vector product."""
     if P is None:
         return 0.25 * g
     if len(g) <= 8:
         return ordered_sum(P.T.reshape(P.shape + (1,) * (g.ndim - 1)) * g[:, None])
-    return np.matmul(P, np.ascontiguousarray(g.T)[..., None])[..., 0].T
+    return P @ g
 
 
 def _newton_steps(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -240,26 +242,78 @@ def _continuation(map_at_scale, s0: np.ndarray, cfg: ProjectionConfig, live=True
 def linearised_config(cfg: ProjectionConfig, model: HamiltonianModel,
                       recipe: CompositionRecipe, z0: PhaseState, bounds: tuple,
                       dt_fine: float) -> ProjectionConfig:
-    """``cfg`` with a stepper's simplified-Newton matrix P: the inverse of the
-    central-difference Jacobian of lambda -> A map(lift(z0) + A'lambda) +
-    2 lambda at lambda = 0, with map the recipe's stages over the windows
-    ``bounds`` at zero noise and z0 the run's initial state.  The fixed point,
-    and so the scheme, does not depend on P; a singular Jacobian keeps 4I."""
-    incs = [np.zeros(model.m + 1) for _ in bounds]
-    for delta, (lo, hi) in zip(incs, bounds):
-        delta[0] = (hi - lo) * dt_fine
-    trig = f3_trig(recipe, incs)
+    """``cfg`` with a stepper's simplified-Newton matrix P (``linearised_matrix``)
+    where the linear part of the drift outweighs what it leaves out, else
+    ``cfg`` itself (4I).
+
+    The sizes compared are those of the projection residual's Jacobian minus
+    4I at zero noise (the drift's part at the run's initial state z0) against
+    the sum of the same at zero drift with every noise increment at one
+    standard deviation (the noise's part) and of the drift's change between
+    the origin and z0 (what the nonlinear terms add at z0), each estimated by
+    ``_size``.  The lattice Laplacian outweighs both, so the NLS steppers get
+    P; on ex1-ex4 with noise (c = 0.5 on the command line) the noise does,
+    and a matrix linearised at zero noise gains nothing on 4I.  A NaN
+    estimate (stages not finite at z0 or at the origin) keeps 4I."""
     s0 = lift(z0)
+    at_start = _stage_residual(recipe, model, s0, bounds, dt_fine, 1.0, 0.0)
+    at_origin = _stage_residual(recipe, model, np.zeros_like(s0), bounds, dt_fine, 1.0, 0.0)
+    noise = _stage_residual(recipe, model, s0, bounds, dt_fine, 0.0, 1.0)
+    k = 2 * model.d
+    with np.errstate(all="ignore"):
+        drift = _size(lambda v: _jvp(at_start, v) - 4.0 * v, k)
+        rest = (_size(lambda v: _jvp(noise, v) - 4.0 * v, k)
+                + _size(lambda v: _jvp(at_start, v) - _jvp(at_origin, v), k))
+    if not drift > rest:
+        return cfg
+    return replace(cfg, newton_matrix=linearised_matrix(model, recipe, z0, bounds, dt_fine))
+
+
+def linearised_matrix(model: HamiltonianModel, recipe: CompositionRecipe, z0: PhaseState,
+                      bounds: tuple, dt_fine: float) -> np.ndarray:
+    """The inverse of the central-difference Jacobian of lambda ->
+    A map(lift(z0) + A'lambda) + 2 lambda at lambda = 0, with map the
+    recipe's stages over the windows ``bounds`` at zero noise.  The fixed
+    point, and so the scheme, does not depend on it; a singular Jacobian
+    raises ``LinAlgError``."""
+    drift = _stage_residual(recipe, model, lift(z0), bounds, dt_fine, 1.0, 0.0)
+    return np.linalg.inv(fd_jacobian(drift, np.zeros(2 * model.d), FD_STEP))
+
+
+def _stage_residual(recipe: CompositionRecipe, model: HamiltonianModel, s0: np.ndarray,
+                    bounds: tuple, dt_fine: float, drift: float, noise: float) -> Callable:
+    """lambda -> A map(s0 + A'lambda) + 2 lambda, with map the recipe's stages
+    at frozen increments: ``drift`` times each window's length in channel 0
+    and ``noise`` times its square root in every noise channel."""
+    incs = []
+    for lo, hi in bounds:
+        delta = np.full(model.m + 1, noise * np.sqrt((hi - lo) * dt_fine))
+        delta[0] = drift * (hi - lo) * dt_fine
+        incs.append(delta)
+    trig = f3_trig(recipe, incs)
 
     def map_fn(s):
         return apply_stages(recipe, model, s, incs, trig)
+    return lambda lam: _perturbed(map_fn, s0, lam)[1]
 
-    jac = fd_jacobian(lambda lam: _perturbed(map_fn, s0, lam)[1], np.zeros(2 * model.d),
-                      FD_STEP)
-    try:
-        return replace(cfg, newton_matrix=np.linalg.inv(jac))
-    except np.linalg.LinAlgError:
-        return cfg
+
+def _jvp(residual: Callable, v: np.ndarray) -> np.ndarray:
+    """J v by a central difference, J the Jacobian of ``residual`` at 0."""
+    return (residual(FD_STEP * v) - residual(-FD_STEP * v)) / (2 * FD_STEP)
+
+
+def _size(apply: Callable, k: int, steps: int = 4) -> float:
+    """Size of the linear map ``apply`` on length-k vectors, from ``steps``
+    power iterations started at the normalised ones vector."""
+    v = np.full(k, 1.0 / np.sqrt(k))
+    size = 0.0
+    for _ in range(steps):
+        w = apply(v)
+        size = np.sqrt(w @ w)
+        if not size > 0:   # zero, or not finite
+            break
+        v = w / size
+    return size
 
 
 def projection_step(model: HamiltonianModel, recipe: CompositionRecipe, z: PhaseState,

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from stosymp.core import HamiltonianModel, PhaseState, build_noise_grid
-from stosymp.project import (NoConvergence, ProjectionConfig, lift, newton, project_map,
-                             projection_step, restrict, simulate)
-from stosymp.splitflow import strang_recipe, lie_recipe
+from stosymp.project import (NoConvergence, ProjectionConfig, lift, linearised_config,
+                             newton, project_map, projection_step, restrict, simulate)
+from stosymp.splitflow import stage_bounds, strang_recipe, lie_recipe
 from stosymp.harness import make_stepper
 from stosymp.modelzoo import get_example
+from stosymp.nls import RECIPES, build_lattice, nls_initial
 
 
 def test_lift_restrict_oracles():
@@ -54,6 +55,27 @@ def test_no_solution_raises():
         with pytest.raises(NoConvergence) as err:
             project_map(map_fn, s0, ProjectionConfig())
         assert err.value.report.used_fallback
+
+
+def test_linearised_config_chooses_between_p_and_4i():
+    # ex1 at the CLI's c = 0.5: the noise outweighs the drift's linear part,
+    # so 4I stays; on the 39-node lattice at dt/h^2 = 1 the Laplacian
+    # outweighs the noise and the cubic term, so the stepper gets P
+    recipe = strang_recipe(np.zeros(2))
+    bounds = stage_bounds(recipe, 2)
+    ex = get_example("ex1", c=0.5)
+    cfg = linearised_config(ProjectionConfig(), ex.model, recipe, ex.z0, bounds, 2.0 ** -6)
+    assert cfg.newton_matrix is None
+    lat = build_lattice(-5.0, 5.0, 39, modes=10)
+    s0 = nls_initial(lat)
+    cfg = linearised_config(ProjectionConfig(), lat.model, RECIPES["strang-ab"],
+                            PhaseState(s0.q, s0.p), stage_bounds(RECIPES["strang-ab"], 2),
+                            lat.h ** 2 / 2)
+    assert cfg.newton_matrix.shape == (2 * lat.n_interior, 2 * lat.n_interior)
+    # a start where the stages are not finite gives NaN estimates, which keep 4I
+    nan_start = PhaseState([np.nan], [-3.0])
+    cfg = linearised_config(ProjectionConfig(), ex.model, recipe, nan_start, bounds, 2.0 ** -6)
+    assert cfg.newton_matrix is None
 
 
 def test_full_newton_fallback():

@@ -33,10 +33,12 @@ def test_traced_run_counts_every_layer(monkeypatch, tmp_path):
                          "--dt", "0.01", "--t-end", "0.05"]) == 0
         assert cli.main(["nls", "--dt", "0.001", "--t-end", "0.003", "--h", "1"]) == 0
     stats = tracer.stats["-"]
-    # building each stepper's simplified-Newton matrix takes 4 (ex1) and 36
-    # (9-node lattice) stage evaluations outside the solve
-    assert stats["project.map_evals"] == 57
-    assert stats["splitflow.apply_stages.calls"] == 97
-    assert stats["splitflow.flow_f1.calls"] == 194
-    assert stats["splitflow.flow_f2.calls"] == 149
-    assert stats["modelzoo.grad.calls"] == 416
+    # each projection stepper weighs the drift against the noise and the
+    # nonlinear terms in 32 stage evaluations outside the solve; ex1 at
+    # c = 0.5 keeps 4I (46 map evaluations), and the 9-node lattice builds P
+    # in 36 more (9 map evaluations, 12 with 4I)
+    assert stats["project.map_evals"] == 55
+    assert stats["splitflow.apply_stages.calls"] == 155
+    assert stats["splitflow.flow_f1.calls"] == 310
+    assert stats["splitflow.flow_f2.calls"] == 233
+    assert stats["modelzoo.grad.calls"] == 624
