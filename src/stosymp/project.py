@@ -7,13 +7,13 @@ frozen noise, and corrected by the same A'lambda so the result returns to the
 diagonal ker(A), with A = [I -I 0 0; 0 0 I -I].  lambda is found by a
 simplified Newton iteration with one constant matrix per stepper
 (``linearised_config``): the identity map's Jacobian 4I (AA' = 2I), or,
-where the drift's linear part outweighs the noise's at the run's initial
-state, as the lattice Laplacian does, the inverse P of the Jacobian
-linearised there at zero noise.  Where the cubic term dominates, as on the
+where the drift's linear part at the run's initial state outweighs the
+noise's and the nonlinear terms', as the lattice Laplacian does, the
+inverse P of the Jacobian linearised there at zero noise.  Where the cubic term dominates, as on the
 h = 0.5 lattice at dt = 0.25, P's iteration count grows from step to step
-and 4I does better.  Paths the iteration does not solve fall back to
-``newton``, the one finite-difference Newton solver that the implicit
-baselines use as well.
+(4I falls back on every step there).  Paths the iteration does not solve
+fall back to ``newton``, the one finite-difference Newton solver that the
+implicit baselines use as well.
 """
 
 from __future__ import annotations
@@ -302,12 +302,13 @@ def _jvp(residual: Callable, v: np.ndarray) -> np.ndarray:
     return (residual(FD_STEP * v) - residual(-FD_STEP * v)) / (2 * FD_STEP)
 
 
-def _size(apply: Callable, k: int, steps: int = 4) -> float:
-    """Size of the linear map ``apply`` on length-k vectors, from ``steps``
-    power iterations started at the normalised ones vector."""
+def _size(apply: Callable, k: int) -> float:
+    """Size of the linear map ``apply`` on length-k vectors, from four power
+    iterations started at the normalised ones vector: enough to order sizes
+    that differ severalfold, which is all ``linearised_config`` asks."""
     v = np.full(k, 1.0 / np.sqrt(k))
     size = 0.0
-    for _ in range(steps):
+    for _ in range(4):
         w = apply(v)
         size = np.sqrt(w @ w)
         if not size > 0:   # zero, or not finite
