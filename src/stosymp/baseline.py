@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import HamiltonianModel, PhaseState, fd_jacobian
+from .core import HamiltonianModel, PhaseState, fd_jacobian, fd_shared
 from .project import NoConvergence, ProjectionConfig, newton
 
 
@@ -29,27 +29,29 @@ def midpoint_step(model: HamiltonianModel, z: PhaseState, delta: np.ndarray,
     w0 = np.concatenate([z.x, z.y])
 
     def residual(w):
-        mid = 0.5 * (w0 + w)
-        return w - w0 - np.concatenate(model.field(mid[:d], mid[d:], delta))
+        start = fd_shared(w0, w)
+        mid = 0.5 * (start + w)
+        return w - start - np.concatenate(model.field(mid[:d], mid[d:], delta))
 
     # explicit Euler predictor
     w = _solve(residual, w0 + np.concatenate(model.field(z.x, z.y, delta)), cfg)
     return PhaseState(w[:d], w[d:])
 
 
-def _hessians(model: HamiltonianModel, x, y, step_scale: float = 1e-6):
-    """Second-derivative blocks of H_1, analytic when supplied, otherwise
-    central differences of the gradients with a step scaled per path."""
-    if model.hess_xx is not None:
-        return (np.asarray(model.hess_xx(x, y), dtype=float),
-                np.asarray(model.hess_yy(x, y), dtype=float),
-                np.asarray(model.hess_yx(x, y), dtype=float))
+def _hessian(model: HamiltonianModel, block: str, x, y, step_scale: float = 1e-6):
+    """Second-derivative block ``block`` of H_1: "xx", "yy", or "yx", whose
+    (i, j) entry is d^2 H1 / (dy_i dx_j).  Analytic when supplied, otherwise
+    central differences of a gradient with a step scaled per path."""
+    analytic = getattr(model, "hess_" + block)
+    if analytic is not None:
+        return np.asarray(analytic(x, y), dtype=float)
     h = step_scale * (1.0 + np.sqrt(x * x + y * y).max(axis=0))
     gx, gy = model.grad_x[1], model.grad_y[1]
-    hxx = fd_jacobian(lambda v: gx(v, y), x, h)
-    hyy = fd_jacobian(lambda v: gy(x, v), y, h)
-    hyx = fd_jacobian(lambda v: gy(v, y), x, h)   # (i, j): d^2 H1 / (dy_i dx_j)
-    return hxx, hyy, hyx
+    if block == "xx":
+        return fd_jacobian(lambda v: gx(v, fd_shared(y, v)), x, h)
+    if block == "yy":
+        return fd_jacobian(lambda v: gy(fd_shared(x, v), v), y, h)
+    return fd_jacobian(lambda v: gy(v, fd_shared(y, v)), x, h)
 
 
 def symplectic_euler_step(model: HamiltonianModel, z: PhaseState, delta: np.ndarray,
@@ -62,18 +64,21 @@ def symplectic_euler_step(model: HamiltonianModel, z: PhaseState, delta: np.ndar
     dt = delta[0]
 
     def x_residual(x1):
-        fx = model.field(x1, y0, delta)[0]
-        hxx, hyy, hyx = _hessians(model, x1, y0)
-        g1x = model.grad_x[1](x1, y0)
-        g1y = model.grad_y[1](x1, y0)
+        y = fd_shared(y0, x1)
+        fx = model.field(x1, y, delta)[0]
+        hyy = _hessian(model, "yy", x1, y)
+        hyx = _hessian(model, "yx", x1, y)
+        g1x = model.grad_x[1](x1, y)
+        g1y = model.grad_y[1](x1, y)
         corr = 0.5 * (np.einsum("ij...,j...->i...", hyy, g1x)
                       - 0.5 * np.einsum("ij...,j...->i...", hyx, g1y))
-        return x1 - x0 - fx + corr * dt
+        return x1 - fd_shared(x0, x1) - fx + corr * dt
 
     x1 = _solve(x_residual, x0, cfg)
 
     fy = model.field(x1, y0, delta)[1]
-    hxx, hyy, hyx = _hessians(model, x1, y0)
+    hxx = _hessian(model, "xx", x1, y0)
+    hyx = _hessian(model, "yx", x1, y0)
     g1x = model.grad_x[1](x1, y0)
     g1y = model.grad_y[1](x1, y0)
     corr = 0.5 * (np.einsum("ij...,j...->i...", hxx, g1y)

@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import lru_cache
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,17 +28,45 @@ from .splitflow import symplectic_residual_phase
 DEFAULT_DT_LIST = "0.03125,0.015625,0.0078125,0.00390625"  # 2^-5 .. 2^-8
 
 
-def _fmt(v) -> str:
-    if isinstance(v, str):
-        return v
-    return f"{float(v):.17g}"
+CSV_BLOCK = 1024   # rows formatted per %-format call
+
+
+@lru_cache(maxsize=None)
+def _number_line(n: int) -> str:
+    return ",".join(["%.17g"] * n) + "\n"
+
+
+def _line(row) -> str:
+    return ",".join("%s" if isinstance(v, str) else "%.17g" for v in row) + "\n"
+
+
+def _format_rows(rows: list) -> str:
+    """The rows as CSV lines from one %-format call: "%.17g" for a number,
+    "%s" for a string."""
+    values = tuple(chain.from_iterable(rows))
+    if any(issubclass(t, str) for t in set(map(type, values))):
+        template = "".join(map(_line, rows))
+    else:
+        template = "".join(map(_number_line, map(len, rows)))
+    return template % values
 
 
 def write_csv(path: str, header: Sequence[str], rows) -> None:
+    """``header`` and ``rows``, an iterable of sequences, as CSV, CSV_BLOCK
+    rows at a time.  The rows taken from ``rows`` are written even when it
+    raises, so a generator keeps what it yielded before it failed."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        block = []
+        try:
+            for row in rows:
+                block.append(row)
+                if len(block) == CSV_BLOCK:
+                    done, block = block, []
+                    fh.write(_format_rows(done))
+        finally:
+            if block:
+                fh.write(_format_rows(block))
 
 
 def _finite(text: str) -> float:

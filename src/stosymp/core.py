@@ -2,7 +2,8 @@
 
 States may carry a trailing batch axis, i.e. ``x`` has shape ``(d,)`` for a
 single sample or ``(d, n_paths)`` for a vectorized Monte Carlo batch.  All
-model callbacks are expected to broadcast over that axis.  Inside the stepping
+model callbacks are expected to broadcast over that axis, and over the axis of
+points that ``fd_jacobian`` inserts after the state axis.  Inside the stepping
 core the doubled state (x, u, y, v) is one ``(4, d[, n_paths])`` array in that
 row order, and a window's increments are one ``(m+1[, n_paths])`` array whose
 row 0 is the window length and row r the Brownian increment of channel r.
@@ -301,17 +302,41 @@ def step_windows(grid: NoiseGrid, step: int, split: Sequence, substeps: Optional
 # Finite differences and gradient verification
 # ---------------------------------------------------------------------------
 
-def fd_jacobian(fn: Callable, w: np.ndarray, step: float) -> np.ndarray:
-    """Central-difference Jacobian of ``fn`` at ``w``: column j is d fn / d w_j.
-    ``w`` and ``fn(w)`` have shape (k,) or (k, n_paths); the Jacobian is
-    (k, k), or (k, k, n_paths) with one matrix per path."""
+FD_BLOCK = 2**13   # entries of w times columns per fd_jacobian call
+
+
+def fd_jacobian(fn: Callable, w: np.ndarray, step) -> np.ndarray:
+    """Central-difference Jacobian of ``fn`` at ``w``: column j is
+    (fn(w + step e_j) - fn(w - step e_j)) / (2 step).  ``w`` and ``fn(w)``
+    have shape (k,) or (k, n_paths), and ``step`` is a scalar or one value per
+    path; the Jacobian is (k, k), or (k, k, n_paths) with one matrix per path.
+
+    ``fn`` is called once per block of b = max(1, FD_BLOCK // w.size)
+    columns, on the block's 2b points stacked on a new axis 1, after the
+    state axis and before the path axis: shape (k, 2b[, n_paths]), the points
+    w + step e_j first, then w - step e_j, j in column order.  It must
+    broadcast over that axis and return the same shape; a point gets the
+    operands and operations a call on it alone would."""
+    k = len(w)
+    block = max(1, FD_BLOCK // w.size)
     jac = np.empty(w.shape[:1] + w.shape)
-    e = np.zeros_like(w)
-    for j in range(len(w)):
-        e[j] = step
-        jac[:, j] = (fn(w + e) - fn(w - e)) / (2 * step)
-        e[j] = 0.0
+    at = w[:, None]
+    for j0 in range(0, k, block):
+        b = min(block, k - j0)
+        e = np.zeros((k, b) + w.shape[1:])
+        e[np.arange(j0, j0 + b), np.arange(b)] = step
+        f = fn(np.concatenate((at + e, at - e), axis=1))
+        jac[:, j0:j0 + b] = (f[:, :b] - f[:, b:]) / (2 * step)
     return jac
+
+
+def fd_shared(a: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """``a`` as an operand of ``like``: ``a`` itself for one point, or, when
+    ``like`` holds the points ``fd_jacobian`` stacks on axis 1, ``a``
+    broadcast to its shape, shared by every point."""
+    if like.ndim == a.ndim:
+        return a
+    return np.broadcast_to(a[:, None], like.shape)
 
 
 @dataclass

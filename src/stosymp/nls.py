@@ -120,9 +120,9 @@ class NlsModel(HamiltonianModel):
 
     def field(self, x, y, delta):
         """The channel sums fused: one Laplacian per block and the noise as
-        one mat-vec."""
+        one mat-vec, shared by the points ``fd_jacobian`` stacks on axis 1."""
         lat = self.lattice
-        w = noise_vector(lat, delta[1:])
+        w = noise_vector(lat, delta[1:]).reshape((-1,) + (1,) * (x.ndim - 1))
         cubic = x * x + y * y
         return (delta[0] * (lat.laplacian(y) + cubic * y) - y * w,
                 x * w - delta[0] * (lat.laplacian(x) + cubic * x))

@@ -91,9 +91,13 @@ def _copy_gap(s: np.ndarray) -> np.ndarray:
 
 
 def _shifted(s: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """s + A'lambda: x and y move by lambda's halves, u and v by their negatives."""
-    shift = lam.reshape((2,) + s.shape[1:])
-    out = s.copy()
+    """s + A'lambda: x and y move by lambda's halves, u and v by their negatives.
+    Points that ``fd_jacobian`` stacks on lambda's axis 1 share one s."""
+    shift = lam.reshape((2, s.shape[1]) + lam.shape[1:])
+    if shift.ndim == s.ndim:
+        out = s.copy()
+    else:
+        out = np.repeat(s[:, :, None], shift.shape[2], axis=2)
     out[0::2] += shift
     out[1::2] -= shift
     return out

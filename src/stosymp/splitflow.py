@@ -218,14 +218,20 @@ def phase_form_matrix(d: int) -> np.ndarray:
 def symplectic_residual_extended(map_fn: Callable[[np.ndarray], np.ndarray],
                                  s: np.ndarray, fd_step: float) -> float:
     """max |M' J M - J| for the 4d x 4d finite-difference Jacobian M of the
-    one-step extended map at fixed noise, at the single-path state ``s``."""
-    return _two_form_residual(lambda v: map_fn(v.reshape(s.shape)).reshape(-1),
-                              s.reshape(-1), fd_step, extended_form_matrix(s.shape[1]))
+    one-step extended map at fixed noise, at the single-path state ``s``.
+    ``map_fn`` must accept a batch: ``fd_jacobian`` passes its points as one
+    (4, d, n_points) state."""
+    def vec_map(v):
+        return map_fn(v.reshape(s.shape + v.shape[1:])).reshape(v.shape)
+
+    return _two_form_residual(vec_map, s.reshape(-1), fd_step,
+                              extended_form_matrix(s.shape[1]))
 
 
 def symplectic_residual_phase(map_fn: Callable, z, fd_step: float) -> float:
     """Same test for a map on the original phase space; ``map_fn`` takes and
-    returns a PhaseState."""
+    returns a PhaseState, and must accept a batch: ``fd_jacobian`` passes its
+    points as one PhaseState of (d, n_points) arrays."""
     d = z.x.shape[0]
 
     def vec_map(v):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from stosymp import core
 from stosymp.core import (HamiltonianModel, LinearInvariant, PhaseState,
                           QuadraticInvariant, build_noise_grid,
                           build_noise_grid_batch, coarsen, eval_linear,
-                          eval_quadratic, step_windows, verify_gradients)
+                          eval_quadratic, fd_jacobian, step_windows, verify_gradients)
 from stosymp.modelzoo import make_example1
 
 
@@ -150,3 +151,34 @@ def test_verify_gradients_constant_hamiltonian():
 def test_state_validation():
     with pytest.raises(ValueError):
         PhaseState([1.0, 2.0], [1.0])
+
+
+def column_jacobian(fn, w, step):
+    """The central-difference Jacobian one column, and two calls, at a time."""
+    jac = np.empty(w.shape[:1] + w.shape)
+    for j in range(len(w)):
+        e = np.zeros_like(w)
+        e[j] = step
+        jac[:, j] = (fn(w + e) - fn(w - e)) / (2 * step)
+    return jac
+
+
+@pytest.mark.parametrize("shape, step", [
+    ((3,), 1e-6),                                 # one path
+    ((3, 3), 1e-6),                               # a batch
+    ((2, 3), np.array([1e-6, 2e-6, 5e-7])),       # one step per path
+    ((200,), 1e-7),                               # several blocks
+])
+def test_fd_jacobian_equals_column_by_column(shape, step):
+    w = np.random.default_rng(4).standard_normal(shape)
+    calls = []
+
+    def fn(v):
+        calls.append(v.shape)
+        return np.sin(v * v[::-1]) + np.cumsum(v, axis=0) * v[0]
+
+    jac = fd_jacobian(fn, w, step)
+    block = max(1, core.FD_BLOCK // w.size)
+    assert len(calls) == -(-len(w) // block)
+    assert calls[0] == (len(w), 2 * min(block, len(w))) + shape[1:]
+    assert np.array_equal(jac, column_jacobian(fn, w, step))

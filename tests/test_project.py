@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from stosymp.core import HamiltonianModel, PhaseState, build_noise_grid
-from stosymp.project import (NoConvergence, ProjectionConfig, lift, linearised_config,
-                             newton, project_map, projection_step, restrict, simulate)
+from stosymp.project import (FD_STEP, NoConvergence, ProjectionConfig, _stage_residual,
+                             lift, linearised_config, linearised_matrix, newton,
+                             project_map, projection_step, restrict, simulate)
 from stosymp.splitflow import stage_bounds, strang_recipe, lie_recipe
 from stosymp.harness import make_stepper
 from stosymp.modelzoo import get_example
@@ -76,6 +77,26 @@ def test_linearised_config_chooses_between_p_and_4i():
     nan_start = PhaseState([np.nan], [-3.0])
     cfg = linearised_config(ProjectionConfig(), ex.model, recipe, nan_start, bounds, 2.0 ** -6)
     assert cfg.newton_matrix is None
+
+
+def test_linearised_matrix_equals_column_by_column_inverse():
+    # the blocked sweep evaluates every central-difference point as a call on
+    # it alone would, so P is the parent's bit for bit
+    lat = build_lattice(-5.0, 5.0, 39, modes=10)
+    s0 = nls_initial(lat)
+    z0 = PhaseState(s0.q, s0.p)
+    recipe = RECIPES["strang-ab"]
+    bounds = stage_bounds(recipe, 2)
+    dt_fine = lat.h ** 2 / 2
+    residual = _stage_residual(recipe, lat.model, lift(z0), bounds, dt_fine, 1.0, 0.0)
+    lam = np.zeros(2 * lat.n_interior)
+    jac = np.empty((len(lam), len(lam)))
+    for j in range(len(lam)):
+        e = np.zeros_like(lam)
+        e[j] = FD_STEP
+        jac[:, j] = (residual(lam + e) - residual(lam - e)) / (2 * FD_STEP)
+    P = linearised_matrix(lat.model, recipe, z0, bounds, dt_fine)
+    assert np.array_equal(P, np.linalg.inv(jac))
 
 
 def test_full_newton_fallback():

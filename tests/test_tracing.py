@@ -36,9 +36,10 @@ def test_traced_run_counts_every_layer(monkeypatch, tmp_path):
     # each projection stepper weighs the drift against the noise and the
     # nonlinear terms in 32 stage evaluations outside the solve; ex1 at
     # c = 0.5 keeps 4I (46 map evaluations), and the 9-node lattice builds P
-    # in 36 more (9 map evaluations, 12 with 4I)
+    # in 1 more, its 36 central-difference points in one batched call
+    # (9 map evaluations, 12 with 4I)
     assert stats["project.map_evals"] == 55
-    assert stats["splitflow.apply_stages.calls"] == 155
-    assert stats["splitflow.flow_f1.calls"] == 310
-    assert stats["splitflow.flow_f2.calls"] == 233
+    assert stats["splitflow.apply_stages.calls"] == 120
+    assert stats["splitflow.flow_f1.calls"] == 240
+    assert stats["splitflow.flow_f2.calls"] == 198
     assert stats["modelzoo.grad.calls"] == 624
