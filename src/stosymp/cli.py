@@ -87,6 +87,8 @@ def _dt_list(text: str) -> tuple:
 
 def _scheme_list(text: str):
     schemes = [s.strip() for s in text.split(",") if s.strip()]
+    if not schemes:
+        raise argparse.ArgumentTypeError(f"expected at least one scheme of {harness.SCHEMES}")
     for s in schemes:
         if s not in harness.SCHEMES:
             raise argparse.ArgumentTypeError(
@@ -303,6 +305,10 @@ def cmd_track(args, cfg: ProjectionConfig) -> int:
     _step_count(args)
     example = get_example(args.example, c=args.c)
     names = [s.strip() for s in args.invariants.split(",") if s.strip()]
+    for name in names:
+        if name not in example.invariants:
+            raise UsageError(f"unknown invariant {name!r} on {args.example}; "
+                             f"registered: {sorted(example.invariants)}")
     traj, series = harness.track(example, args.scheme, args.t_end, args.dt, names,
                                  args.seed, args.gamma, cfg)
     stem = _out_path(args, f"track_{args.example}_{args.scheme}.csv")
@@ -314,7 +320,7 @@ def cmd_track(args, cfg: ProjectionConfig) -> int:
         outs.append(path)
     if args.scheme in ("ses-sp-1", "ses-sp-2"):
         path = f"{stem}_defect.csv"
-        write_csv(path, ["t", "value"], zip(traj.times[1:], traj.defect_series()))
+        write_csv(path, ["t", "value"], zip(traj.times[1:], traj.defect))
         outs.append(path)
     peaks = {name: float(np.max(np.abs(series[name]))) for name in names}
     print(f"track {args.example} {args.scheme}: max |relative deviation| "
@@ -343,14 +349,13 @@ def cmd_nls(args, cfg: ProjectionConfig) -> int:
               ([t, xi, pi, qi] for t, s in zip(traj.times, traj.states)
                for xi, pi, qi in zip(lattice.nodes, s.p, s.q)))
     charges = traj.tracked["charge"]
-    iters = traj.iteration_series()
+    iters = traj.iterations
     write_csv(f"{stem}_summary.csv", ["t", "charge", "defect", "newton_iters"],
-              zip(traj.times, charges, [0.0, *traj.defect_series()], [0, *iters]))
+              zip(traj.times, charges, [0.0, *traj.defect], [0, *iters]))
     drift = np.max(np.abs(charges - charges[0])) / abs(charges[0])
-    fallbacks = sum(rep.used_fallback for rep in traj.reports)
     print(f"nls {args.recipe}: {n_steps} steps, max relative charge drift "
           f"{drift:.3e}, newton iterations per step mean {iters.mean():.2f} "
-          f"max {iters.max()}, fallback steps {fallbacks} -> {stem}_summary.csv")
+          f"max {iters.max()}, fallback steps {traj.fallback_steps} -> {stem}_summary.csv")
     return 0
 
 

@@ -117,14 +117,12 @@ def _run_final(spec: ConvergenceSpec, grid: NoiseGrid, dt: float) -> tuple:
     z = PhaseState(np.repeat(spec.example.z0.x[:, None], spec.paths, axis=1),
                    np.repeat(spec.example.z0.y[:, None], spec.paths, axis=1))
     t_start = time.perf_counter()
-    for n in range(n_steps):
-        try:
-            z, _ = stepper(z, n)
-        except NoConvergence as err:
-            raise NoConvergence(f"{spec.scheme} at dt={dt:g}: {err}", err.report,
-                                n) from err
-    wall = time.perf_counter() - t_start
-    return z, wall
+    try:
+        traj = simulate(stepper, z, n_steps, dt, keep_states=False)
+    except NoConvergence as err:
+        raise NoConvergence(f"{spec.scheme} at dt={dt:g}: {err}", err.report,
+                            err.step) from err
+    return traj.final, time.perf_counter() - t_start
 
 
 def ms_error(spec: ConvergenceSpec) -> OrderReport:

@@ -14,6 +14,9 @@ h = 0.5 lattice at dt = 0.25, P's iteration count grows from step to step
 (4I falls back on every step there).  Paths the iteration does not solve
 fall back to ``newton``, the one finite-difference Newton solver that the
 implicit baselines use as well.
+
+``simulate`` is the one loop that drives a stepper, one path or a batch; it
+keeps each step's solver numbers in arrays, not its ``ProjectionReport``.
 """
 
 from __future__ import annotations
@@ -350,19 +353,14 @@ def projection_step(model: HamiltonianModel, recipe: CompositionRecipe, z: Phase
 class Trajectory:
     times: np.ndarray
     states: list                      # PhaseState per step, including z0
-    reports: list                     # ProjectionReport or None per step
+    iterations: np.ndarray            # per step; 0 where the stepper reports none
+    defect: np.ndarray                # pre-projection, per step; NaN there
+    fallback_steps: int = 0           # steps that left the simplified iteration
     tracked: Dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
     def final(self) -> PhaseState:
         return self.states[-1]
-
-    def defect_series(self) -> np.ndarray:
-        return np.array([r.defect_pre if r is not None else np.nan
-                         for r in self.reports])
-
-    def iteration_series(self) -> np.ndarray:
-        return np.array([r.iterations if r is not None else 0 for r in self.reports])
 
 
 def simulate(stepper: Callable, z0: PhaseState, n_steps: int, dt: float,
@@ -378,7 +376,9 @@ def simulate(stepper: Callable, z0: PhaseState, n_steps: int, dt: float,
     times = dt * np.arange(n_steps + 1)
     z = z0
     states = [z0]
-    reports = []
+    iterations = np.zeros(n_steps, dtype=int)
+    defect = np.full(n_steps, np.nan)
+    fallback_steps = 0
     series = {name: [fn(z0)] for name, fn in trackers.items()}
     for n in range(n_steps):
         try:
@@ -388,10 +388,13 @@ def simulate(stepper: Callable, z0: PhaseState, n_steps: int, dt: float,
             raise
         if keep_states:
             states.append(z)
-        reports.append(rep)
+        if rep is not None:
+            iterations[n] = rep.iterations
+            defect[n] = rep.defect_pre
+            fallback_steps += rep.used_fallback
         for name, fn in trackers.items():
             series[name].append(fn(z))
     if not keep_states:
         states.append(z)
-    return Trajectory(times, states, reports,
+    return Trajectory(times, states, iterations, defect, fallback_steps,
                       {k: np.asarray(v) for k, v in series.items()})

@@ -196,17 +196,6 @@ def _two_form_residual(vec_map: Callable, v0: np.ndarray, fd_step: float,
     return float(np.max(np.abs(jac.T @ form @ jac - form)))
 
 
-def extended_form_matrix(d: int) -> np.ndarray:
-    """Matrix of dx^dy + du^dv in (x, u, y, v) coordinate order."""
-    J = np.zeros((4 * d, 4 * d))
-    eye = np.eye(d)
-    J[0:d, 2 * d:3 * d] = eye        # dx ^ dy
-    J[2 * d:3 * d, 0:d] = -eye
-    J[d:2 * d, 3 * d:4 * d] = eye    # du ^ dv
-    J[3 * d:4 * d, d:2 * d] = -eye
-    return J
-
-
 def phase_form_matrix(d: int) -> np.ndarray:
     """Standard symplectic matrix for z = (x, y)."""
     J = np.zeros((2 * d, 2 * d))
@@ -219,13 +208,14 @@ def symplectic_residual_extended(map_fn: Callable[[np.ndarray], np.ndarray],
                                  s: np.ndarray, fd_step: float) -> float:
     """max |M' J M - J| for the 4d x 4d finite-difference Jacobian M of the
     one-step extended map at fixed noise, at the single-path state ``s``.
-    ``map_fn`` must accept a batch: ``fd_jacobian`` passes its points as one
-    (4, d, n_points) state."""
+    J is dx^dy + du^dv: in (x, u, y, v) order the standard matrix of 2d
+    pairs, x_i with y_i and u_i with v_i.  ``map_fn`` must accept a batch:
+    ``fd_jacobian`` passes its points as one (4, d, n_points) state."""
     def vec_map(v):
         return map_fn(v.reshape(s.shape + v.shape[1:])).reshape(v.shape)
 
     return _two_form_residual(vec_map, s.reshape(-1), fd_step,
-                              extended_form_matrix(s.shape[1]))
+                              phase_form_matrix(2 * s.shape[1]))
 
 
 def symplectic_residual_phase(map_fn: Callable, z, fd_step: float) -> float:

@@ -263,3 +263,22 @@ def test_csv_has_17_significant_digits(tmp_path):
     # a generic double prints at full precision (about 17 digits)
     assert any(len(cell.replace("-", "").replace(".", "").lstrip("0")) >= 15
                for cell in row[1:])
+
+
+def test_unknown_invariant_exit_2(tmp_path, capsys):
+    code = run_cli(["track", "--example", "ex1", "--dt", "0.01", "--t-end", "0.02",
+                    "--invariants", "foo", "--out", str(tmp_path / "trk")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "unknown invariant 'foo' on ex1; registered: ['hamiltonian']" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["order", "timing"])
+def test_empty_scheme_list_exit_2(command, tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli([command, "--example", "ex1", "--dt-list", "0.25", "--t-end", "0.5",
+                 "--schemes", ",", "--out", str(tmp_path / "out.csv")])
+    assert err.value.code == 2
+    assert "expected at least one scheme" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from stosymp.core import HamiltonianModel, PhaseState, build_noise_grid
-from stosymp.project import (FD_STEP, NoConvergence, ProjectionConfig, _stage_residual,
-                             lift, linearised_config, linearised_matrix, newton,
+from stosymp.core import HamiltonianModel, PhaseState, build_noise_grid, build_noise_grid_batch
+from stosymp.project import (FD_STEP, NoConvergence, ProjectionConfig, ProjectionReport,
+                             _stage_residual, lift, linearised_config, linearised_matrix, newton,
                              project_map, projection_step, restrict, simulate)
 from stosymp.splitflow import stage_bounds, strang_recipe, lie_recipe
 from stosymp.harness import make_stepper
@@ -193,9 +193,56 @@ def test_defect_series_bounded():
     g = build_noise_grid(11, 0, 1, 0.0, n * 1e-2, 2 * n)
     st = make_stepper("ses-sp-1", ex, g, 2, 1.0, cfg=ProjectionConfig(tol=1e-12))
     traj = simulate(st, ex.z0, n, 1e-2)
-    ds = traj.defect_series()
+    ds = traj.defect
     assert np.all(np.isfinite(ds))
     assert np.max(ds) < 1.0  # bounded along the run
+
+
+def _recording(stepper):
+    """``stepper`` and the list of the reports it returned, in step order."""
+    reports = []
+
+    def recorded(z, step):
+        z, rep = stepper(z, step)
+        reports.append(rep)
+        return z, rep
+    return recorded, reports
+
+
+def _fake_fallback_stepper(z, step):
+    return z, ProjectionReport(np.zeros(2), step + 1, 0.1 * step, 0.0, step % 3 == 1)
+
+
+@pytest.mark.parametrize("case", ["ses-sp-1", "ses-sp-1-batch", "midpoint", "fake"])
+def test_simulate_records_each_step(case):
+    # the run record equals what the stepper returned, step by step; a step
+    # without a report reads 0 iterations and a NaN defect
+    ex = get_example("ex1", c=0.5)
+    n, paths = 12, 3
+    z0 = ex.z0
+    if case == "ses-sp-1-batch":
+        g = build_noise_grid_batch(4, range(paths), 1, 0.0, n * 0.05, 2 * n)
+        z0 = PhaseState(np.repeat(z0.x[:, None], paths, axis=1),
+                        np.repeat(z0.y[:, None], paths, axis=1))
+    else:
+        g = build_noise_grid(4, 0, 1, 0.0, n * 0.05, 2 * n)
+    if case == "fake":
+        stepper = _fake_fallback_stepper
+    else:
+        stepper = make_stepper(case.removesuffix("-batch"), ex, g, 2, 0.5)
+    recorded, reports = _recording(stepper)
+    traj = simulate(recorded, z0, n, 0.05)
+    assert len(reports) == n
+    if case == "midpoint":
+        assert all(rep is None for rep in reports)
+        assert np.array_equal(traj.iterations, np.zeros(n))
+        assert np.all(np.isnan(traj.defect)) and traj.fallback_steps == 0
+        return
+    assert np.array_equal(traj.iterations, [rep.iterations for rep in reports])
+    assert np.array_equal(traj.defect, [rep.defect_pre for rep in reports])
+    assert traj.fallback_steps == sum(rep.used_fallback for rep in reports)
+    if case == "fake":
+        assert traj.fallback_steps == 4
 
 
 def test_noconvergence_carries_step_index():
