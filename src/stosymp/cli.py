@@ -54,8 +54,13 @@ def _format_rows(rows: list) -> str:
 def write_csv(path: str, header: Sequence[str], rows) -> None:
     """``header`` and ``rows``, an iterable of sequences, as CSV, CSV_BLOCK
     rows at a time.  The rows taken from ``rows`` are written even when it
-    raises, so a generator keeps what it yielded before it failed."""
-    with open(path, "w", encoding="utf-8") as fh:
+    raises, so a generator keeps what it yielded before it failed.  A path
+    that cannot be opened is a ``UsageError``."""
+    try:
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as err:
+        raise UsageError(f"cannot write {path}: {err.strerror or err}") from err
+    with fh:
         fh.write(",".join(header) + "\n")
         block = []
         try:
@@ -305,10 +310,12 @@ def cmd_track(args, cfg: ProjectionConfig) -> int:
     _step_count(args)
     example = get_example(args.example, c=args.c)
     names = [s.strip() for s in args.invariants.split(",") if s.strip()]
+    registered = f"registered: {sorted(example.invariants)}"
+    if not names:
+        raise UsageError(f"--invariants names no invariant; {registered}")
     for name in names:
         if name not in example.invariants:
-            raise UsageError(f"unknown invariant {name!r} on {args.example}; "
-                             f"registered: {sorted(example.invariants)}")
+            raise UsageError(f"unknown invariant {name!r} on {args.example}; {registered}")
     traj, series = harness.track(example, args.scheme, args.t_end, args.dt, names,
                                  args.seed, args.gamma, cfg)
     stem = _out_path(args, f"track_{args.example}_{args.scheme}.csv")

@@ -6,14 +6,13 @@ is perturbed by A'lambda, pushed through the extended-space integrator with
 frozen noise, and corrected by the same A'lambda so the result returns to the
 diagonal ker(A), with A = [I -I 0 0; 0 0 I -I].  lambda is found by a
 simplified Newton iteration with one constant matrix per stepper
-(``linearised_config``): the identity map's Jacobian 4I (AA' = 2I), or,
-where the drift's linear part at the run's initial state outweighs the
-noise's and the nonlinear terms', as the lattice Laplacian does, the
-inverse P of the Jacobian linearised there at zero noise.  Where the cubic term dominates, as on the
-h = 0.5 lattice at dt = 0.25, P's iteration count grows from step to step
-(4I falls back on every step there).  Paths the iteration does not solve
-fall back to ``newton``, the one finite-difference Newton solver that the
-implicit baselines use as well.
+(``linearised_config``): the identity map's Jacobian 4I (AA' = 2I) for a
+short lambda (ex1-ex4), or, for a long one (the lattice, whose Laplacian
+4I cannot absorb), the inverse P of the Jacobian linearised at the run's
+initial state at zero noise.  Where the cubic term dominates, as on the
+h = 0.5 lattice at dt = 0.25, P's iteration count grows from step to step.
+Paths the iteration does not solve fall back to ``newton``, the one
+finite-difference Newton solver that the implicit baselines use as well.
 
 ``simulate`` is the one loop that drives a stepper, one path or a batch; it
 keeps each step's solver numbers in arrays, not its ``ProjectionReport``.
@@ -32,14 +31,15 @@ from .splitflow import CompositionRecipe, apply_stages, f3_trig, stage_increment
 
 
 FD_STEP = 1e-7  # central-difference step of every Newton Jacobian
+SHORT_LAMBDA = 8  # longest lambda whose projection iterates with 4I
 
 
 @dataclass(frozen=True)
 class ProjectionConfig:
     """Stopping rule of every implicit solve: the projection iteration, its
     Newton fallback and the implicit baselines.  ``newton_matrix`` is the
-    projection's simplified-Newton matrix P, set by the steppers through
-    ``linearised_config``; None stands for the inverse of 4I."""
+    projection's simplified-Newton matrix P, set through ``linearised_config``
+    by the steppers of a long lambda; None stands for the inverse of 4I."""
 
     tol: float = 1e-12
     max_iter: int = 50
@@ -112,18 +112,6 @@ def _perturbed(map_fn, s0: np.ndarray, lam: np.ndarray):
     return out, _copy_gap(out) + 2.0 * lam
 
 
-def _simplified_step(P: Optional[np.ndarray], g: np.ndarray) -> np.ndarray:
-    """P g, or g / 4 when P is None.  For a short lambda (2d <= 8, ex1-ex4) the
-    products P[:, j] g[j] are summed left to right, so a batch column rounds
-    as the path alone (a matrix-matrix product would not); a long lambda (the
-    lattice, run as one path) takes one matrix-vector product."""
-    if P is None:
-        return 0.25 * g
-    if len(g) <= 8:
-        return ordered_sum(P.T.reshape(P.shape + (1,) * (g.ndim - 1)) * g[:, None])
-    return P @ g
-
-
 def _newton_steps(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Solve jac[:, :, p] step[:, p] = r[:, p] for every path p; a path whose
     Jacobian is singular gets a NaN step."""
@@ -187,7 +175,8 @@ def project_map(map_fn: Callable[[np.ndarray], np.ndarray], s0: np.ndarray,
 
     with np.errstate(all="ignore"):
         while iterations < cfg.max_iter and np.count_nonzero(live):
-            step = _simplified_step(cfg.newton_matrix, _perturbed(map_fn, s0, lam)[1])
+            g = _perturbed(map_fn, s0, lam)[1]
+            step = 0.25 * g if cfg.newton_matrix is None else cfg.newton_matrix @ g
             np.subtract(lam, step, out=lam, where=live)
             iterations += 1
             live &= ordered_sum(lam * lam) <= guard   # a diverged or non-finite path leaves
@@ -249,29 +238,11 @@ def _continuation(map_at_scale, s0: np.ndarray, cfg: ProjectionConfig, live=True
 def linearised_config(cfg: ProjectionConfig, model: HamiltonianModel,
                       recipe: CompositionRecipe, z0: PhaseState, bounds: tuple,
                       dt_fine: float) -> ProjectionConfig:
-    """``cfg`` with a stepper's simplified-Newton matrix P (``linearised_matrix``)
-    where the linear part of the drift outweighs what it leaves out, else
-    ``cfg`` itself (4I).
-
-    The sizes compared are those of the projection residual's Jacobian minus
-    4I at zero noise (the drift's part at the run's initial state z0) against
-    the sum of the same at zero drift with every noise increment at one
-    standard deviation (the noise's part) and of the drift's change between
-    the origin and z0 (what the nonlinear terms add at z0), each estimated by
-    ``_size``.  The lattice Laplacian outweighs both, so the NLS steppers get
-    P; on ex1-ex4 with noise (c = 0.5 on the command line) the noise does,
-    and a matrix linearised at zero noise gains nothing on 4I.  A NaN
-    estimate (stages not finite at z0 or at the origin) keeps 4I."""
-    s0 = lift(z0)
-    at_start = _stage_residual(recipe, model, s0, bounds, dt_fine, 1.0, 0.0)
-    at_origin = _stage_residual(recipe, model, np.zeros_like(s0), bounds, dt_fine, 1.0, 0.0)
-    noise = _stage_residual(recipe, model, s0, bounds, dt_fine, 0.0, 1.0)
-    k = 2 * model.d
-    with np.errstate(all="ignore"):
-        drift = _size(lambda v: _jvp(at_start, v) - 4.0 * v, k)
-        rest = (_size(lambda v: _jvp(noise, v) - 4.0 * v, k)
-                + _size(lambda v: _jvp(at_start, v) - _jvp(at_origin, v), k))
-    if not drift > rest:
+    """``cfg`` itself (4I) for a lambda of length ``2 * model.d <= SHORT_LAMBDA``
+    (ex1-ex4), else ``cfg`` with the stepper's ``linearised_matrix`` P (the
+    lattice): on ex1-ex4 a per-path P g costs more than P saves, and the
+    lattice's Laplacian needs P."""
+    if 2 * model.d <= SHORT_LAMBDA:
         return cfg
     return replace(cfg, newton_matrix=linearised_matrix(model, recipe, z0, bounds, dt_fine))
 
@@ -283,45 +254,24 @@ def linearised_matrix(model: HamiltonianModel, recipe: CompositionRecipe, z0: Ph
     recipe's stages over the windows ``bounds`` at zero noise.  The fixed
     point, and so the scheme, does not depend on it; a singular Jacobian
     raises ``LinAlgError``."""
-    drift = _stage_residual(recipe, model, lift(z0), bounds, dt_fine, 1.0, 0.0)
+    drift = _stage_residual(recipe, model, lift(z0), bounds, dt_fine)
     return np.linalg.inv(fd_jacobian(drift, np.zeros(2 * model.d), FD_STEP))
 
 
 def _stage_residual(recipe: CompositionRecipe, model: HamiltonianModel, s0: np.ndarray,
-                    bounds: tuple, dt_fine: float, drift: float, noise: float) -> Callable:
+                    bounds: tuple, dt_fine: float) -> Callable:
     """lambda -> A map(s0 + A'lambda) + 2 lambda, with map the recipe's stages
-    at frozen increments: ``drift`` times each window's length in channel 0
-    and ``noise`` times its square root in every noise channel."""
+    at zero noise: each window's length in channel 0, 0 in every noise channel."""
     incs = []
     for lo, hi in bounds:
-        delta = np.full(model.m + 1, noise * np.sqrt((hi - lo) * dt_fine))
-        delta[0] = drift * (hi - lo) * dt_fine
+        delta = np.zeros(model.m + 1)
+        delta[0] = (hi - lo) * dt_fine
         incs.append(delta)
     trig = f3_trig(recipe, incs)
 
     def map_fn(s):
         return apply_stages(recipe, model, s, incs, trig)
     return lambda lam: _perturbed(map_fn, s0, lam)[1]
-
-
-def _jvp(residual: Callable, v: np.ndarray) -> np.ndarray:
-    """J v by a central difference, J the Jacobian of ``residual`` at 0."""
-    return (residual(FD_STEP * v) - residual(-FD_STEP * v)) / (2 * FD_STEP)
-
-
-def _size(apply: Callable, k: int) -> float:
-    """Size of the linear map ``apply`` on length-k vectors, from four power
-    iterations started at the normalised ones vector: enough to order sizes
-    that differ severalfold, which is all ``linearised_config`` asks."""
-    v = np.full(k, 1.0 / np.sqrt(k))
-    size = 0.0
-    for _ in range(4):
-        w = apply(v)
-        size = np.sqrt(w @ w)
-        if not size > 0:   # zero, or not finite
-            break
-        v = w / size
-    return size
 
 
 def projection_step(model: HamiltonianModel, recipe: CompositionRecipe, z: PhaseState,

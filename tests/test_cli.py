@@ -265,13 +265,30 @@ def test_csv_has_17_significant_digits(tmp_path):
                for cell in row[1:])
 
 
-def test_unknown_invariant_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize("names, message", [
+    pytest.param("foo", "unknown invariant 'foo' on ex1", id="foo"),
+    pytest.param(",", "--invariants names no invariant", id="comma"),
+    pytest.param("", "--invariants names no invariant", id="empty"),
+])
+def test_unknown_invariant_exit_2(names, message, tmp_path, capsys):
     code = run_cli(["track", "--example", "ex1", "--dt", "0.01", "--t-end", "0.02",
-                    "--invariants", "foo", "--out", str(tmp_path / "trk")])
+                    "--invariants", names, "--out", str(tmp_path / "trk")])
     assert code == 2
     err = capsys.readouterr().err
-    assert "unknown invariant 'foo' on ex1; registered: ['hamiltonian']" in err
+    assert f"{message}; registered: ['hamiltonian']" in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["run", "order"])
+def test_unwritable_out_exit_2(command, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    flags = ["--dt", "0.01"] if command == "run" else ["--dt-list", "0.01", "--paths", "2"]
+    code = run_cli([command, "--example", "ex1", "--t-end", "0.02", *flags,
+                    "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write {out}: " in err
+    assert not out.parent.exists()
 
 
 @pytest.mark.parametrize("command", ["order", "timing"])

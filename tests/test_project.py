@@ -59,9 +59,8 @@ def test_no_solution_raises():
 
 
 def test_linearised_config_chooses_between_p_and_4i():
-    # ex1 at the CLI's c = 0.5: the noise outweighs the drift's linear part,
-    # so 4I stays; on the 39-node lattice at dt/h^2 = 1 the Laplacian
-    # outweighs the noise and the cubic term, so the stepper gets P
+    # ex1 at the CLI's c = 0.5: a 4-long lambda keeps 4I; on the 39-node
+    # lattice at dt/h^2 = 1 the 78-long lambda gets P
     recipe = strang_recipe(np.zeros(2))
     bounds = stage_bounds(recipe, 2)
     ex = get_example("ex1", c=0.5)
@@ -73,10 +72,23 @@ def test_linearised_config_chooses_between_p_and_4i():
                             PhaseState(s0.q, s0.p), stage_bounds(RECIPES["strang-ab"], 2),
                             lat.h ** 2 / 2)
     assert cfg.newton_matrix.shape == (2 * lat.n_interior, 2 * lat.n_interior)
-    # a start where the stages are not finite gives NaN estimates, which keep 4I
+    # a short lambda never builds P, so a start where the stages are not
+    # finite keeps 4I
     nan_start = PhaseState([np.nan], [-3.0])
     cfg = linearised_config(ProjectionConfig(), ex.model, recipe, nan_start, bounds, 2.0 ** -6)
     assert cfg.newton_matrix is None
+    # ex1 with no noise, where P takes more iterations than 4I, keeps 4I
+    ex0 = get_example("ex1", c=0.0)
+    cfg = linearised_config(ProjectionConfig(), ex0.model, recipe, ex0.z0, bounds, 2.0 ** -6)
+    assert cfg.newton_matrix is None
+    # the boundary: a 4-node lattice (2d = 8) keeps 4I, a 5-node one gets P
+    for n in (4, 5):
+        lat = build_lattice(-5.0, 5.0, n, modes=2)
+        s0 = nls_initial(lat)
+        cfg = linearised_config(ProjectionConfig(), lat.model, RECIPES["strang-ab"],
+                                PhaseState(s0.q, s0.p), stage_bounds(RECIPES["strang-ab"], 2),
+                                lat.h ** 2 / 2)
+        assert (cfg.newton_matrix is None) == (n == 4)
 
 
 def test_linearised_matrix_equals_column_by_column_inverse():
@@ -88,7 +100,7 @@ def test_linearised_matrix_equals_column_by_column_inverse():
     recipe = RECIPES["strang-ab"]
     bounds = stage_bounds(recipe, 2)
     dt_fine = lat.h ** 2 / 2
-    residual = _stage_residual(recipe, lat.model, lift(z0), bounds, dt_fine, 1.0, 0.0)
+    residual = _stage_residual(recipe, lat.model, lift(z0), bounds, dt_fine)
     lam = np.zeros(2 * lat.n_interior)
     jac = np.empty((len(lam), len(lam)))
     for j in range(len(lam)):

@@ -33,13 +33,12 @@ def test_traced_run_counts_every_layer(monkeypatch, tmp_path):
                          "--dt", "0.01", "--t-end", "0.05"]) == 0
         assert cli.main(["nls", "--dt", "0.001", "--t-end", "0.003", "--h", "1"]) == 0
     stats = tracer.stats["-"]
-    # each projection stepper weighs the drift against the noise and the
-    # nonlinear terms in 32 stage evaluations outside the solve; ex1 at
-    # c = 0.5 keeps 4I (46 map evaluations), and the 9-node lattice builds P
-    # in 1 more, its 36 central-difference points in one batched call
-    # (9 map evaluations, 12 with 4I)
+    # ex1's 4-long lambda keeps 4I with no stage evaluation outside the solve
+    # (46 map evaluations); the 9-node lattice's 18-long lambda builds P in 1
+    # stage call, its 36 central-difference points batched (9 map
+    # evaluations, 12 with 4I)
     assert stats["project.map_evals"] == 55
-    assert stats["splitflow.apply_stages.calls"] == 120
-    assert stats["splitflow.flow_f1.calls"] == 240
-    assert stats["splitflow.flow_f2.calls"] == 198
-    assert stats["modelzoo.grad.calls"] == 624
+    assert stats["splitflow.apply_stages.calls"] == 56
+    assert stats["splitflow.flow_f1.calls"] == 112
+    assert stats["splitflow.flow_f2.calls"] == 102
+    assert stats["modelzoo.grad.calls"] == 368
