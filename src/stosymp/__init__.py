@@ -3,7 +3,7 @@ Hamiltonian systems, with a multi-symplectic stochastic Schrodinger lattice
 scheme, baseline integrators, benchmark models, and convergence harnesses."""
 
 from .core import (HamiltonianModel, LinearInvariant, NoiseGrid, PhaseState,
-                   QuadraticInvariant, build_noise_grid, build_noise_grid_batch, coarsen,
+                   QuadraticInvariant, build_noise_grid, build_noise_grid_batch,
                    eval_linear, eval_quadratic, step_windows, verify_gradients)
 from .splitflow import (CompositionRecipe, FlowId, compose, flow_f1, flow_f2,
                         flow_f3, lie_recipe, strang_recipe,
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "HamiltonianModel", "LinearInvariant", "NoiseGrid", "PhaseState",
-    "QuadraticInvariant", "build_noise_grid", "build_noise_grid_batch", "coarsen",
+    "QuadraticInvariant", "build_noise_grid", "build_noise_grid_batch",
     "eval_linear", "eval_quadratic", "step_windows", "verify_gradients",
     "CompositionRecipe", "FlowId", "compose", "flow_f1", "flow_f2", "flow_f3",
     "lie_recipe", "strang_recipe", "symplectic_residual_extended",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from functools import lru_cache
 from itertools import chain
@@ -51,16 +52,33 @@ def _format_rows(rows: list) -> str:
     return template % values
 
 
+class UsageError(Exception):
+    """Flags that parse but describe no runnable job; ``dispatch`` exits 2."""
+
+
+def _open_out(path: str, mode: str):
+    """``path`` opened for writing; a path that cannot be is a ``UsageError``."""
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as err:
+        raise UsageError(f"cannot write {path}: {err.strerror or err}") from err
+
+
+def _check_writable(paths: Sequence[str]) -> None:
+    """Raise ``write_csv``'s ``UsageError`` for ``paths`` before a run; no new file is left."""
+    for path in paths:
+        existed = os.path.exists(path)
+        _open_out(path, "a").close()
+        if not existed:
+            os.remove(path)
+
+
 def write_csv(path: str, header: Sequence[str], rows) -> None:
     """``header`` and ``rows``, an iterable of sequences, as CSV, CSV_BLOCK
     rows at a time.  The rows taken from ``rows`` are written even when it
     raises, so a generator keeps what it yielded before it failed.  A path
     that cannot be opened is a ``UsageError``."""
-    try:
-        fh = open(path, "w", encoding="utf-8")
-    except OSError as err:
-        raise UsageError(f"cannot write {path}: {err.strerror or err}") from err
-    with fh:
+    with _open_out(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         block = []
         try:
@@ -229,30 +247,23 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _out_path(args, default: str) -> str:
-    return args.out if args.out else default
-
-
-class UsageError(Exception):
-    """Flags that parse but describe no runnable job; ``dispatch`` exits 2."""
-
-
 def _step_count(args) -> int:
-    n_steps = int(round(args.t_end / args.dt))
-    if n_steps < 1:
-        raise UsageError(f"--t-end {args.t_end:g} holds no step of --dt {args.dt:g}")
-    return n_steps
+    problem = harness.grid_mismatch(args.t_end, [args.dt], args.dt)
+    if problem:
+        raise UsageError(problem)
+    return int(round(args.t_end / args.dt))
 
 
 def cmd_run(args, cfg: ProjectionConfig) -> int:
     n_steps = _step_count(args)
+    out = args.out or f"run_{args.example}_{args.scheme}.csv"
+    _check_writable([out])
     example = get_example(args.example, c=args.c)
     traj, _ = harness.track(example, args.scheme, args.t_end, args.dt, [], args.seed,
                             args.gamma, cfg, keep_states=True)
     d = example.model.d
     header = ["t"] + [f"x{i+1}" for i in range(d)] + [f"y{i+1}" for i in range(d)]
     rows = [[t] + list(z.x) + list(z.y) for t, z in zip(traj.times, traj.states)]
-    out = _out_path(args, f"run_{args.example}_{args.scheme}.csv")
     write_csv(out, header, rows)
     zf = traj.final
     print(f"run {args.example} {args.scheme}: {n_steps} steps, "
@@ -287,7 +298,7 @@ def cmd_order(args, cfg: ProjectionConfig) -> int:
                 yield [rep.scheme, dt, rep.err_x[i], rep.err_y[i], rep.err_norm[i],
                        rep.se_x[i], rep.se_y[i], rep.wall[i], rep.slope_x, rep.slope_y]
 
-    out = _out_path(args, f"order_{args.example}.csv")
+    out = args.out or f"order_{args.example}.csv"
     write_csv(out, ["scheme", "dt", "err_x", "err_y", "err_norm", "se_x", "se_y",
                     "wall_s", "slope_x", "slope_y"], rows())
     print(f"order {args.example} ({args.paths} paths): " + "; ".join(summary)
@@ -297,9 +308,10 @@ def cmd_order(args, cfg: ProjectionConfig) -> int:
 
 def cmd_timing(args, cfg: ProjectionConfig) -> int:
     """Wall-clock time (noise generation excluded) and error per scheme per step."""
+    out = args.out or f"timing_{args.example}.csv"
+    _check_writable([out])
     rows = [[rep.scheme, dt, err, wall] for rep in _order_reports(args, cfg)
             for dt, err, wall in zip(rep.dts, rep.err_norm, rep.wall)]
-    out = _out_path(args, f"timing_{args.example}.csv")
     write_csv(out, ["scheme", "dt", "err", "wall_s"], rows)
     scheme, dt, _, wall = min(rows, key=lambda r: r[3])
     print(f"timing {args.example}: fastest {scheme} at dt={dt:g} ({wall:.3f}s) -> {out}")
@@ -316,19 +328,18 @@ def cmd_track(args, cfg: ProjectionConfig) -> int:
     for name in names:
         if name not in example.invariants:
             raise UsageError(f"unknown invariant {name!r} on {args.example}; {registered}")
+    stem = args.out or f"track_{args.example}_{args.scheme}"
+    stem = stem[:-4] if stem.endswith(".csv") else stem
+    outs = [f"{stem}_{name}.csv" for name in names]
+    if args.scheme in ("ses-sp-1", "ses-sp-2"):
+        outs.append(f"{stem}_defect.csv")
+    _check_writable(outs)
     traj, series = harness.track(example, args.scheme, args.t_end, args.dt, names,
                                  args.seed, args.gamma, cfg)
-    stem = _out_path(args, f"track_{args.example}_{args.scheme}.csv")
-    stem = stem[:-4] if stem.endswith(".csv") else stem
-    outs = []
-    for name in names:
-        path = f"{stem}_{name}.csv"
-        write_csv(path, ["t", "value"], zip(traj.times, series[name]))
-        outs.append(path)
-    if args.scheme in ("ses-sp-1", "ses-sp-2"):
-        path = f"{stem}_defect.csv"
-        write_csv(path, ["t", "value"], zip(traj.times[1:], traj.defect))
-        outs.append(path)
+    columns = [zip(traj.times, series[name]) for name in names]
+    columns.append(zip(traj.times[1:], traj.defect))   # outs names it for SES only
+    for path, column in zip(outs, columns):
+        write_csv(path, ["t", "value"], column)
     peaks = {name: float(np.max(np.abs(series[name]))) for name in names}
     print(f"track {args.example} {args.scheme}: max |relative deviation| "
           + " ".join(f"{k}={v:.3e}" for k, v in peaks.items())
@@ -344,17 +355,18 @@ def cmd_nls(args, cfg: ProjectionConfig) -> int:
     lattice = nlsmod.build_lattice(args.x_left, args.x_right, int(round(n_cells)) - 1,
                                    args.modes)
     n_steps = _step_count(args)
+    stem = args.out or f"nls_{args.recipe}"
+    stem = stem[:-4] if stem.endswith(".csv") else stem
+    _check_writable([f"{stem}_field.csv", f"{stem}_summary.csv"])
     grid = build_noise_grid(args.seed, 0, args.modes, 0.0, n_steps * args.dt,
                             n_steps * harness.FINE_STEPS)
 
     stepper = nlsmod.nls_stepper(lattice, args.recipe, grid, cfg, harness.FINE_STEPS)
     traj = simulate(stepper, nlsmod.nls_initial(lattice), n_steps, args.dt,
                     {"charge": nlsmod.charge})
-    stem = args.out if args.out else f"nls_{args.recipe}"
-    stem = stem[:-4] if stem.endswith(".csv") else stem
     write_csv(f"{stem}_field.csv", ["t", "x", "p", "q"],
               ([t, xi, pi, qi] for t, s in zip(traj.times, traj.states)
-               for xi, pi, qi in zip(lattice.nodes, s.p, s.q)))
+               for xi, pi, qi in zip(lattice.nodes, s.y, s.x)))
     charges = traj.tracked["charge"]
     iters = traj.iterations
     write_csv(f"{stem}_summary.csv", ["t", "charge", "defect", "newton_iters"],

@@ -44,7 +44,6 @@ class HamiltonianModel:
     hess_xx: Optional[Callable] = None
     hess_yy: Optional[Callable] = None
     hess_yx: Optional[Callable] = None
-    label: str = ""
 
     def __post_init__(self):
         if self.d < 1:
@@ -197,13 +196,9 @@ def _channel_normals(seed: int, path_index: int, channel: int, size: int) -> np.
 
 
 def build_noise_grid(seed: int, path_index: int, m: int, t0: float, t_end: float,
-                     n_fine: int, truncate: bool = False) -> NoiseGrid:
-    """Sample a reproducible noise grid for one path.
-
-    Identical arguments give bit-identical grids.  ``truncate`` clips each
-    fine increment at 2*sqrt(dt*|ln dt|) (off by default; raw increments are
-    the norm here).
-    """
+                     n_fine: int) -> NoiseGrid:
+    """Sample a reproducible noise grid for one path; identical arguments give
+    bit-identical grids."""
     if not t_end > t0:
         raise ValueError("invalid time range")
     if n_fine < 1:
@@ -212,23 +207,19 @@ def build_noise_grid(seed: int, path_index: int, m: int, t0: float, t_end: float
     inc = np.empty((m + 1, n_fine))
     inc[0] = dt
     sd = np.sqrt(dt)
-    bound = 2.0 * np.sqrt(dt * abs(np.log(dt))) if truncate else None
     for r in range(1, m + 1):
-        w = sd * _channel_normals(seed, path_index, r, n_fine)
-        if bound is not None:
-            np.clip(w, -bound, bound, out=w)
-        inc[r] = w
+        inc[r] = sd * _channel_normals(seed, path_index, r, n_fine)
     return NoiseGrid(m, float(t0), dt, int(n_fine), inc, int(seed), int(path_index))
 
 
 def build_noise_grid_batch(seed: int, path_indices: Sequence[int], m: int, t0: float,
-                           t_end: float, n_fine: int, truncate: bool = False) -> NoiseGrid:
+                           t_end: float, n_fine: int) -> NoiseGrid:
     """Stack per-path grids along a trailing batch axis.
 
     Column j is bit-identical to ``build_noise_grid(seed, path_indices[j], ...)``.
     """
     paths = np.asarray(path_indices, dtype=np.int64)
-    cols = [build_noise_grid(seed, int(p), m, t0, t_end, n_fine, truncate) for p in paths]
+    cols = [build_noise_grid(seed, int(p), m, t0, t_end, n_fine) for p in paths]
     inc = np.stack([g.inc for g in cols], axis=2)
     return NoiseGrid(m, float(t0), cols[0].dt_fine, int(n_fine), inc, int(seed), paths)
 
@@ -239,17 +230,6 @@ def ordered_sum(a: np.ndarray) -> np.ndarray:
     if len(a) > 8:   # one call for a long sum; row by row is cheaper for a short one
         return np.add.accumulate(a)[-1]
     return reduce(lambda total, row: total + row, a)
-
-
-def coarsen(grid: NoiseGrid, factor: int) -> NoiseGrid:
-    """Merge groups of ``factor`` fine increments, summed left to right."""
-    if factor < 1 or grid.n_fine % factor != 0:
-        raise ValueError(f"factor {factor} does not divide n_fine {grid.n_fine}")
-    n_coarse = grid.n_fine // factor
-    shape = (grid.inc.shape[0], n_coarse, factor) + grid.inc.shape[2:]
-    inc = ordered_sum(np.moveaxis(grid.inc.reshape(shape), 2, 0))
-    return NoiseGrid(grid.m, grid.t0, grid.dt_fine * factor, n_coarse, inc,
-                     grid.seed, grid.path_index)
 
 
 @lru_cache(maxsize=256)
@@ -343,9 +323,6 @@ def fd_shared(a: np.ndarray, like: np.ndarray) -> np.ndarray:
 class GradientReport:
     passed: bool
     worst: float
-    worst_channel: int = -1
-    worst_block: str = ""
-    worst_point: Optional[PhaseState] = None
     failures: list = field(default_factory=list)
 
 
@@ -379,11 +356,7 @@ def verify_gradients(model: HamiltonianModel, samples: int = 100, fd_step: float
                     else:
                         fd[i] = (model.h[r](x, y + e) - model.h[r](x, y - e)) / (2 * fd_step)
                 dev = float(np.max(np.abs(g - fd)))
-                if dev > report.worst:
-                    report.worst = dev
-                    report.worst_channel = r
-                    report.worst_block = block
-                    report.worst_point = PhaseState(x, y)
+                report.worst = max(report.worst, dev)
                 if dev > tol:
                     report.passed = False
                     report.failures.append((r, block, PhaseState(x, y), dev))

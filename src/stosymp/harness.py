@@ -73,10 +73,12 @@ class ConvergenceSpec:
 
 
 def grid_mismatch(t_end: float, dt_list: Sequence[float], ref_dt: float) -> Optional[str]:
-    """Why a step of ``dt_list`` cannot run on the shared noise grid of
-    ``FINE_STEPS`` fine steps per ``ref_dt`` over [0, t_end], or None."""
+    """Why ``ref_dt`` does not tile [0, t_end], or a step of ``dt_list`` cannot run
+    on its grid of ``FINE_STEPS`` fine steps per ``ref_dt``, or None."""
     if min(dt_list) <= 0 or ref_dt <= 0:
         return f"steps must be positive (dt {list(dt_list)}, ref_dt {ref_dt})"
+    if abs(round(t_end / ref_dt) - t_end / ref_dt) > 1e-9:
+        return f"t_end {t_end} is not a whole number of steps of {ref_dt}"
     n_fine = int(round(t_end / ref_dt)) * FINE_STEPS
     for dt in dt_list:
         if abs(round(dt / ref_dt) - dt / ref_dt) > 1e-9:

@@ -47,8 +47,7 @@ def make_example1(c: float = 0.5) -> ExampleSpec:
         1, h0, gx, gy, c,
         hess_xx=lambda x, y: np.reshape(c * (y[0] * y[0] + 1.0), (1, 1) + np.shape(x[0])),
         hess_yy=lambda x, y: np.reshape(c * (x[0] * x[0] + 1.0), (1, 1) + np.shape(x[0])),
-        hess_yx=lambda x, y: np.reshape(2.0 * c * x[0] * y[0], (1, 1) + np.shape(x[0])),
-        label="example1")
+        hess_yx=lambda x, y: np.reshape(2.0 * c * x[0] * y[0], (1, 1) + np.shape(x[0])))
     z0 = PhaseState(np.array([0.0]), np.array([-3.0]))
     invariants = {
         "hamiltonian": lambda z: h0(z.x, z.y),
@@ -79,7 +78,7 @@ def make_example2(a: float = -2.0, b: float = -1.0, v: float = -0.5, omega: floa
     def gy(x, y):
         return (a * b * b * v * e1(x, y) - np.exp(-y[0]) - omega)[None]
 
-    model = ScaledNoiseModel.scaled(1, h0, gx, gy, c, label="example2")
+    model = ScaledNoiseModel.scaled(1, h0, gx, gy, c)
 
     # x = ln y3, y = -ln y2 (transform-consistent; y2 = exp(-Y) forces the sign)
     z0 = PhaseState(np.array([np.log(y0[2])]), np.array([-np.log(y0[1])]))
@@ -127,7 +126,7 @@ def make_example3(c: float = 0.5) -> ExampleSpec:
         fcg = f(x, y) * np.cos(g(x, y))
         return np.stack([h * sg * (-0.3), h * fcg * y[1]])
 
-    model = ScaledNoiseModel.scaled(2, h0, gx, gy, c, label="example3")
+    model = ScaledNoiseModel.scaled(2, h0, gx, gy, c)
     z0 = PhaseState(np.array([-1.0, 2.0]), np.array([1.0, -1.0]))
     linear = LinearInvariant(np.array([0.2, 0.0]), np.array([-0.3, 0.0]))
     quadratic = QuadraticInvariant(np.diag([0.0, 0.5]), np.zeros((2, 2)), np.diag([0.0, 1.0]))
@@ -163,7 +162,7 @@ def make_example4(c: float = 0.5, y0=(1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0), 0.
         r2 = 2.0 * c1 - x[0] * x[0]
         return r2 * np.sin(y) * np.cos(y) * (1.0 / _I3 - 1.0 / _I1)
 
-    model = ScaledNoiseModel.scaled(1, h0, gx, gy, c, label="example4")
+    model = ScaledNoiseModel.scaled(1, h0, gx, gy, c)
 
     z0 = PhaseState(np.array([y0[1]]), np.array([np.arctan2(y0[2], y0[0])]))
 

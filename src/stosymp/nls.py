@@ -7,8 +7,9 @@ Hamiltonian system in (Q, P).  ``NlsModel`` is that system as a
 ``HamiltonianModel`` with d = n_interior and one noise channel per mode, and
 the scheme is the shared engine applied to it: an F1/F2 composition recipe
 with no restraint stage (gamma = 0, which keeps the discrete charge) and the
-symmetric projection of ``projection_step``.  The spatial derivative fields
-are always recomputed from (Q, P); they are never independent state.
+symmetric projection of ``projection_step``.  The lattice state is a
+``PhaseState`` with (x, y) = (Q, P), as for ex1-ex4.  The spatial derivative
+fields are always recomputed from (Q, P); they are never independent state.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .core import HamiltonianModel, NoiseGrid, PhaseState, ordered_sum, step_windows
 from .project import (ProjectionConfig, ProjectionReport, linearised_config, project_map,
                       projection_step)
-from .splitflow import CompositionRecipe, FlowId, compose, flow_f1, flow_f2, stage_bounds
+from .splitflow import CompositionRecipe, FlowId, flow_f1, flow_f2, stage_bounds
 
 
 @dataclass(frozen=True)
@@ -56,14 +57,6 @@ class NlsLattice:
     def laplacian(self, v: np.ndarray) -> np.ndarray:
         return self.dplus(self.dminus(v))
 
-    def dplus_matrix(self) -> np.ndarray:
-        n = self.n_interior
-        return (np.diag(-np.ones(n)) + np.diag(np.ones(n - 1), 1)) / self.h
-
-    def dminus_matrix(self) -> np.ndarray:
-        n = self.n_interior
-        return (np.diag(np.ones(n)) + np.diag(-np.ones(n - 1), -1)) / self.h
-
     @cached_property
     def model(self) -> NlsModel:
         """The lattice as a Hamiltonian model, built once per lattice."""
@@ -77,7 +70,7 @@ class NlsLattice:
             gxs.append(lambda x, y, g=g: -x * g)
             gys.append(lambda x, y, g=g: -y * g)
         return NlsModel(d=self.n_interior, m=self.modes, h=tuple(hs), grad_x=tuple(gxs),
-                        grad_y=tuple(gys), label="nls", lattice=self)
+                        grad_y=tuple(gys), lattice=self)
 
 
 def build_lattice(x_left: float = -5.0, x_right: float = 5.0, n_interior: int = 9,
@@ -93,12 +86,6 @@ def build_lattice(x_left: float = -5.0, x_right: float = 5.0, n_interior: int = 
     lam_sqrt = k.astype(float) ** -3
     return NlsLattice(float(x_left), float(x_right), int(n_interior), h, nodes,
                       int(modes), emat, lam_sqrt)
-
-
-@dataclass(frozen=True)
-class NlsState:
-    q: np.ndarray
-    p: np.ndarray
 
 
 def noise_vector(lattice: NlsLattice, dbeta: np.ndarray) -> np.ndarray:
@@ -152,16 +139,15 @@ RECIPES = {name: CompositionRecipe(stages, ()) for name, stages in {
 }.items()}
 
 
-def nls_step(lattice: NlsLattice, recipe: str, s: NlsState, grid: NoiseGrid, step: int,
+def nls_step(lattice: NlsLattice, recipe: str, s: PhaseState, grid: NoiseGrid, step: int,
              cfg: ProjectionConfig = ProjectionConfig(), substeps: Optional[int] = None,
-             bounds: Optional[tuple] = None) -> Tuple[NlsState, ProjectionReport]:
-    """One projected multi-symplectic step on (Q, P); ``bounds`` as in
+             bounds: Optional[tuple] = None) -> Tuple[PhaseState, ProjectionReport]:
+    """One projected multi-symplectic step on (x, y) = (Q, P); ``bounds`` as in
     ``projection_step``."""
     if recipe not in RECIPES:
         raise KeyError(f"unknown recipe {recipe!r}; choose from {sorted(RECIPES)}")
-    z, rep = projection_step(lattice.model, RECIPES[recipe], PhaseState(s.q, s.p),
-                             grid, step, cfg, substeps, bounds)
-    return NlsState(z.x, z.y), rep
+    return projection_step(lattice.model, RECIPES[recipe], s, grid, step, cfg, substeps,
+                           bounds)
 
 
 def nls_stepper(lattice: NlsLattice, recipe: str, grid: NoiseGrid, cfg: ProjectionConfig,
@@ -170,8 +156,7 @@ def nls_stepper(lattice: NlsLattice, recipe: str, grid: NoiseGrid, cfg: Projecti
     for a run from ``nls_initial(lattice)``; the stage windows and the
     projection's simplified-Newton matrix are found here, once."""
     bounds = stage_bounds(RECIPES[recipe], substeps)
-    s0 = nls_initial(lattice)
-    cfg = linearised_config(cfg, lattice.model, RECIPES[recipe], PhaseState(s0.q, s0.p),
+    cfg = linearised_config(cfg, lattice.model, RECIPES[recipe], nls_initial(lattice),
                             bounds, grid.dt_fine)
 
     def stepper(s, step):
@@ -179,20 +164,12 @@ def nls_stepper(lattice: NlsLattice, recipe: str, grid: NoiseGrid, cfg: Projecti
     return stepper
 
 
-def compose_unprojected(lattice: NlsLattice, recipe: str, ext: np.ndarray,
-                        grid: NoiseGrid, step: int,
-                        substeps: Optional[int] = None) -> np.ndarray:
-    """The raw extended-space composition, without projection (for defect
-    contrast experiments)."""
-    return compose(RECIPES[recipe], lattice.model, ext, grid, step, substeps)
-
-
-def charge(s: NlsState) -> float:
+def charge(z: PhaseState) -> float:
     """Discrete charge sum_i (P_i^2 + Q_i^2), fixed index order."""
-    return ordered_sum(s.p * s.p + s.q * s.q)
+    return ordered_sum(z.y * z.y + z.x * z.x)
 
 
-def nls_initial(lattice: NlsLattice) -> NlsState:
+def nls_initial(lattice: NlsLattice) -> PhaseState:
     x = lattice.nodes
     sech = 1.0 / np.cosh(x)
-    return NlsState(np.sin(2.0 * x) * sech, np.cos(2.0 * x) * sech)
+    return PhaseState(np.sin(2.0 * x) * sech, np.cos(2.0 * x) * sech)

@@ -16,8 +16,7 @@ from stosymp.core import (HamiltonianModel, LinearInvariant, PhaseState,
                           eval_linear, eval_quadratic)
 from stosymp.harness import ConvergenceSpec, make_stepper, ms_error, track
 from stosymp.modelzoo import get_example
-from stosymp.nls import (NlsState, build_lattice, charge, nls_initial, nls_step,
-                         noise_vector, subflow_a)
+from stosymp.nls import build_lattice, charge, nls_initial, nls_step, noise_vector, subflow_a
 from stosymp.project import NoConvergence, ProjectionConfig, projection_step
 from stosymp.splitflow import (flow_f1, flow_f2, flow_f3, lie_recipe,
                                phase_form_matrix, strang_recipe,
@@ -160,12 +159,12 @@ def test_criterion_08_nls_projected_map_symplecticity():
         grid = build_noise_grid(11, k, lat.modes, 0.0, 1e-3, 2)
 
         def vec_map(v):
-            out, _ = nls_step(lat, "strang-ab", NlsState(v[:9], v[9:]), grid, 0,
+            out, _ = nls_step(lat, "strang-ab", PhaseState(v[:9], v[9:]), grid, 0,
                               cfg, 2)
-            return np.concatenate([out.q, out.p])
+            return np.concatenate([out.x, out.y])
 
         s0 = nls_initial(lat)
-        v0 = np.concatenate([s0.q, s0.p])
+        v0 = np.concatenate([s0.x, s0.y])
         jac = np.empty((18, 18))
         for j in range(18):
             e = np.zeros(18)
@@ -308,7 +307,7 @@ def test_criterion_12_unit_oracles():
     lat = build_lattice(0.0, 2.0, 1, modes=1)
     close("spectral noise basis", noise_vector(lat, np.array([1.0])),
           np.sin(np.pi) / np.sqrt(5.0), tol=1e-14)
-    close("node charge", charge(NlsState(np.array([3.0]), np.array([4.0]))), 25.0,
+    close("node charge", charge(PhaseState(np.array([3.0]), np.array([4.0]))), 25.0,
           tol=1e-14)
     lat9 = build_lattice(-5.0, 5.0, 9, modes=10)
     sa = subflow_a(lat9, np.stack((np.ones(9), np.zeros(9), np.zeros(9), np.zeros(9))),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stosymp.cli import main, parse_args
+from stosymp.nls import build_lattice, nls_initial
 from stosymp.project import ProjectionConfig
 
 
@@ -134,6 +135,24 @@ def test_nls_command_charge_column(tmp_path):
     assert np.max(np.abs(charges - charges[0])) <= 1e-8 * charges[0]
 
 
+def test_nls_field_csv_rows(tmp_path):
+    stem = tmp_path / "nls"
+    assert run_cli(["nls", "--dt", "0.01", "--t-end", "0.03", "--h", "1",
+                    "--out", str(stem)]) == 0
+    lines = (tmp_path / "nls_field.csv").read_text().splitlines()
+    assert lines[0] == "t,x,p,q"
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    lattice = build_lattice(-5.0, 5.0, 9, 10)   # the defaults at h = 1
+    n = lattice.n_interior
+    assert rows.shape == (4 * n, 4)             # one row per (step, node), t = 0 included
+    assert np.array_equal(rows[:, 0], np.repeat(0.01 * np.arange(4), n))
+    assert np.array_equal(rows[:, 1], np.tile(lattice.nodes, 4))
+    # Q is PhaseState.x and P is PhaseState.y; %.17g round-trips
+    z0 = nls_initial(lattice)
+    assert np.array_equal(rows[:n, 3], z0.x)
+    assert np.array_equal(rows[:n, 2], z0.y)
+
+
 def test_nls_summary_line_reports_the_solver(tmp_path, capsys):
     stem = tmp_path / "nls"
     assert run_cli(["nls", "--dt", "0.01", "--t-end", "0.03", "--h", "0.5",
@@ -197,8 +216,14 @@ def test_gamma_list_of_wrong_length_exit_2(tmp_path):
      "--paths", "2", "--t-end", "0.1"],
     ["timing", "--example", "ex1", "--dt-list", "0.03", "--ref-dt", "0.01",
      "--t-end", "0.1"],
+    ["run", "--example", "ex1", "--dt", "0.03", "--t-end", "0.1"],
+    ["track", "--example", "ex1", "--dt", "0.03", "--t-end", "0.1"],
+    ["nls", "--dt", "0.03", "--t-end", "0.1"],
+    ["order", "--example", "ex1", "--c", "0.15", "--gamma", "0.01", "--t-end", "0.1025",
+     "--dt-list", "0.02,0.01", "--ref-dt", "0.005", "--paths", "4", "--schemes", "midpoint"],
 ], ids=["run-zero-steps", "track-zero-steps", "nls-zero-steps", "order-untiled-dt",
-        "order-ref-dt-not-dividing", "timing-untiled-dt"])
+        "order-ref-dt-not-dividing", "timing-untiled-dt", "run-untiled-t-end",
+        "track-untiled-t-end", "nls-untiled-t-end", "order-ref-dt-not-tiling-t-end"])
 def test_unrunnable_step_sizes_exit_2(argv, tmp_path, capsys):
     assert run_cli(argv + ["--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error:")
@@ -241,6 +266,7 @@ def test_max_iter_reaches_the_solver(argv, tmp_path, capsys):
     out = [] if argv[0] == "check" else ["--out", str(tmp_path / "out")]
     assert run_cli(argv + ["--max-iter", "1"] + out) == 1
     assert "numerical failure" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())   # the check of --out leaves no file
 
 
 def test_timing_command_rows(tmp_path):
@@ -279,15 +305,27 @@ def test_unknown_invariant_exit_2(names, message, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("command", ["run", "order"])
-def test_unwritable_out_exit_2(command, tmp_path, capsys):
+@pytest.mark.parametrize("command, written", [
+    pytest.param(command, written, id=command) for command, written in (
+        ("run", "x.csv"), ("track", "x_hamiltonian.csv"), ("nls", "x_field.csv"),
+        ("timing", "x.csv"), ("order", "x.csv"))
+])
+def test_unwritable_out_exit_2(command, written, tmp_path, capsys, monkeypatch):
+    # the path is checked before the first step, so no run starts
+    def no_run(*args, **kwargs):
+        pytest.fail(f"{command} ran before it checked --out")
+
+    monkeypatch.setattr("stosymp.harness.simulate", no_run)
+    monkeypatch.setattr("stosymp.cli.simulate", no_run)
     out = tmp_path / "missing" / "x.csv"
-    flags = ["--dt", "0.01"] if command == "run" else ["--dt-list", "0.01", "--paths", "2"]
-    code = run_cli([command, "--example", "ex1", "--t-end", "0.02", *flags,
-                    "--out", str(out)])
+    flags = {"run": ["--example", "ex1", "--dt", "0.01"],
+             "track": ["--example", "ex1", "--dt", "0.01"],
+             "nls": ["--dt", "0.01"]}.get(command, ["--example", "ex1", "--dt-list", "0.01",
+                                                   "--paths", "2"])
+    code = run_cli([command, "--t-end", "0.02", *flags, "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
-    assert f"error: cannot write {out}: " in err
+    assert f"error: cannot write {out.parent / written}: " in err
     assert not out.parent.exists()
 
 

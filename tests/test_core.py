@@ -5,7 +5,7 @@ from scipy import stats
 from stosymp import core
 from stosymp.core import (HamiltonianModel, LinearInvariant, PhaseState,
                           QuadraticInvariant, build_noise_grid,
-                          build_noise_grid_batch, coarsen, eval_linear,
+                          build_noise_grid_batch, eval_linear,
                           eval_quadratic, fd_jacobian, step_windows, verify_gradients)
 from stosymp.modelzoo import make_example1
 
@@ -38,39 +38,11 @@ def test_increment_statistics():
     assert stats.kstest(sums, "norm").pvalue > 0.01
 
 
-def test_truncation_flag():
-    n = 64
-    g = build_noise_grid(0, 0, 1, 0.0, 1.0, n, truncate=True)
-    dt = 1.0 / n
-    bound = 2.0 * np.sqrt(dt * abs(np.log(dt)))
-    assert np.max(np.abs(g.inc[1])) <= bound
-    raw = build_noise_grid(0, 0, 1, 0.0, 1.0, n, truncate=False)
-    clipped = np.clip(raw.inc[1], -bound, bound)
-    assert np.array_equal(g.inc[1], clipped)
-
-
 def test_batch_columns_match_single_paths():
     gb = build_noise_grid_batch(5, [0, 1, 2], 1, 0.0, 1.0, 16)
     for j, p in enumerate([0, 1, 2]):
         g = build_noise_grid(5, p, 1, 0.0, 1.0, 16)
         assert np.array_equal(gb.inc[:, :, j], g.inc)
-
-
-def test_coarsen_pairs():
-    g = build_noise_grid(0, 0, 1, 0.0, 1.0, 4)
-    a, b, c, d = g.inc[1]
-    cg = coarsen(g, 2)
-    assert np.allclose(cg.inc[1], [a + b, c + d], rtol=0, atol=0)
-    assert np.array_equal(cg.inc[0], [0.5, 0.5])
-
-
-def test_coarsen_full_and_invalid():
-    g = build_noise_grid(0, 0, 1, 0.0, 1.0, 4)
-    full = coarsen(g, 4)
-    assert full.n_fine == 1
-    assert np.isclose(full.inc[1][0], g.inc[1].sum(), rtol=0, atol=0)
-    with pytest.raises(ValueError):
-        coarsen(g, 3)
 
 
 def test_step_windows_full_and_halves():

@@ -17,6 +17,8 @@ def test_spec_validation():
         ConvergenceSpec(ex, "ses-sp-1", 1.0, (0.1,), 0.03, 4, 0)
     with pytest.raises(ValueError):
         ConvergenceSpec(ex, "ses-sp-1", 1.0, (0.1,), 0.05, 0, 0)
+    with pytest.raises(ValueError, match="not a whole number"):   # ref_dt must tile t_end
+        ConvergenceSpec(ex, "ses-sp-1", 0.1025, (0.02, 0.01), 0.005, 4, 0)
 
 
 def test_make_stepper_unknown_scheme():

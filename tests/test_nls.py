@@ -2,23 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stosymp.core import HamiltonianModel, NoiseGrid, build_noise_grid, verify_gradients
-from stosymp.nls import (build_lattice, charge, compose_unprojected, nls_initial,
-                         nls_step, nls_stepper, noise_vector, subflow_a, subflow_b,
-                         NlsState, RECIPES)
+from stosymp.core import (HamiltonianModel, NoiseGrid, PhaseState, build_noise_grid,
+                          verify_gradients)
+from stosymp.nls import (build_lattice, charge, nls_initial, nls_step, nls_stepper,
+                         noise_vector, subflow_a, subflow_b, RECIPES)
 from stosymp.project import ProjectionConfig
-from stosymp.splitflow import phase_form_matrix
+from stosymp.splitflow import compose, phase_form_matrix
 
 
 def unit_lattice():
     # one interior node at x = 1 with spacing h = 1
     return build_lattice(0.0, 2.0, 1, modes=1)
-
-
-def test_dplus_matrix_oracle():
-    lat = build_lattice(0.0, 2.0, 3, modes=1)  # h = 0.5
-    expect = np.array([[-2.0, 2.0, 0.0], [0.0, -2.0, 2.0], [0.0, 0.0, -2.0]])
-    assert np.allclose(lat.dplus_matrix(), expect, atol=1e-14)
 
 
 def test_one_node_laplacian():
@@ -29,8 +23,6 @@ def test_one_node_laplacian():
 def test_dminus_transpose_is_negative_dplus():
     lat = build_lattice(-5.0, 5.0, 9, modes=3)
     rng = np.random.default_rng(0)
-    dp, dm = lat.dplus_matrix(), lat.dminus_matrix()
-    assert np.allclose(dm.T, -dp, atol=1e-14)
     for _ in range(20):
         u = rng.standard_normal(9)
         w = rng.standard_normal(9)
@@ -104,8 +96,8 @@ def test_nls_step_zero_increments_identity():
     s = nls_initial(lat)
     out, rep = nls_step(lat, "strang-ab", s, zero_grid(10), 0,
                         ProjectionConfig(tol=1e-13), 2)
-    assert np.allclose(out.q, s.q, atol=1e-13)
-    assert np.allclose(out.p, s.p, atol=1e-13)
+    assert np.allclose(out.x, s.x, atol=1e-13)
+    assert np.allclose(out.y, s.y, atol=1e-13)
     assert np.allclose(rep.lam, 0.0, atol=1e-13)
 
 
@@ -132,11 +124,11 @@ def test_projected_step_symplectic():
     s0 = nls_initial(lat)
 
     def vec_map(v):
-        st = NlsState(v[:9], v[9:])
+        st = PhaseState(v[:9], v[9:])
         out, _ = nls_step(lat, "strang-ab", st, g, 0, cfg, 2)
-        return np.concatenate([out.q, out.p])
+        return np.concatenate([out.x, out.y])
 
-    v0 = np.concatenate([s0.q, s0.p])
+    v0 = np.concatenate([s0.x, s0.y])
     n = 18
     jac = np.empty((n, n))
     for j in range(n):
@@ -152,11 +144,11 @@ def test_unprojected_defect_grows_projected_does_not():
     n_steps = 50
     g = build_noise_grid(5, 0, 10, 0.0, n_steps * 1e-2, 2 * n_steps)
     s = nls_initial(lat)
-    ext = np.stack((s.q, s.q, s.p, s.p))
+    ext = np.stack((s.x, s.x, s.y, s.y))
     cfg = ProjectionConfig(tol=1e-13)
     max_proj_defect = 0.0
     for n in range(n_steps):
-        ext = compose_unprojected(lat, "strang-ab", ext, g, n, 2)
+        ext = compose(RECIPES["strang-ab"], lat.model, ext, g, n, 2)
         s, rep = nls_step(lat, "strang-ab", s, g, n, cfg, 2)
         max_proj_defect = max(max_proj_defect, rep.residual)
     raw_defect = np.sqrt(np.sum((ext[0] - ext[1]) ** 2 + (ext[2] - ext[3]) ** 2))
@@ -165,19 +157,19 @@ def test_unprojected_defect_grows_projected_does_not():
 
 
 def test_charge_oracles():
-    assert charge(NlsState(np.zeros(2), np.array([3.0, 4.0]))) == 25.0
-    assert charge(NlsState(np.zeros(3), np.zeros(3))) == 0.0
+    assert charge(PhaseState(np.zeros(2), np.array([3.0, 4.0]))) == 25.0
+    assert charge(PhaseState(np.zeros(3), np.zeros(3))) == 0.0
 
 
 def test_nls_initial_oracles():
     lat = build_lattice(-5.0, 5.0, 9, modes=10)
     i0 = list(lat.nodes).index(0.0)
     s = nls_initial(lat)
-    assert np.isclose(s.p[i0], 1.0)
-    assert np.isclose(s.q[i0], 0.0)
+    assert np.isclose(s.y[i0], 1.0)
+    assert np.isclose(s.x[i0], 0.0)
     assert charge(s) > 0
     s2 = nls_initial(lat)
-    assert np.array_equal(s.p, s2.p) and np.array_equal(s.q, s2.q)
+    assert np.array_equal(s.y, s2.y) and np.array_equal(s.x, s2.x)
 
 
 def test_build_lattice_validation():

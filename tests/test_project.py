@@ -67,9 +67,8 @@ def test_linearised_config_chooses_between_p_and_4i():
     cfg = linearised_config(ProjectionConfig(), ex.model, recipe, ex.z0, bounds, 2.0 ** -6)
     assert cfg.newton_matrix is None
     lat = build_lattice(-5.0, 5.0, 39, modes=10)
-    s0 = nls_initial(lat)
     cfg = linearised_config(ProjectionConfig(), lat.model, RECIPES["strang-ab"],
-                            PhaseState(s0.q, s0.p), stage_bounds(RECIPES["strang-ab"], 2),
+                            nls_initial(lat), stage_bounds(RECIPES["strang-ab"], 2),
                             lat.h ** 2 / 2)
     assert cfg.newton_matrix.shape == (2 * lat.n_interior, 2 * lat.n_interior)
     # a short lambda never builds P, so a start where the stages are not
@@ -84,9 +83,8 @@ def test_linearised_config_chooses_between_p_and_4i():
     # the boundary: a 4-node lattice (2d = 8) keeps 4I, a 5-node one gets P
     for n in (4, 5):
         lat = build_lattice(-5.0, 5.0, n, modes=2)
-        s0 = nls_initial(lat)
         cfg = linearised_config(ProjectionConfig(), lat.model, RECIPES["strang-ab"],
-                                PhaseState(s0.q, s0.p), stage_bounds(RECIPES["strang-ab"], 2),
+                                nls_initial(lat), stage_bounds(RECIPES["strang-ab"], 2),
                                 lat.h ** 2 / 2)
         assert (cfg.newton_matrix is None) == (n == 4)
 
@@ -95,8 +93,7 @@ def test_linearised_matrix_equals_column_by_column_inverse():
     # the blocked sweep evaluates every central-difference point as a call on
     # it alone would, so P is the parent's bit for bit
     lat = build_lattice(-5.0, 5.0, 39, modes=10)
-    s0 = nls_initial(lat)
-    z0 = PhaseState(s0.q, s0.p)
+    z0 = nls_initial(lat)
     recipe = RECIPES["strang-ab"]
     bounds = stage_bounds(recipe, 2)
     dt_fine = lat.h ** 2 / 2

@@ -59,7 +59,7 @@ def lattice_steps(draw):
     lat = build_lattice(-5.0, 5.0, 5, modes=3)
     s0 = nls_initial(lat)
     offset = np.array(draw(st.lists(st.floats(-0.3, 0.3), min_size=10, max_size=10)))
-    z = PhaseState(s0.q + offset[:5], s0.p + offset[5:])
+    z = PhaseState(s0.x + offset[:5], s0.y + offset[5:])
     recipe = RECIPES[draw(st.sampled_from(sorted(RECIPES)))]
     dt = draw(st.floats(1e-3, 1e-2))
     normals = draw(st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6))
@@ -152,8 +152,7 @@ def linearised_steps(draw):
     of an example at gamma 0 or 0.3, or of the 5-node lattice."""
     if draw(st.booleans()):
         model, recipe, z, grid = draw(lattice_steps())
-        s0 = nls_initial(model.lattice)
-        return model, recipe, z, grid, PhaseState(s0.q, s0.p)
+        return model, recipe, z, grid, nls_initial(model.lattice)
     ex, recipe, z, grid = draw(ode_steps(gamma=draw(st.sampled_from([0.0, 0.3]))))
     return ex.model, recipe, z, grid, ex.z0
 
