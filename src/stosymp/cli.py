@@ -169,24 +169,17 @@ def build_parser(require: bool = True) -> argparse.ArgumentParser:
     common(p_run)
     stepping(p_run)
 
-    p_order = sub.add_parser("order", help="mean-square convergence order")
-    common(p_order, scheme=False)
-    p_order.add_argument("--schemes", type=_scheme_list,
-                         default=["ses-sp-1", "ses-sp-2", "midpoint"])
-    p_order.add_argument("--dt-list", type=_dt_list, default=DEFAULT_DT_LIST)
-    p_order.add_argument("--ref-dt", type=_positive, default=None,
-                         help="reference step (default min(dt_list)/16)")
-    p_order.add_argument("--t-end", type=_positive, default=1.0)
-    p_order.add_argument("--paths", type=_positive_int, default=200)
-
-    p_timing = sub.add_parser("timing", help="CPU time comparison on identical noise")
-    common(p_timing, scheme=False)
-    p_timing.add_argument("--schemes", type=_scheme_list,
-                          default=["ses-sp-1", "ses-sp-2", "midpoint"])
-    p_timing.add_argument("--dt-list", type=_dt_list, default=DEFAULT_DT_LIST)
-    p_timing.add_argument("--ref-dt", type=_positive, default=None)
-    p_timing.add_argument("--t-end", type=_positive, default=1.0)
-    p_timing.add_argument("--paths", type=_positive_int, default=1)
+    for name, help_text, paths in (("order", "mean-square convergence order", 200),
+                                   ("timing", "CPU time comparison on identical noise", 1)):
+        p = sub.add_parser(name, help=help_text)
+        common(p, scheme=False)
+        p.add_argument("--schemes", type=_scheme_list,
+                       default=["ses-sp-1", "ses-sp-2", "midpoint"])
+        p.add_argument("--dt-list", type=_dt_list, default=DEFAULT_DT_LIST)
+        p.add_argument("--ref-dt", type=_positive, default=None,
+                       help="reference step (default min(dt_list)/16)")
+        p.add_argument("--t-end", type=_positive, default=1.0)
+        p.add_argument("--paths", type=_positive_int, default=paths)
 
     p_track = sub.add_parser("track", help="invariant / defect series along one path")
     common(p_track)

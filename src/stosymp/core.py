@@ -177,12 +177,9 @@ class NoiseGrid:
     has shape ``(m+1, n_fine)`` or ``(m+1, n_fine, n_paths)`` for a batch.
     """
 
-    m: int
-    t0: float
     dt_fine: float
     n_fine: int
     inc: np.ndarray
-    seed: int
     path_index: object  # int or array of ints for a batch
 
 
@@ -195,33 +192,32 @@ def _channel_normals(seed: int, path_index: int, channel: int, size: int) -> np.
     return ndtri(u)
 
 
-def build_noise_grid(seed: int, path_index: int, m: int, t0: float, t_end: float,
+def build_noise_grid(seed: int, path_index, m: int, t0: float, t_end: float,
                      n_fine: int) -> NoiseGrid:
-    """Sample a reproducible noise grid for one path; identical arguments give
-    bit-identical grids."""
+    """Sample a reproducible noise grid for one path (an int ``path_index``)
+    or for a batch (a sequence of ints) along a trailing axis; identical
+    arguments give bit-identical grids, and batch column j is bit-identical
+    to path ``path_index[j]`` built alone."""
     if not t_end > t0:
         raise ValueError("invalid time range")
     if n_fine < 1:
         raise ValueError("n_fine must be at least 1")
+    paths = np.asarray(path_index, dtype=np.int64)
+    if paths.size == 0:
+        raise ValueError("at least one path required")
     dt = (t_end - t0) / n_fine
-    inc = np.empty((m + 1, n_fine))
+    inc = np.empty((m + 1, n_fine, paths.size))   # filled in place: no per-path copy
     inc[0] = dt
     sd = np.sqrt(dt)
-    for r in range(1, m + 1):
-        inc[r] = sd * _channel_normals(seed, path_index, r, n_fine)
-    return NoiseGrid(m, float(t0), dt, int(n_fine), inc, int(seed), int(path_index))
+    for j, p in enumerate(paths.reshape(-1)):
+        for r in range(1, m + 1):
+            np.multiply(sd, _channel_normals(seed, p, r, n_fine), out=inc[r, :, j])
+    if paths.ndim:
+        return NoiseGrid(dt, int(n_fine), inc, paths)
+    return NoiseGrid(dt, int(n_fine), inc[..., 0], int(path_index))
 
 
-def build_noise_grid_batch(seed: int, path_indices: Sequence[int], m: int, t0: float,
-                           t_end: float, n_fine: int) -> NoiseGrid:
-    """Stack per-path grids along a trailing batch axis.
-
-    Column j is bit-identical to ``build_noise_grid(seed, path_indices[j], ...)``.
-    """
-    paths = np.asarray(path_indices, dtype=np.int64)
-    cols = [build_noise_grid(seed, int(p), m, t0, t_end, n_fine) for p in paths]
-    inc = np.stack([g.inc for g in cols], axis=2)
-    return NoiseGrid(m, float(t0), cols[0].dt_fine, int(n_fine), inc, int(seed), paths)
+build_noise_grid_batch = build_noise_grid   # the batch's older name
 
 
 def ordered_sum(a: np.ndarray) -> np.ndarray:

@@ -170,11 +170,15 @@ def track(example: ExampleSpec, scheme: str, t_end: float, dt: float,
           invariants: Sequence[str], seed: int = 0, gamma: float = 0.0,
           cfg: ProjectionConfig = ProjectionConfig(), keep_states: bool = False) -> tuple:
     """One path's trajectory and the relative-deviation series
-    (I(t) - I(0)) / |I(0)| of the named invariants."""
+    (I(t) - I(0)) / |I(0)| of the named invariants; a ``dt`` that does not
+    tile ``t_end`` (``grid_mismatch``) is a ``ValueError``."""
     for name in invariants:
         if name not in example.invariants:
             raise KeyError(f"unknown invariant {name!r} on {example.name}; "
                            f"registered: {sorted(example.invariants)}")
+    problem = grid_mismatch(t_end, [dt], dt)
+    if problem:
+        raise ValueError(problem)
     n_steps = int(round(t_end / dt))
     grid = build_noise_grid(seed, 0, example.model.m, 0.0, n_steps * dt, n_steps * FINE_STEPS)
     stepper = make_stepper(scheme, example, grid, FINE_STEPS, gamma, cfg)

@@ -262,16 +262,22 @@ def _stage_residual(recipe: CompositionRecipe, model: HamiltonianModel, s0: np.n
                     bounds: tuple, dt_fine: float) -> Callable:
     """lambda -> A map(s0 + A'lambda) + 2 lambda, with map the recipe's stages
     at zero noise: each window's length in channel 0, 0 in every noise channel."""
-    incs = []
-    for lo, hi in bounds:
-        delta = np.zeros(model.m + 1)
+    incs = [np.zeros(model.m + 1) for _ in bounds]
+    for delta, (lo, hi) in zip(incs, bounds):
         delta[0] = (hi - lo) * dt_fine
-        incs.append(delta)
-    trig = f3_trig(recipe, incs)
-
-    def map_fn(s):
-        return apply_stages(recipe, model, s, incs, trig)
+    map_fn = _stage_map(recipe, model, incs)
     return lambda lam: _perturbed(map_fn, s0, lam)[1]
+
+
+def _stage_map(recipe: CompositionRecipe, model: HamiltonianModel, incs: list,
+               theta: float = 1.0) -> Callable:
+    """s -> the recipe's stages at the frozen increments ``incs`` scaled by
+    ``theta``, with F3's rotations found once; the map of a projection solve,
+    and at theta < 1 of its continuation."""
+    trig = f3_trig(recipe, incs, theta)
+    if theta != 1.0:
+        incs = [theta * delta for delta in incs]
+    return lambda s: apply_stages(recipe, model, s, incs, trig)
 
 
 def projection_step(model: HamiltonianModel, recipe: CompositionRecipe, z: PhaseState,
@@ -281,17 +287,8 @@ def projection_step(model: HamiltonianModel, recipe: CompositionRecipe, z: Phase
     may carry a trailing batch axis.  A stepper passes the recipe's
     ``stage_bounds`` at ``substeps`` as ``bounds``, found once for all steps."""
     incs = stage_increments(recipe, grid, step, substeps, bounds)  # frozen for all iterates
-    trig = f3_trig(recipe, incs)
-
-    def map_fn(s):
-        return apply_stages(recipe, model, s, incs, trig)
-
-    def map_at_scale(theta):
-        scaled = [theta * delta for delta in incs]
-        strig = f3_trig(recipe, incs, theta)
-        return lambda s: apply_stages(recipe, model, s, scaled, strig)
-
-    corrected, rep = project_map(map_fn, lift(z), cfg, map_at_scale)
+    corrected, rep = project_map(_stage_map(recipe, model, incs), lift(z), cfg,
+                                 lambda theta: _stage_map(recipe, model, incs, theta))
     return restrict(corrected), rep
 
 

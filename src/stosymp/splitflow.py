@@ -104,12 +104,7 @@ def flow_f3(gammas, s: np.ndarray, delta: np.ndarray,
     differences rotate by the angle 4*sum_r gamma_r*delta_r.  ``trig`` may
     carry precomputed (cos, sin) of that angle; it depends only on the noise,
     so callers iterating a projection solve compute it once per step."""
-    if trig is None:
-        gammas = np.asarray(gammas, dtype=float)
-        theta = 4.0 * ordered_sum((delta.T * gammas).T)
-        c, sn = np.cos(theta), np.sin(theta)
-    else:
-        c, sn = trig
+    c, sn = _rotation(gammas, delta) if trig is None else trig
     dx, dy = s[0::2] - s[1::2]   # copy differences x - u and y - v
     total = s[0::2] + s[1::2]
     turned = np.stack((c * dx + sn * dy, -sn * dx + c * dy))
@@ -117,6 +112,12 @@ def flow_f3(gammas, s: np.ndarray, delta: np.ndarray,
     out[0::2] = 0.5 * (total + turned)
     out[1::2] = 0.5 * (total - turned)
     return out
+
+
+def _rotation(gammas, delta: np.ndarray, scale: float = 1.0) -> tuple:
+    """(cos, sin) of the restraint angle 4 * scale * sum_r gamma_r * delta_r."""
+    theta = 4.0 * scale * ordered_sum((delta.T * np.asarray(gammas, dtype=float)).T)
+    return np.cos(theta), np.sin(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +151,9 @@ def f3_trig(recipe: CompositionRecipe, incs: Sequence[np.ndarray],
     """Precomputed (cos, sin) of the restraint rotation angle per F3 stage;
     valid for every iterate of a projection solve at frozen noise.  Empty
     when the recipe has no restraint, since the engine then skips F3."""
-    out = {}
-    for i, (flow, _) in enumerate(recipe.stages):
-        if flow is FlowId.F3 and recipe.restrained:
-            theta = 4.0 * scale * ordered_sum((incs[i].T * recipe.gammas).T)
-            out[i] = (np.cos(theta), np.sin(theta))
-    return out
+    return {i: _rotation(recipe.gammas, incs[i], scale)
+            for i, (flow, _) in enumerate(recipe.stages)
+            if flow is FlowId.F3 and recipe.restrained}
 
 
 def apply_stages(recipe: CompositionRecipe, model: HamiltonianModel, s: np.ndarray,

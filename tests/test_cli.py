@@ -185,6 +185,14 @@ def test_check_honours_scheme(capsys):
     assert sym and sym[0] not in plain
 
 
+def test_check_reports_sympeuler_as_not_symplectic(capsys):
+    # symplectic Euler with its drift-correction terms is not symplectic at
+    # frozen noise (README), and check says so
+    assert run_cli(["check", "--example", "ex1", "--scheme", "sympeuler"]) == 1
+    out = capsys.readouterr().out
+    assert "symplecticity: FAIL (residual 3.672e-02)" in out
+
+
 def test_check_rejects_out(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as err:

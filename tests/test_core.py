@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -43,6 +45,25 @@ def test_batch_columns_match_single_paths():
     for j, p in enumerate([0, 1, 2]):
         g = build_noise_grid(5, p, 1, 0.0, 1.0, 16)
         assert np.array_equal(gb.inc[:, :, j], g.inc)
+    # one builder for a path and a batch, under both names
+    assert np.array_equal(build_noise_grid(5, [0, 1, 2], 1, 0.0, 1.0, 16).inc, gb.inc)
+
+
+def test_batch_grid_built_in_place():
+    # a 200-path, 2048-step grid holds no second copy of itself while it is built
+    tracemalloc.start()
+    try:
+        g = build_noise_grid_batch(0, range(200), 1, 0.0, 1.0, 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.inc.shape == (2, 2048, 200)
+    assert peak <= 1.25 * g.inc.nbytes
+
+
+def test_noise_grid_needs_a_path():
+    with pytest.raises(ValueError, match="at least one path"):
+        build_noise_grid_batch(0, [], 1, 0.0, 1.0, 4)
 
 
 def test_step_windows_full_and_halves():

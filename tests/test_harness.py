@@ -59,6 +59,13 @@ def test_track_unknown_invariant():
         track(ex, "ses-sp-1", 0.1, 0.01, ["unknown"], seed=0)
 
 
+@pytest.mark.parametrize("t_end, dt", [(0.1, 0.03), (0.006, 0.01)])
+def test_track_rejects_a_step_that_does_not_tile(t_end, dt):
+    # rounding t_end / dt would stop the run early (0.09) or late (0.01)
+    with pytest.raises(ValueError, match="not a whole number of steps"):
+        track(get_example("ex1"), "midpoint", t_end, dt, [])
+
+
 def test_track_starts_at_zero():
     ex = get_example("ex3")
     traj, series = track(ex, "ses-sp-1", 0.2, 0.01, ["quadratic", "linear"], seed=0)

@@ -88,7 +88,7 @@ def test_subflow_swap_symmetry():
 
 
 def zero_grid(modes, n=2):
-    return NoiseGrid(modes, 0.0, 0.0, n, np.zeros((modes + 1, n)), 0, 0)
+    return NoiseGrid(0.0, n, np.zeros((modes + 1, n)), 0)
 
 
 def test_nls_step_zero_increments_identity():

@@ -35,7 +35,7 @@ def one_step_grid(m: int, dt: float, normals) -> NoiseGrid:
     inc = np.empty((m + 1, 2))
     inc[0] = dt / 2
     inc[1:] = np.sqrt(dt / 2) * np.reshape(normals, (m, 2))
-    return NoiseGrid(m, 0.0, dt / 2, 2, inc, 0, 0)
+    return NoiseGrid(dt / 2, 2, inc, 0)
 
 
 @st.composite
