@@ -2,9 +2,9 @@
 Hamiltonian systems, with a multi-symplectic stochastic Schrodinger lattice
 scheme, baseline integrators, benchmark models, and convergence harnesses."""
 
-from .core import (HamiltonianModel, LinearInvariant, NoiseGrid, PhaseState,
-                   QuadraticInvariant, build_noise_grid, build_noise_grid_batch,
-                   eval_linear, eval_quadratic, step_windows, verify_gradients)
+from .core import (HamiltonianModel, LinearInvariant, PhaseState, QuadraticInvariant,
+                   build_noise_grid, build_noise_grid_batch, eval_linear, eval_quadratic,
+                   step_windows, verify_gradients)
 from .splitflow import (CompositionRecipe, FlowId, compose, flow_f1, flow_f2,
                         flow_f3, lie_recipe, strang_recipe,
                         symplectic_residual_extended, symplectic_residual_phase)
@@ -20,9 +20,9 @@ from . import nls
 __version__ = "0.1.0"
 
 __all__ = [
-    "HamiltonianModel", "LinearInvariant", "NoiseGrid", "PhaseState",
-    "QuadraticInvariant", "build_noise_grid", "build_noise_grid_batch",
-    "eval_linear", "eval_quadratic", "step_windows", "verify_gradients",
+    "HamiltonianModel", "LinearInvariant", "PhaseState", "QuadraticInvariant",
+    "build_noise_grid", "build_noise_grid_batch", "eval_linear", "eval_quadratic",
+    "step_windows", "verify_gradients",
     "CompositionRecipe", "FlowId", "compose", "flow_f1", "flow_f2", "flow_f3",
     "lie_recipe", "strang_recipe", "symplectic_residual_extended",
     "symplectic_residual_phase",

@@ -133,6 +133,13 @@ def _positive_int(text: str) -> int:
     return v
 
 
+def _non_negative_int(text: str) -> int:
+    v = int(text)
+    if v < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
+    return v
+
+
 def build_parser(require: bool = True) -> argparse.ArgumentParser:
     """The command-line parser; ``require=False`` makes every flag optional,
     for the first pass that only looks for ``--config``."""
@@ -145,7 +152,7 @@ def build_parser(require: bool = True) -> argparse.ArgumentParser:
     def shared(p, out=True):
         p.add_argument("--config", help="file of 'key = value' lines read as flags "
                                         "(command-line flags win)")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_non_negative_int, default=0)
         p.add_argument("--tol", type=_positive, default=ProjectionConfig.tol)
         p.add_argument("--max-iter", type=_positive_int, default=ProjectionConfig.max_iter)
         if out:

@@ -169,20 +169,6 @@ def eval_quadratic(inv: QuadraticInvariant, z: PhaseState):
 # Brownian noise with multi-resolution access
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NoiseGrid:
-    """Fine-resolution Brownian increments per channel.
-
-    Channel 0 is the clock channel: ``inc[0][k] = dt_fine`` always.  ``inc``
-    has shape ``(m+1, n_fine)`` or ``(m+1, n_fine, n_paths)`` for a batch.
-    """
-
-    dt_fine: float
-    n_fine: int
-    inc: np.ndarray
-    path_index: object  # int or array of ints for a batch
-
-
 def _channel_normals(seed: int, path_index: int, channel: int, size: int) -> np.ndarray:
     # Philox counter-based stream keyed by (seed, path, channel); uniforms on
     # the open unit interval mapped through the inverse normal CDF.
@@ -193,11 +179,12 @@ def _channel_normals(seed: int, path_index: int, channel: int, size: int) -> np.
 
 
 def build_noise_grid(seed: int, path_index, m: int, t0: float, t_end: float,
-                     n_fine: int) -> NoiseGrid:
-    """Sample a reproducible noise grid for one path (an int ``path_index``)
-    or for a batch (a sequence of ints) along a trailing axis; identical
-    arguments give bit-identical grids, and batch column j is bit-identical
-    to path ``path_index[j]`` built alone."""
+                     n_fine: int) -> np.ndarray:
+    """Sample a reproducible noise grid: the ``(m+1, n_fine)`` array of fine
+    increments of one path (an int ``path_index``), or ``(m+1, n_fine, n_paths)``
+    for a batch (a sequence of ints).  Row 0 is the clock channel, the fine step
+    throughout.  Identical arguments give bit-identical grids, and batch column
+    j is bit-identical to path ``path_index[j]`` built alone."""
     if not t_end > t0:
         raise ValueError("invalid time range")
     if n_fine < 1:
@@ -212,9 +199,7 @@ def build_noise_grid(seed: int, path_index, m: int, t0: float, t_end: float,
     for j, p in enumerate(paths.reshape(-1)):
         for r in range(1, m + 1):
             np.multiply(sd, _channel_normals(seed, p, r, n_fine), out=inc[r, :, j])
-    if paths.ndim:
-        return NoiseGrid(dt, int(n_fine), inc, paths)
-    return NoiseGrid(dt, int(n_fine), inc[..., 0], int(path_index))
+    return inc if paths.ndim else inc[..., 0]
 
 
 build_noise_grid_batch = build_noise_grid   # the batch's older name
@@ -251,26 +236,25 @@ def window_bounds(split: tuple, substeps: int) -> tuple:
     return tuple(bounds)
 
 
-def grid_windows(grid: NoiseGrid, step: int, substeps: int, bounds: Sequence) -> list:
+def grid_windows(grid: np.ndarray, step: int, substeps: int, bounds: Sequence) -> list:
     """Increments, one ``(m+1[, n_paths])`` array per window, of scheme step
     ``step`` (``substeps`` fine steps) over the fine-grid windows ``bounds`` of
     ``window_bounds``.  Windows sum left to right, so a batch column gets the
     same increments as the path alone."""
     start = step * substeps
-    if start < 0 or start + substeps > grid.n_fine:
+    if start < 0 or start + substeps > grid.shape[1]:
         raise ValueError("step index outside the grid")
-    inc = grid.inc
-    return [ordered_sum(inc[:, start + lo:start + hi].swapaxes(0, 1)) for lo, hi in bounds]
+    return [ordered_sum(grid[:, start + lo:start + hi].swapaxes(0, 1)) for lo, hi in bounds]
 
 
-def step_windows(grid: NoiseGrid, step: int, split: Sequence, substeps: Optional[int] = None):
+def step_windows(grid: np.ndarray, step: int, split: Sequence, substeps: Optional[int] = None):
     """Extract sub-interval increments of scheme step ``step``.
 
     ``substeps`` is the number of fine increments per scheme step (defaults to
     the whole grid).  ``split`` lists positive fractions summing to 1; each
     window boundary must land on a fine-grid point.
     """
-    substeps = grid.n_fine if substeps is None else int(substeps)
+    substeps = grid.shape[1] if substeps is None else int(substeps)
     return grid_windows(grid, step, substeps, window_bounds(tuple(split), substeps))
 
 

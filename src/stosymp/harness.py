@@ -17,8 +17,8 @@ import numpy as np
 from .baseline import midpoint_step, symplectic_euler_step
 # step_windows is not called here; perfbench/tracing.py patches the name on
 # this module
-from .core import (NoiseGrid, PhaseState, build_noise_grid, build_noise_grid_batch,
-                   grid_windows, step_windows)
+from .core import (PhaseState, build_noise_grid, build_noise_grid_batch, grid_windows,
+                   step_windows)
 from .modelzoo import ExampleSpec
 from .project import (NoConvergence, ProjectionConfig, linearised_config, projection_step,
                       simulate)
@@ -28,7 +28,7 @@ SCHEMES = ("ses-sp-1", "ses-sp-2", "midpoint", "sympeuler")
 FINE_STEPS = 2   # noise-grid steps per reference step: >= 2 for half windows
 
 
-def make_stepper(scheme: str, example: ExampleSpec, grid: NoiseGrid, substeps: int,
+def make_stepper(scheme: str, example: ExampleSpec, grid: np.ndarray, substeps: int,
                  gamma, cfg: ProjectionConfig = ProjectionConfig()) -> Callable:
     """Bind a scheme id to a one-step callable ``(z, step) -> (z', report)``
     from ``example.z0``; the fine-grid windows of a step and the projection's
@@ -38,7 +38,7 @@ def make_stepper(scheme: str, example: ExampleSpec, grid: NoiseGrid, substeps: i
         gammas = np.full(model.m + 1, gamma) if np.ndim(gamma) == 0 else np.asarray(gamma)
         recipe = lie_recipe(gammas) if scheme == "ses-sp-1" else strang_recipe(gammas)
         bounds = stage_bounds(recipe, substeps)
-        cfg = linearised_config(cfg, model, recipe, example.z0, bounds, grid.dt_fine)
+        cfg = linearised_config(cfg, model, recipe, example.z0, bounds, grid[0].flat[0])
 
         def stepper(z, step):
             return projection_step(model, recipe, z, grid, step, cfg, substeps, bounds)
@@ -112,9 +112,9 @@ def fit_slope(dts: Sequence[float], errs: Sequence[float]) -> float:
     return float(slope)
 
 
-def _run_final(spec: ConvergenceSpec, grid: NoiseGrid, dt: float) -> tuple:
+def _run_final(spec: ConvergenceSpec, grid: np.ndarray, dt: float) -> tuple:
     n_steps = int(round(spec.t_end / dt))
-    substeps = grid.n_fine // n_steps   # exact: ConvergenceSpec checked the tiling
+    substeps = grid.shape[1] // n_steps   # exact: ConvergenceSpec checked the tiling
     stepper = make_stepper(spec.scheme, spec.example, grid, substeps, spec.gamma, spec.cfg)
     z = PhaseState(np.repeat(spec.example.z0.x[:, None], spec.paths, axis=1),
                    np.repeat(spec.example.z0.y[:, None], spec.paths, axis=1))

@@ -23,7 +23,7 @@ import numpy as np
 
 # step_windows and project_map are not called here; perfbench/tracing.py
 # patches those names on this module
-from .core import HamiltonianModel, NoiseGrid, PhaseState, ordered_sum, step_windows
+from .core import HamiltonianModel, PhaseState, ordered_sum, step_windows
 from .project import (ProjectionConfig, ProjectionReport, linearised_config, project_map,
                       projection_step)
 from .splitflow import CompositionRecipe, FlowId, flow_f1, flow_f2, stage_bounds
@@ -139,7 +139,7 @@ RECIPES = {name: CompositionRecipe(stages, ()) for name, stages in {
 }.items()}
 
 
-def nls_step(lattice: NlsLattice, recipe: str, s: PhaseState, grid: NoiseGrid, step: int,
+def nls_step(lattice: NlsLattice, recipe: str, s: PhaseState, grid: np.ndarray, step: int,
              cfg: ProjectionConfig = ProjectionConfig(), substeps: Optional[int] = None,
              bounds: Optional[tuple] = None) -> Tuple[PhaseState, ProjectionReport]:
     """One projected multi-symplectic step on (x, y) = (Q, P); ``bounds`` as in
@@ -150,14 +150,14 @@ def nls_step(lattice: NlsLattice, recipe: str, s: PhaseState, grid: NoiseGrid, s
                            bounds)
 
 
-def nls_stepper(lattice: NlsLattice, recipe: str, grid: NoiseGrid, cfg: ProjectionConfig,
+def nls_stepper(lattice: NlsLattice, recipe: str, grid: np.ndarray, cfg: ProjectionConfig,
                 substeps: int) -> Callable:
     """Bind ``nls_step`` to a one-step callable ``(s, step) -> (s', report)``
     for a run from ``nls_initial(lattice)``; the stage windows and the
     projection's simplified-Newton matrix are found here, once."""
     bounds = stage_bounds(RECIPES[recipe], substeps)
     cfg = linearised_config(cfg, lattice.model, RECIPES[recipe], nls_initial(lattice),
-                            bounds, grid.dt_fine)
+                            bounds, grid[0].flat[0])
 
     def stepper(s, step):
         return nls_step(lattice, recipe, s, grid, step, cfg, substeps, bounds)

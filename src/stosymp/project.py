@@ -26,7 +26,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .core import HamiltonianModel, NoiseGrid, PhaseState, fd_jacobian, ordered_sum
+from .core import HamiltonianModel, PhaseState, fd_jacobian, ordered_sum
 from .splitflow import CompositionRecipe, apply_stages, f3_trig, stage_increments
 
 
@@ -156,8 +156,8 @@ def project_map(map_fn: Callable[[np.ndarray], np.ndarray], s0: np.ndarray,
     ``cfg.tol``.  A path whose simplified Newton iteration diverges
     (restarting from zero) or stalls goes to full Newton and then, when
     ``map_at_scale(theta)`` is given (the map with all step increments scaled
-    by theta), to a homotopy that follows the solution branch from the
-    identity, with one theta schedule for all such paths.
+    by theta, a scale per path), to a homotopy that follows each such path's
+    solution branch from the identity on its own theta schedule.
     Returns (corrected extended state on ker(A), report).
     """
     lam = np.zeros((2 * s0.shape[1],) + s0.shape[2:])
@@ -214,25 +214,23 @@ def _full_newton(map_fn, s0: np.ndarray, lam0, cfg: ProjectionConfig, live=True)
 
 def _continuation(map_at_scale, s0: np.ndarray, cfg: ProjectionConfig, live=True):
     """Homotopy in the increment scale: follow lambda from the identity map
-    (theta = 0, lambda = 0) up to the full step (theta = 1), with one theta
-    schedule for the ``live`` paths; returns (lam, reached 1, iterations)."""
+    (theta = 0, lambda = 0) up to the full step (theta = 1), each ``live`` path
+    on its own theta schedule; returns (lam, reached 1 per path, iterations)."""
     lam = np.zeros((2 * s0.shape[1],) + s0.shape[2:])
-    theta = 0.0
-    h = 0.5
+    theta = np.zeros(lam.shape[1:])
+    h = np.full(lam.shape[1:], 0.5)
+    live = np.full(lam.shape[1:], live)   # still stepping
     total = 0
-    while theta < 1.0:
-        trial = min(1.0, theta + h)
+    while np.count_nonzero(live):
+        trial = np.minimum(1.0, theta + h)
         cand, norm, used = _full_newton(map_at_scale(trial), s0, lam, cfg, live)
         total += used
-        if np.all((norm < cfg.tol) | ~live):
-            theta = trial
-            lam = cand
-            h = min(2.0 * h, 1.0 - theta) if theta < 1.0 else h
-        else:
-            h *= 0.5
-            if h < 2.0 ** -10:
-                return lam, False, total
-    return lam, True, total
+        ok = live & (norm < cfg.tol)
+        theta = np.where(ok, trial, theta)
+        lam = np.where(ok, cand, lam)
+        h = np.where(ok, np.minimum(2.0 * h, 1.0 - theta), 0.5 * h)
+        live &= (theta < 1.0) & (h >= 2.0 ** -10)   # below 2^-10 a path drops out
+    return lam, theta == 1.0, total
 
 
 def linearised_config(cfg: ProjectionConfig, model: HamiltonianModel,
@@ -273,15 +271,17 @@ def _stage_map(recipe: CompositionRecipe, model: HamiltonianModel, incs: list,
                theta: float = 1.0) -> Callable:
     """s -> the recipe's stages at the frozen increments ``incs`` scaled by
     ``theta``, with F3's rotations found once; the map of a projection solve,
-    and at theta < 1 of its continuation."""
+    and at theta < 1 of its continuation.  ``theta`` may hold one scale per
+    state column, also where the columns share one ``(m+1,)`` increment."""
     trig = f3_trig(recipe, incs, theta)
-    if theta != 1.0:
-        incs = [theta * delta for delta in incs]
+    if np.any(theta != 1.0):
+        incs = [theta * (delta if delta.ndim > np.ndim(theta) else delta[:, None])
+                for delta in incs]
     return lambda s: apply_stages(recipe, model, s, incs, trig)
 
 
 def projection_step(model: HamiltonianModel, recipe: CompositionRecipe, z: PhaseState,
-                    grid: NoiseGrid, step: int, cfg: ProjectionConfig,
+                    grid: np.ndarray, step: int, cfg: ProjectionConfig,
                     substeps: Optional[int] = None, bounds: Optional[tuple] = None):
     """One semi-explicit symplectic step on the original phase space; ``z``
     may carry a trailing batch axis.  A stepper passes the recipe's

@@ -20,8 +20,8 @@ import numpy as np
 
 # step_windows is not called here; perfbench/tracing.py patches the name on
 # this module
-from .core import (HamiltonianModel, NoiseGrid, PhaseState, fd_jacobian, grid_windows,
-                   ordered_sum, step_windows, window_bounds)
+from .core import (HamiltonianModel, PhaseState, fd_jacobian, grid_windows, ordered_sum,
+                   step_windows, window_bounds)
 
 
 class FlowId(enum.Enum):
@@ -136,11 +136,11 @@ def stage_bounds(recipe: CompositionRecipe, substeps: int) -> tuple:
     return tuple(next(windows[flow]) for flow, _ in recipe.stages)
 
 
-def stage_increments(recipe: CompositionRecipe, grid: NoiseGrid, step: int,
+def stage_increments(recipe: CompositionRecipe, grid: np.ndarray, step: int,
                      substeps: Optional[int] = None, bounds: Optional[tuple] = None):
     """Per-stage increments for one scheme step; ``bounds`` are the recipe's
     ``stage_bounds`` at ``substeps``, found here when not given."""
-    substeps = grid.n_fine if substeps is None else int(substeps)
+    substeps = grid.shape[1] if substeps is None else int(substeps)
     if bounds is None:
         bounds = stage_bounds(recipe, substeps)
     return grid_windows(grid, step, substeps, bounds)
@@ -172,7 +172,7 @@ def apply_stages(recipe: CompositionRecipe, model: HamiltonianModel, s: np.ndarr
 
 
 def compose(recipe: CompositionRecipe, model: HamiltonianModel, s: np.ndarray,
-            grid: NoiseGrid, step: int, substeps: Optional[int] = None) -> np.ndarray:
+            grid: np.ndarray, step: int, substeps: Optional[int] = None) -> np.ndarray:
     """Apply the recipe over scheme step ``step`` of the grid."""
     out = apply_stages(recipe, model, s, stage_increments(recipe, grid, step, substeps))
     if not np.all(np.isfinite(out)):

@@ -26,7 +26,11 @@ def test_zero_dt_is_usage_error():
                  ["timing", "--paths", "-1"],
                  ["nls", "--dt", "0.1", "--t-end", "1", "--modes", "0"],
                  ["nls", "--dt", "0.1", "--t-end", "1", "--max-iter", "0"],
-                 ["order", "--dt-list", "0.1,abc"]):
+                 ["order", "--dt-list", "0.1,abc"],
+                 ["run", "--dt", "0.1", "--t-end", "1", "--seed", "-1"],
+                 ["order", "--seed", "-3"],
+                 ["nls", "--dt", "0.1", "--t-end", "1", "--seed", "-1"],
+                 ["check", "--seed", "-1"]):
         with pytest.raises(SystemExit) as err:
             parse_args(argv)
         assert err.value.code == 2

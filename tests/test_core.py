@@ -14,13 +14,13 @@ from stosymp.modelzoo import make_example1
 
 def test_clock_channel_deterministic():
     g = build_noise_grid(1, 0, 0, 0.0, 1.0, 4)
-    assert np.array_equal(g.inc[0], np.full(4, 0.25))
+    assert np.array_equal(g[0], np.full(4, 0.25))
 
 
 def test_noise_grid_bit_identical():
     g1 = build_noise_grid(7, 3, 2, 0.0, 1.0, 64)
     g2 = build_noise_grid(7, 3, 2, 0.0, 1.0, 64)
-    assert np.array_equal(g1.inc, g2.inc)
+    assert np.array_equal(g1, g2)
 
 
 def test_noise_grid_invalid_args():
@@ -34,8 +34,8 @@ def test_increment_statistics():
     # variance of fine increments and normality of per-path sums
     n = 2**16
     g = build_noise_grid(42, 0, 1, 0.0, 1.0, n)
-    assert abs(np.var(g.inc[1]) - 1.0 / n) < 0.05 / n
-    sums = np.array([build_noise_grid(42, p, 1, 0.0, 1.0, 256).inc[1].sum()
+    assert abs(np.var(g[1]) - 1.0 / n) < 0.05 / n
+    sums = np.array([build_noise_grid(42, p, 1, 0.0, 1.0, 256)[1].sum()
                      for p in range(1000)])
     assert stats.kstest(sums, "norm").pvalue > 0.01
 
@@ -44,9 +44,9 @@ def test_batch_columns_match_single_paths():
     gb = build_noise_grid_batch(5, [0, 1, 2], 1, 0.0, 1.0, 16)
     for j, p in enumerate([0, 1, 2]):
         g = build_noise_grid(5, p, 1, 0.0, 1.0, 16)
-        assert np.array_equal(gb.inc[:, :, j], g.inc)
+        assert np.array_equal(gb[:, :, j], g)
     # one builder for a path and a batch, under both names
-    assert np.array_equal(build_noise_grid(5, [0, 1, 2], 1, 0.0, 1.0, 16).inc, gb.inc)
+    assert np.array_equal(build_noise_grid(5, [0, 1, 2], 1, 0.0, 1.0, 16), gb)
 
 
 def test_batch_grid_built_in_place():
@@ -57,8 +57,8 @@ def test_batch_grid_built_in_place():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert g.inc.shape == (2, 2048, 200)
-    assert peak <= 1.25 * g.inc.nbytes
+    assert g.shape == (2, 2048, 200)
+    assert peak <= 1.25 * g.nbytes
 
 
 def test_noise_grid_needs_a_path():
@@ -69,10 +69,10 @@ def test_noise_grid_needs_a_path():
 def test_step_windows_full_and_halves():
     g = build_noise_grid(0, 0, 1, 0.0, 1.0, 4)
     (w,) = step_windows(g, 0, [1], substeps=2)
-    assert np.isclose(w[1], g.inc[1][:2].sum(), rtol=0, atol=0)
+    assert np.isclose(w[1], g[1][:2].sum(), rtol=0, atol=0)
     h1, h2 = step_windows(g, 1, [0.5, 0.5], substeps=2)
-    assert h1[1] == g.inc[1][2]
-    assert h2[1] == g.inc[1][3]
+    assert h1[1] == g[1][2]
+    assert h2[1] == g[1][3]
     assert np.isclose(h1[1] + h2[1], step_windows(g, 1, [1], substeps=2)[0][1])
 
 

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stosymp.core import (HamiltonianModel, NoiseGrid, PhaseState, build_noise_grid,
-                          verify_gradients)
+from stosymp.core import HamiltonianModel, PhaseState, build_noise_grid, verify_gradients
 from stosymp.nls import (build_lattice, charge, nls_initial, nls_step, nls_stepper,
                          noise_vector, subflow_a, subflow_b, RECIPES)
 from stosymp.project import ProjectionConfig
@@ -88,7 +87,7 @@ def test_subflow_swap_symmetry():
 
 
 def zero_grid(modes, n=2):
-    return NoiseGrid(0.0, n, np.zeros((modes + 1, n)), 0)
+    return np.zeros((modes + 1, n))
 
 
 def test_nls_step_zero_increments_identity():

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stosymp.core import (HamiltonianModel, NoiseGrid, PhaseState, ScaledNoiseModel,
+from stosymp import project
+from stosymp.core import (HamiltonianModel, PhaseState, ScaledNoiseModel,
                           build_noise_grid, build_noise_grid_batch, eval_linear,
                           eval_quadratic)
 from stosymp.harness import SCHEMES, make_stepper
@@ -29,13 +30,13 @@ SCALE = {"ex1": 0.3, "ex2": 0.15, "ex3": 0.3, "ex4": 0.15}   # state spread per 
 PROPERTY = settings(max_examples=15, deadline=None)
 
 
-def one_step_grid(m: int, dt: float, normals) -> NoiseGrid:
+def one_step_grid(m: int, dt: float, normals) -> np.ndarray:
     """One scheme step of length dt as two fine steps; ``normals`` holds the
     2m standard normals of the channels' fine increments."""
     inc = np.empty((m + 1, 2))
     inc[0] = dt / 2
     inc[1:] = np.sqrt(dt / 2) * np.reshape(normals, (m, 2))
-    return NoiseGrid(dt / 2, 2, inc, 0)
+    return inc
 
 
 @st.composite
@@ -162,7 +163,7 @@ def linearised_steps(draw):
 def test_linearised_matrix_keeps_the_fixed_point(case):
     model, recipe, z, grid, z0 = case
     cfg = replace(CFG, newton_matrix=linearised_matrix(model, recipe, z0,
-                                                       stage_bounds(recipe, 2), grid.dt_fine))
+                                                       stage_bounds(recipe, 2), grid[0, 0]))
     out = projection_step(model, recipe, z, grid, 0, cfg, 2)[0]
     ref = projected(model, recipe, grid)(z)   # the identity's 4I
     assert np.max(np.abs(out.x - ref.x)) <= 10 * CFG.tol
@@ -190,3 +191,31 @@ def test_batch_columns_equal_single_paths(name, substeps):
                 z, _ = step(z, n)
             assert np.array_equal(zb.x[:, p], z.x) and np.array_equal(zb.y[:, p], z.y), \
                 (scheme, p)
+
+
+def test_batch_columns_equal_single_paths_through_continuation(monkeypatch):
+    # ex2 at gamma 0.5 with two simplified-Newton iterations sends several
+    # paths of the batch to the homotopy, each on its own theta schedule
+    ex = get_example("ex2", c=0.5)
+    m, paths, n_steps, dt = ex.model.m, 16, 8, 2.0 ** -5
+    cfg = ProjectionConfig(max_iter=2)
+    calls = []
+    continuation = project._continuation
+    monkeypatch.setattr(project, "_continuation",
+                        lambda *args: calls.append(1) or continuation(*args))
+    batch_grid = build_noise_grid_batch(0, range(paths), m, 0.0, n_steps * dt, 2 * n_steps)
+    for scheme in ("ses-sp-1", "ses-sp-2"):
+        step = make_stepper(scheme, ex, batch_grid, 2, 0.5, cfg)
+        zb = PhaseState(np.repeat(ex.z0.x[:, None], paths, axis=1),
+                        np.repeat(ex.z0.y[:, None], paths, axis=1))
+        for n in range(n_steps):
+            zb, _ = step(zb, n)
+        for p in range(paths):
+            grid = build_noise_grid(0, p, m, 0.0, n_steps * dt, 2 * n_steps)
+            step = make_stepper(scheme, ex, grid, 2, 0.5, cfg)
+            z = ex.z0
+            for n in range(n_steps):
+                z, _ = step(z, n)
+            assert np.array_equal(zb.x[:, p], z.x) and np.array_equal(zb.y[:, p], z.y), \
+                (scheme, p)
+    assert calls

@@ -104,7 +104,7 @@ def test_lie_reduces_to_f2_after_f1_at_zero_gamma():
     g = build_noise_grid(0, 0, 0, 0.0, 0.5, 1)
     s = S(0.4, 0.1, -0.7, 1.2)
     lie = compose(lie_recipe([0.0]), m, s, g, 0)
-    inc = g.inc[:, 0]
+    inc = g[:, 0]
     byhand = flow_f2(m, flow_f1(m, s, inc), inc)
     assert_state(lie, *byhand[:, 0])
 
