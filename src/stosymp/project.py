@@ -274,7 +274,7 @@ def _stage_map(recipe: CompositionRecipe, model: HamiltonianModel, incs: list,
     and at theta < 1 of its continuation.  ``theta`` may hold one scale per
     state column, also where the columns share one ``(m+1,)`` increment."""
     trig = f3_trig(recipe, incs, theta)
-    if np.any(theta != 1.0):
+    if np.count_nonzero(theta != 1.0):
         incs = [theta * (delta if delta.ndim > np.ndim(theta) else delta[:, None])
                 for delta in incs]
     return lambda s: apply_stages(recipe, model, s, incs, trig)
