@@ -5,14 +5,19 @@ The lifted state, one ``(4, d[, n_paths])`` array in (x, u, y, v) row order,
 is perturbed by A'lambda, pushed through the extended-space integrator with
 frozen noise, and corrected by the same A'lambda so the result returns to the
 diagonal ker(A), with A = [I -I 0 0; 0 0 I -I].  lambda is found by a
-simplified Newton iteration with one constant matrix per stepper
-(``linearised_config``): the identity map's Jacobian 4I (AA' = 2I) for a
-short lambda (ex1-ex4), or, for a long one (the lattice, whose Laplacian
-4I cannot absorb), the inverse P of the Jacobian linearised at the run's
-initial state at zero noise.  Where the cubic term dominates, as on the
-h = 0.5 lattice at dt = 0.25, P's iteration count grows from step to step.
-Paths the iteration does not solve fall back to ``newton``, the one
-finite-difference Newton solver that the implicit baselines use as well.
+simplified Newton iteration whose matrix ``linearised_config`` chooses per
+stepper.  For a short lambda (ex1-ex4) it is the chord: each step takes the
+central-difference Jacobian of the projection residual at lambda = 0 in its
+first map call, one matrix per path, and keeps its inverse for the step's
+iterations.  That call stacks the 2k + 1 points on lambda's axis 1, so the
+map must broadcast over them as ``fd_jacobian``'s ``fn`` does.  For a long
+lambda (the lattice, where a per-step Jacobian and its inverse would cost
+more than they save) it is one constant matrix per stepper, the inverse P of
+the Jacobian linearised at the run's initial state at zero noise.  Where the
+cubic term dominates, as on the h = 0.5 lattice at dt = 0.25, P's iteration
+count grows from step to step.  Paths the iteration does not solve fall back
+to ``newton``, the one finite-difference Newton solver that the implicit
+baselines use as well.
 
 ``simulate`` is the one loop that drives a stepper, one path or a batch; it
 keeps each step's solver numbers in arrays, not its ``ProjectionReport``.
@@ -31,7 +36,7 @@ from .splitflow import CompositionRecipe, apply_stages, f3_trig, stage_increment
 
 
 FD_STEP = 1e-7  # central-difference step of every Newton Jacobian
-SHORT_LAMBDA = 8  # longest lambda whose projection iterates with 4I
+SHORT_LAMBDA = 8  # longest lambda whose projection takes a per-step chord Jacobian
 
 
 @dataclass(frozen=True)
@@ -39,7 +44,9 @@ class ProjectionConfig:
     """Stopping rule of every implicit solve: the projection iteration, its
     Newton fallback and the implicit baselines.  ``newton_matrix`` is the
     projection's simplified-Newton matrix P, set through ``linearised_config``
-    by the steppers of a long lambda; None stands for the inverse of 4I."""
+    by the steppers of a long lambda; None stands for the per-step chord, the
+    inverse of the residual's central-difference Jacobian at lambda = 0 taken
+    in each step's first map call."""
 
     tol: float = 1e-12
     max_iter: int = 50
@@ -112,20 +119,43 @@ def _perturbed(map_fn, s0: np.ndarray, lam: np.ndarray):
     return out, _copy_gap(out) + 2.0 * lam
 
 
+def _per_path(solve: Callable, a: np.ndarray, *b: np.ndarray) -> np.ndarray:
+    """``solve`` (``np.linalg.solve`` or ``np.linalg.inv``) over the stacked
+    (k, k) matrices ``a``, one per path; a path whose matrix is singular gets NaN."""
+    try:
+        return solve(a, *b)
+    except np.linalg.LinAlgError:   # find the singular paths one at a time
+        out = np.full_like(b[0] if b else a, np.nan)
+        for p in range(len(a)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[p] = solve(a[p], *(x[p] for x in b))
+        return out
+
+
 def _newton_steps(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Solve jac[:, :, p] step[:, p] = r[:, p] for every path p; a path whose
     Jacobian is singular gets a NaN step."""
     k = len(r)
     a = jac.reshape(k, k, -1).transpose(2, 0, 1)   # one (k, k) system per path
     b = r.reshape(k, 1, -1).transpose(2, 0, 1)
-    try:
-        steps = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:   # find the singular paths one at a time
-        steps = np.full_like(b, np.nan)
-        for p in range(len(a)):
-            with contextlib.suppress(np.linalg.LinAlgError):
-                steps[p] = np.linalg.solve(a[p], b[p])
-    return steps.transpose(1, 2, 0).reshape(r.shape)
+    return _per_path(np.linalg.solve, a, b).transpose(1, 2, 0).reshape(r.shape)
+
+
+def _chord_start(map_fn, s0: np.ndarray, lam: np.ndarray):
+    """The projection residual at ``lam`` and the chord matrix, the inverse of
+    the residual's central-difference Jacobian there, from one map call on
+    2k + 1 points stacked on lambda's axis 1: ``lam`` itself, then the points
+    ``fd_jacobian`` stacks (lam + FD_STEP e_j, then lam - FD_STEP e_j).  The
+    inverse comes transposed, (k, k[, n_paths]) with [j, i] = J^-1[i, j], one
+    matrix per path; a path whose Jacobian is singular gets NaN."""
+    k = len(lam)
+    e = np.zeros((k, k) + lam.shape[1:])
+    e[np.arange(k), np.arange(k)] = FD_STEP
+    at = lam[:, None]
+    g = _perturbed(map_fn, s0, np.concatenate((at, at + e, at - e), axis=1))[1]
+    jac = (g[:, 1:k + 1] - g[:, k + 1:]) / (2 * FD_STEP)
+    inv = _per_path(np.linalg.inv, jac.reshape(k, k, -1).transpose(2, 0, 1))
+    return g[:, 0], inv.transpose(2, 1, 0).reshape(jac.shape)
 
 
 def newton(residual: Callable, w0: np.ndarray, cfg: ProjectionConfig, live=True):
@@ -150,11 +180,15 @@ def project_map(map_fn: Callable[[np.ndarray], np.ndarray], s0: np.ndarray,
                 cfg: ProjectionConfig, map_at_scale: Optional[Callable] = None):
     """Solve the symmetric-projection equation for an arbitrary extended map.
 
-    ``map_fn`` must re-evaluate with the same frozen noise at every iterate.
-    The simplified Newton update is lambda -= P g with P = ``cfg.newton_matrix``
-    (g / 4 when None), and each path stops once its own update is below
-    ``cfg.tol``.  A path whose simplified Newton iteration diverges
-    (restarting from zero) or stalls goes to full Newton and then, when
+    ``map_fn`` must re-evaluate with the same frozen noise at every iterate,
+    and must broadcast over points stacked on axis 2 of the state (axis 1 of
+    lambda), as ``fd_jacobian``'s ``fn`` does.  The simplified Newton update
+    is lambda -= P g with P = ``cfg.newton_matrix``, or, when that is None,
+    with the chord's P = J^-1: J is the central-difference Jacobian at lambda
+    = 0, one per path, evaluated in the same map call as the first g.  Each
+    path stops once its own update is below ``cfg.tol``.  A path whose
+    simplified Newton iteration diverges (restarting from zero), stalls or
+    meets a singular J goes to full Newton and then, when
     ``map_at_scale(theta)`` is given (the map with all step increments scaled
     by theta, a scale per path), to a homotopy that follows each such path's
     solution branch from the identity on its own theta schedule.
@@ -173,16 +207,25 @@ def project_map(map_fn: Callable[[np.ndarray], np.ndarray], s0: np.ndarray,
         out, g = _perturbed(map_fn, s0, lam)
         return _shifted(out, lam), _norm(_copy_gap(out)), _norm(g)
 
+    chord = cfg.newton_matrix is None
     with np.errstate(all="ignore"):
-        while iterations < cfg.max_iter and np.count_nonzero(live):
+        if chord:
+            g, inv_t = _chord_start(map_fn, s0, lam)
+        else:
             g = _perturbed(map_fn, s0, lam)[1]
-            step = 0.25 * g if cfg.newton_matrix is None else cfg.newton_matrix @ g
+        while True:
+            # the chord's J^-1 g sums left to right, so a batch column rounds
+            # as the path run alone does
+            step = ordered_sum(inv_t * g[:, None]) if chord else cfg.newton_matrix @ g
             np.subtract(lam, step, out=lam, where=live)
             iterations += 1
             live &= ordered_sum(lam * lam) <= guard   # a diverged or non-finite path leaves
             stop = live & (ordered_sum(step * step) < cfg.tol ** 2)
             done |= stop
             live ^= stop
+            if iterations == cfg.max_iter or not np.count_nonzero(live):
+                break
+            g = _perturbed(map_fn, s0, lam)[1]
         lam = np.where(live | done, lam, 0.0)   # diverged paths restart from zero
         if done.any():
             corrected, defect, residual = finish(lam)
@@ -236,10 +279,11 @@ def _continuation(map_at_scale, s0: np.ndarray, cfg: ProjectionConfig, live=True
 def linearised_config(cfg: ProjectionConfig, model: HamiltonianModel,
                       recipe: CompositionRecipe, z0: PhaseState, bounds: tuple,
                       dt_fine: float) -> ProjectionConfig:
-    """``cfg`` itself (4I) for a lambda of length ``2 * model.d <= SHORT_LAMBDA``
-    (ex1-ex4), else ``cfg`` with the stepper's ``linearised_matrix`` P (the
-    lattice): on ex1-ex4 a per-path P g costs more than P saves, and the
-    lattice's Laplacian needs P."""
+    """``cfg`` itself (the per-step chord) for a lambda of length
+    ``2 * model.d <= SHORT_LAMBDA`` (ex1-ex4), else ``cfg`` with the stepper's
+    ``linearised_matrix`` P (the lattice): a short lambda's Jacobian costs one
+    map call and a small inverse per step, while the lattice's would cost
+    more per step than P's extra iterations."""
     if 2 * model.d <= SHORT_LAMBDA:
         return cfg
     return replace(cfg, newton_matrix=linearised_matrix(model, recipe, z0, bounds, dt_fine))

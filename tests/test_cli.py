@@ -267,14 +267,15 @@ def test_nan_tol_rejected_by_config():
 
 
 @pytest.mark.parametrize("argv", [
-    ["track", "--example", "ex1", "--dt", "0.01", "--t-end", "0.05"],
+    ["track", "--example", "ex1", "--dt", "0.05", "--t-end", "0.25"],
     ["timing", "--example", "ex1", "--schemes", "ses-sp-1", "--dt-list", "0.0625",
      "--ref-dt", "0.015625", "--t-end", "0.125", "--paths", "2"],
-    ["check", "--example", "ex1"],
+    ["check", "--example", "ex1", "--c", "2"],
 ], ids=["track", "timing", "check"])
 def test_max_iter_reaches_the_solver(argv, tmp_path, capsys):
-    # one iteration cannot meet the default tolerance, so each run must fail;
-    # check writes no file and takes no --out
+    # one chord iteration and one full-Newton iteration cannot meet the default
+    # tolerance on these steps (each run passes with the default --max-iter),
+    # so each run must fail; check writes no file and takes no --out
     out = [] if argv[0] == "check" else ["--out", str(tmp_path / "out")]
     assert run_cli(argv + ["--max-iter", "1"] + out) == 1
     assert "numerical failure" in capsys.readouterr().err

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from stosymp import project
 from stosymp.core import HamiltonianModel, PhaseState, build_noise_grid, build_noise_grid_batch
 from stosymp.project import (FD_STEP, NoConvergence, ProjectionConfig, ProjectionReport,
                              _stage_residual, lift, linearised_config, linearised_matrix, newton,
                              project_map, projection_step, restrict, simulate)
 from stosymp.splitflow import stage_bounds, strang_recipe, lie_recipe
-from stosymp.harness import make_stepper
+from stosymp.harness import make_stepper, track
 from stosymp.modelzoo import get_example
 from stosymp.nls import RECIPES, build_lattice, nls_initial
 
@@ -33,8 +34,8 @@ def test_project_constant_defect_fixed_point():
     # map with constant copy separation 4 in x: lambda converges to (-2, 0)
     s0 = lift(PhaseState([0.0], [0.0]))
 
-    def map_fn(s):
-        return np.stack(([2.0], [-2.0], s[2], s[3]))
+    def map_fn(s):   # broadcasts over the points the chord stacks on axis 2
+        return np.stack((np.full_like(s[0], 2.0), np.full_like(s[1], -2.0), s[2], s[3]))
 
     out, rep = project_map(map_fn, s0, ProjectionConfig(tol=1e-14))
     assert np.allclose(rep.lam, [-2.0, 0.0], atol=1e-12)
@@ -59,7 +60,7 @@ def test_no_solution_raises():
 
 
 def test_linearised_config_chooses_between_p_and_4i():
-    # ex1 at the CLI's c = 0.5: a 4-long lambda keeps 4I; on the 39-node
+    # ex1 at the CLI's c = 0.5: a 4-long lambda keeps the chord; on the 39-node
     # lattice at dt/h^2 = 1 the 78-long lambda gets P
     recipe = strang_recipe(np.zeros(2))
     bounds = stage_bounds(recipe, 2)
@@ -72,15 +73,15 @@ def test_linearised_config_chooses_between_p_and_4i():
                             lat.h ** 2 / 2)
     assert cfg.newton_matrix.shape == (2 * lat.n_interior, 2 * lat.n_interior)
     # a short lambda never builds P, so a start where the stages are not
-    # finite keeps 4I
+    # finite keeps the chord
     nan_start = PhaseState([np.nan], [-3.0])
     cfg = linearised_config(ProjectionConfig(), ex.model, recipe, nan_start, bounds, 2.0 ** -6)
     assert cfg.newton_matrix is None
-    # ex1 with no noise, where P takes more iterations than 4I, keeps 4I
+    # ex1 with no noise, where P takes more iterations than 4I, keeps the chord
     ex0 = get_example("ex1", c=0.0)
     cfg = linearised_config(ProjectionConfig(), ex0.model, recipe, ex0.z0, bounds, 2.0 ** -6)
     assert cfg.newton_matrix is None
-    # the boundary: a 4-node lattice (2d = 8) keeps 4I, a 5-node one gets P
+    # the boundary: a 4-node lattice (2d = 8) keeps the chord, a 5-node one gets P
     for n in (4, 5):
         lat = build_lattice(-5.0, 5.0, n, modes=2)
         cfg = linearised_config(ProjectionConfig(), lat.model, RECIPES["strang-ab"],
@@ -109,9 +110,12 @@ def test_linearised_matrix_equals_column_by_column_inverse():
 
 
 def test_full_newton_fallback():
-    # the simplified iteration diverges (factor 3); Newton finds lambda = 0.5
+    # residual lambda + 4 lambda^3 - 1 in x: the chord keeps the Jacobian 1 of
+    # lambda = 0, a quarter of the Jacobian at the root, so it diverges
+    # (factor 3); Newton finds lambda = 0.5
     def map_fn(s):
-        val = -5.0 * (s[0] - s[1]) + 4.0
+        w = s[0] - s[1]
+        val = 0.5 * w ** 3 - 0.5 * w - 1.0
         return np.stack((0.5 * val, -0.5 * val, s[2], s[3]))
 
     for shape in ((1,), (1, 3)):
@@ -124,14 +128,16 @@ def test_full_newton_fallback():
 
 
 def test_paths_stop_on_their_own():
-    # per-column gain k: the simplified iteration contracts by (1 + k) / 2, so
-    # the columns converge at different iterations and k = -5 diverges into
+    # residual lambda + 4 k lambda^3 - 1 in x with a per-column k: the chord
+    # contracts by 12 k lambda*^2 at the root lambda*, so the columns converge
+    # at different iterations (3, 19 and 35) and k = 1 diverges into
     # the Newton fallback; each column must match its own single-path solve
-    gains = np.array([0.0, -0.5, 0.6, -5.0])
+    gains = np.array([0.0, 0.02, 0.05, 1.0])
 
     def solve(k, shape):
         def map_fn(s):
-            val = 1.0 - k * (s[0] - s[1])
+            w = s[0] - s[1]
+            val = 0.5 * k * w ** 3 - 0.5 * w - 1.0
             return np.stack((0.5 * val, -0.5 * val, s[2], s[3]))
         return project_map(map_fn, lift(PhaseState(np.zeros(shape), np.zeros(shape))),
                            ProjectionConfig())
@@ -141,6 +147,57 @@ def test_paths_stop_on_their_own():
     for p, k in enumerate(gains):
         single, _ = solve(k, (1,))
         assert np.array_equal(batch[..., p], single)
+
+
+def test_singular_chord_jacobian_goes_to_the_fallback():
+    # where swap = 1 the map swaps the copies x and u, so the residual's x
+    # entry is 0 for every lambda and the chord's Jacobian is exactly
+    # singular: that path gets a NaN step, leaves through the guard, and full
+    # Newton stops at lambda = 0, where its first residual is 0; where
+    # swap = 0 the copy gap 1 + (x - u) gives lambda = (-0.25, 0) under the
+    # chord alone.  Each column must match its own single-path solve.
+    def solve(swap, shape):
+        def map_fn(s):
+            val = 1.0 + (s[0] - s[1])
+            return np.stack((swap * s[1] + (1 - swap) * 0.5 * val,
+                             swap * s[0] - (1 - swap) * 0.5 * val, s[2], s[3]))
+        return project_map(map_fn, lift(PhaseState(np.zeros(shape), np.zeros(shape))),
+                           ProjectionConfig())
+
+    _, rep = solve(0.0, (1,))
+    assert not rep.used_fallback
+    _, rep = solve(1.0, (1,))
+    assert rep.used_fallback and np.array_equal(rep.lam, [0.0, 0.0])
+    swaps = np.array([1.0, 0.0, 1.0])
+    batch, rep = solve(swaps, (1, 3))
+    assert rep.used_fallback
+    assert np.allclose(rep.lam[0], [0.0, -0.25, 0.0], rtol=0, atol=1e-12)
+    for p, swap in enumerate(swaps):
+        single, _ = solve(swap, (1,))
+        assert np.array_equal(batch[..., p], single)
+
+
+@pytest.mark.parametrize("scheme, calls", [("ses-sp-1", (43, 120)), ("ses-sp-2", (38, 120))])
+def test_map_calls_per_step(scheme, calls, monkeypatch):
+    # every map call of the projection, the chord's stacked first call and
+    # the final evaluation included: 8 steps of an 8-path ex1 batch (c 0.15,
+    # gamma 0.01, dt 2^-5; 105 / 101 calls with the 4I iteration), and the
+    # first 40 steps of criterion 10's single path (c 0.1, gamma 0, dt 1e-4;
+    # 182 / 184 with 4I, where the chord takes 3 per step)
+    counted = []
+    apply_stages = project.apply_stages
+    monkeypatch.setattr(project, "apply_stages",
+                        lambda *args: counted.append(1) or apply_stages(*args))
+    ex = get_example("ex1", c=0.15)
+    paths, n, dt = 8, 8, 2.0 ** -5
+    g = build_noise_grid_batch(0, range(paths), 1, 0.0, n * dt, 2 * n)
+    z0 = PhaseState(np.repeat(ex.z0.x[:, None], paths, axis=1),
+                    np.repeat(ex.z0.y[:, None], paths, axis=1))
+    simulate(make_stepper(scheme, ex, g, 2, 0.01), z0, n, dt)
+    batch = len(counted)
+    counted.clear()
+    track(get_example("ex1", c=0.1), scheme, 40 * 1e-4, 1e-4, [], seed=0, gamma=0.0)
+    assert (batch, len(counted)) == calls
 
 
 def test_newton_skips_finished_singular_column():
@@ -225,7 +282,9 @@ def _fake_fallback_stepper(z, step):
 @pytest.mark.parametrize("case", ["ses-sp-1", "ses-sp-1-batch", "midpoint", "fake"])
 def test_simulate_records_each_step(case):
     # the run record equals what the stepper returned, step by step; a step
-    # without a report reads 0 iterations and a NaN defect
+    # without a report reads 0 iterations and a NaN defect.  gamma is 0.4: at
+    # 0.5 step 2 sits at a branch end where rounding decides whether ses-sp-1
+    # has a solution (README, "Solver failures")
     ex = get_example("ex1", c=0.5)
     n, paths = 12, 3
     z0 = ex.z0
@@ -238,7 +297,7 @@ def test_simulate_records_each_step(case):
     if case == "fake":
         stepper = _fake_fallback_stepper
     else:
-        stepper = make_stepper(case.removesuffix("-batch"), ex, g, 2, 0.5)
+        stepper = make_stepper(case.removesuffix("-batch"), ex, g, 2, 0.4)
     recorded, reports = _recording(stepper)
     traj = simulate(recorded, z0, n, 0.05)
     assert len(reports) == n

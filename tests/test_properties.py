@@ -3,9 +3,9 @@
 Hypothesis draws states around each example's start point and the frozen
 noise of one step.  The projected step must be symplectic, must keep the
 example-3 invariants and the lattice charge to solver tolerance, must not
-depend on the simplified-Newton matrix beyond that tolerance, and a batched
-column must equal the same path run alone, bit for bit.  The fused
-field of the examples must equal the generic channel sum.
+depend on the simplified-Newton matrix (the chord, 4I or P) beyond that
+tolerance, and a batched column must equal the same path run alone, bit for
+bit.  The fused field of the examples must equal the generic channel sum.
 """
 
 from dataclasses import replace
@@ -165,7 +165,19 @@ def test_linearised_matrix_keeps_the_fixed_point(case):
     cfg = replace(CFG, newton_matrix=linearised_matrix(model, recipe, z0,
                                                        stage_bounds(recipe, 2), grid[0, 0]))
     out = projection_step(model, recipe, z, grid, 0, cfg, 2)[0]
-    ref = projected(model, recipe, grid)(z)   # the identity's 4I
+    ref = projected(model, recipe, grid)(z)   # the chord on ex1-ex4, P on the lattice
+    assert np.max(np.abs(out.x - ref.x)) <= 10 * CFG.tol
+    assert np.max(np.abs(out.y - ref.y)) <= 10 * CFG.tol
+
+
+@PROPERTY
+@given(st.sampled_from([0.0, 0.3]).flatmap(lambda gamma: ode_steps(gamma=gamma)))
+def test_chord_keeps_the_4i_fixed_point(case):
+    # 4I, the identity map's Jacobian, stays reachable as a constant matrix
+    ex, recipe, z, grid = case
+    cfg = replace(CFG, newton_matrix=0.25 * np.eye(2 * ex.model.d))
+    ref = projection_step(ex.model, recipe, z, grid, 0, cfg, 2)[0]
+    out = projected(ex.model, recipe, grid)(z)
     assert np.max(np.abs(out.x - ref.x)) <= 10 * CFG.tol
     assert np.max(np.abs(out.y - ref.y)) <= 10 * CFG.tol
 
@@ -194,10 +206,11 @@ def test_batch_columns_equal_single_paths(name, substeps):
 
 
 def test_batch_columns_equal_single_paths_through_continuation(monkeypatch):
-    # ex2 at gamma 0.5 with two simplified-Newton iterations sends several
-    # paths of the batch to the homotopy, each on its own theta schedule
+    # ex2 at gamma 0.5 with two chord (and two Newton) iterations sends a path
+    # of the ses-sp-1 batch to the homotopy at step 13, on its own theta
+    # schedule while the other columns stay put
     ex = get_example("ex2", c=0.5)
-    m, paths, n_steps, dt = ex.model.m, 16, 8, 2.0 ** -5
+    m, paths, n_steps, dt = ex.model.m, 16, 16, 2.0 ** -5
     cfg = ProjectionConfig(max_iter=2)
     calls = []
     continuation = project._continuation

@@ -33,12 +33,14 @@ def test_traced_run_counts_every_layer(monkeypatch, tmp_path):
                          "--dt", "0.01", "--t-end", "0.05"]) == 0
         assert cli.main(["nls", "--dt", "0.001", "--t-end", "0.003", "--h", "1"]) == 0
     stats = tracer.stats["-"]
-    # ex1's 4-long lambda keeps 4I with no stage evaluation outside the solve
-    # (46 map evaluations); the 9-node lattice's 18-long lambda builds P in 1
-    # stage call, its 36 central-difference points batched (9 map
-    # evaluations, 12 with 4I)
-    assert stats["project.map_evals"] == 55
-    assert stats["splitflow.apply_stages.calls"] == 56
-    assert stats["splitflow.flow_f1.calls"] == 112
-    assert stats["splitflow.flow_f2.calls"] == 102
-    assert stats["modelzoo.grad.calls"] == 368
+    # ex1's 4-long lambda takes its chord Jacobian inside each step's first
+    # map call, with no stage evaluation outside the solve: 16 iterations over
+    # 5 steps plus 5 final evaluations make 21 map evaluations (46 with the
+    # 4I iteration it replaced, 41 iterations); the 9-node lattice's 18-long
+    # lambda builds P in 1 stage call, its 36 central-difference points
+    # batched (9 map evaluations, 12 with 4I)
+    assert stats["project.map_evals"] == 30
+    assert stats["splitflow.apply_stages.calls"] == 31
+    assert stats["splitflow.flow_f1.calls"] == 62
+    assert stats["splitflow.flow_f2.calls"] == 52
+    assert stats["modelzoo.grad.calls"] == 168
