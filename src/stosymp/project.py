@@ -15,9 +15,12 @@ lambda (the lattice, where a per-step Jacobian and its inverse would cost
 more than they save) it is one constant matrix per stepper, the inverse P of
 the Jacobian linearised at the run's initial state at zero noise.  Where the
 cubic term dominates, as on the h = 0.5 lattice at dt = 0.25, P's iteration
-count grows from step to step.  Paths the iteration does not solve fall back
-to ``newton``, the one finite-difference Newton solver that the implicit
-baselines use as well.
+count grows from step to step.  A path stops at the first lambda whose
+update is below the tolerance, without applying that update, so its
+corrected state, defect and residual come from the map call that gave the
+update and a solve costs no map call beyond its iterations.  Paths the
+iteration does not solve fall back to ``newton``, the one finite-difference
+Newton solver that the implicit baselines use as well.
 
 ``simulate`` is the one loop that drives a stepper, one path or a batch; it
 keeps each step's solver numbers in arrays, not its ``ProjectionReport``.
@@ -46,7 +49,10 @@ class ProjectionConfig:
     projection's simplified-Newton matrix P, set through ``linearised_config``
     by the steppers of a long lambda; None stands for the per-step chord, the
     inverse of the residual's central-difference Jacobian at lambda = 0 taken
-    in each step's first map call."""
+    in each step's first map call.  A projection path stops at the lambda
+    whose update is below ``tol``, leaving that update unapplied, and its
+    residual there must be at most 10 ``tol``; a Newton path stops once its
+    residual is below ``tol``."""
 
     tol: float = 1e-12
     max_iter: int = 50
@@ -80,7 +86,10 @@ class NoConvergence(RuntimeError):
 
 def lift(z: PhaseState) -> np.ndarray:
     """Duplicate (x, y) onto the diagonal of the extended space."""
-    return np.stack((z.x, z.x, z.y, z.y))
+    s = np.empty((4,) + z.x.shape)
+    s[0] = s[1] = z.x
+    s[2] = s[3] = z.y
+    return s
 
 
 def restrict(s: np.ndarray) -> PhaseState:
@@ -142,20 +151,28 @@ def _newton_steps(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _chord_start(map_fn, s0: np.ndarray, lam: np.ndarray):
-    """The projection residual at ``lam`` and the chord matrix, the inverse of
-    the residual's central-difference Jacobian there, from one map call on
-    2k + 1 points stacked on lambda's axis 1: ``lam`` itself, then the points
-    ``fd_jacobian`` stacks (lam + FD_STEP e_j, then lam - FD_STEP e_j).  The
-    inverse comes transposed, (k, k[, n_paths]) with [j, i] = J^-1[i, j], one
-    matrix per path; a path whose Jacobian is singular gets NaN."""
+    """The map output and projection residual at ``lam`` and the chord
+    matrix, the inverse of the residual's central-difference Jacobian there,
+    from one map call on 2k + 1 points stacked on lambda's axis 1: ``lam``
+    itself, then the points ``fd_jacobian`` stacks (lam + FD_STEP e_j, then
+    lam - FD_STEP e_j).  The inverse comes transposed, (k, k[, n_paths]) with
+    [j, i] = J^-1[i, j], one matrix per path; a path whose Jacobian is
+    singular gets NaN."""
     k = len(lam)
     e = np.zeros((k, k) + lam.shape[1:])
     e[np.arange(k), np.arange(k)] = FD_STEP
     at = lam[:, None]
-    g = _perturbed(map_fn, s0, np.concatenate((at, at + e, at - e), axis=1))[1]
+    out, g = _perturbed(map_fn, s0, np.concatenate((at, at + e, at - e), axis=1))
     jac = (g[:, 1:k + 1] - g[:, k + 1:]) / (2 * FD_STEP)
     inv = _per_path(np.linalg.inv, jac.reshape(k, k, -1).transpose(2, 0, 1))
-    return g[:, 0], inv.transpose(2, 1, 0).reshape(jac.shape)
+    return out[:, :, 0], g[:, 0], inv.transpose(2, 1, 0).reshape(jac.shape)
+
+
+def _settled(out: np.ndarray, lam: np.ndarray):
+    """Corrected state, pre-projection defect and residual per path, from the
+    map output ``out`` at s0 + A'lambda."""
+    gap = _copy_gap(out)
+    return _shifted(out, lam), _norm(gap), _norm(gap + 2.0 * lam)
 
 
 def newton(residual: Callable, w0: np.ndarray, cfg: ProjectionConfig, live=True):
@@ -186,12 +203,15 @@ def project_map(map_fn: Callable[[np.ndarray], np.ndarray], s0: np.ndarray,
     is lambda -= P g with P = ``cfg.newton_matrix``, or, when that is None,
     with the chord's P = J^-1: J is the central-difference Jacobian at lambda
     = 0, one per path, evaluated in the same map call as the first g.  Each
-    path stops once its own update is below ``cfg.tol``.  A path whose
-    simplified Newton iteration diverges (restarting from zero), stalls or
-    meets a singular J goes to full Newton and then, when
-    ``map_at_scale(theta)`` is given (the map with all step increments scaled
-    by theta, a scale per path), to a homotopy that follows each such path's
-    solution branch from the identity on its own theta schedule.
+    path stops at the lambda whose own update is below ``cfg.tol``, without
+    applying it: its corrected state, pre-projection defect and residual come
+    from the map output that gave that update, and the residual must be at
+    most 10 ``cfg.tol``.  A path whose simplified Newton iteration diverges
+    (restarting from zero), stalls or meets a singular J goes to full Newton
+    and then, when ``map_at_scale(theta)`` is given (the map with all step
+    increments scaled by theta, a scale per path), to a homotopy that follows
+    each such path's solution branch from the identity on its own theta
+    schedule.
     Returns (corrected extended state on ker(A), report).
     """
     lam = np.zeros((2 * s0.shape[1],) + s0.shape[2:])
@@ -199,37 +219,33 @@ def project_map(map_fn: Callable[[np.ndarray], np.ndarray], s0: np.ndarray,
     # lambda's bound grows with the norm of (x, y)
     guard = (1e6 * (1.0 + _norm(s0[0::2].reshape(lam.shape)))) ** 2
     live = np.ones(guard.shape, dtype=bool)    # still iterating
-    done = np.zeros(guard.shape, dtype=bool)   # last update below tol
+    done = np.zeros(guard.shape, dtype=bool)   # update below tol, lambda kept
     iterations = 0
-
-    def finish(lam):
-        """Corrected state, pre-projection defect and residual per path."""
-        out, g = _perturbed(map_fn, s0, lam)
-        return _shifted(out, lam), _norm(_copy_gap(out)), _norm(g)
 
     chord = cfg.newton_matrix is None
     with np.errstate(all="ignore"):
         if chord:
-            g, inv_t = _chord_start(map_fn, s0, lam)
+            out, g, inv_t = _chord_start(map_fn, s0, lam)
         else:
-            g = _perturbed(map_fn, s0, lam)[1]
+            out, g = _perturbed(map_fn, s0, lam)
+        kept = np.full_like(out, np.nan)   # map output at each done path's lambda
         while True:
             # the chord's J^-1 g sums left to right, so a batch column rounds
             # as the path run alone does
             step = ordered_sum(inv_t * g[:, None]) if chord else cfg.newton_matrix @ g
-            np.subtract(lam, step, out=lam, where=live)
             iterations += 1
-            live &= ordered_sum(lam * lam) <= guard   # a diverged or non-finite path leaves
             stop = live & (ordered_sum(step * step) < cfg.tol ** 2)
             done |= stop
             live ^= stop
+            np.copyto(kept, out, where=stop)
+            np.subtract(lam, step, out=lam, where=live)
+            live &= ordered_sum(lam * lam) <= guard   # a diverged or non-finite path leaves
             if iterations == cfg.max_iter or not np.count_nonzero(live):
                 break
-            g = _perturbed(map_fn, s0, lam)[1]
+            out, g = _perturbed(map_fn, s0, lam)
         lam = np.where(live | done, lam, 0.0)   # diverged paths restart from zero
-        if done.any():
-            corrected, defect, residual = finish(lam)
-            done &= residual <= 10.0 * cfg.tol
+        corrected, defect, residual = _settled(kept, lam)
+        done &= residual <= 10.0 * cfg.tol
         fallback = not done.all()
         if fallback:
             lam, norm, extra = _full_newton(map_fn, s0, lam, cfg, ~done)
@@ -240,7 +256,8 @@ def project_map(map_fn: Callable[[np.ndarray], np.ndarray], s0: np.ndarray,
                 solved |= reached
                 extra += more
             iterations += extra
-            corrected, defect, residual = finish(lam)
+            np.copyto(kept, map_fn(_shifted(s0, lam)), where=~done)
+            corrected, defect, residual = _settled(kept, lam)
             solved &= residual <= 10.0 * cfg.tol
     rep = ProjectionReport(lam, iterations, float(defect.max()), float(residual.max()),
                            fallback)

@@ -107,7 +107,9 @@ def flow_f3(gammas, s: np.ndarray, delta: np.ndarray,
     c, sn = _rotation(gammas, delta) if trig is None else trig
     dx, dy = s[0::2] - s[1::2]   # copy differences x - u and y - v
     total = s[0::2] + s[1::2]
-    turned = np.stack((c * dx + sn * dy, -sn * dx + c * dy))
+    turned = np.empty_like(total)
+    turned[0] = c * dx + sn * dy
+    turned[1] = -sn * dx + c * dy
     out = np.empty_like(s)
     out[0::2] = 0.5 * (total + turned)
     out[1::2] = 0.5 * (total - turned)

@@ -34,13 +34,16 @@ def test_traced_run_counts_every_layer(monkeypatch, tmp_path):
         assert cli.main(["nls", "--dt", "0.001", "--t-end", "0.003", "--h", "1"]) == 0
     stats = tracer.stats["-"]
     # ex1's 4-long lambda takes its chord Jacobian inside each step's first
-    # map call, with no stage evaluation outside the solve: 16 iterations over
-    # 5 steps plus 5 final evaluations make 21 map evaluations (46 with the
-    # 4I iteration it replaced, 41 iterations); the 9-node lattice's 18-long
-    # lambda builds P in 1 stage call, its 36 central-difference points
-    # batched (9 map evaluations, 12 with 4I)
-    assert stats["project.map_evals"] == 30
-    assert stats["splitflow.apply_stages.calls"] == 31
-    assert stats["splitflow.flow_f1.calls"] == 62
-    assert stats["splitflow.flow_f2.calls"] == 52
-    assert stats["modelzoo.grad.calls"] == 168
+    # map call, with no stage evaluation outside the solve, and a step ends at
+    # the lambda of its last map call: 16 iterations over 5 steps make 16 map
+    # evaluations (21 with a final evaluation after the last update, 46 with
+    # the 4I iteration, 41 iterations); the 9-node lattice takes 6 over 3
+    # steps (9 with that final evaluation, 12 with 4I) and builds P in 1
+    # stage call, its 36 central-difference points batched.  ses-sp-2's
+    # Strang map calls F1 and F2 twice each, the lattice's strang-ab F1 twice
+    # and F2 once; each ex1 flow takes one gradient pair
+    assert stats["project.map_evals"] == 22
+    assert stats["splitflow.apply_stages.calls"] == 23
+    assert stats["splitflow.flow_f1.calls"] == 46
+    assert stats["splitflow.flow_f2.calls"] == 39
+    assert stats["modelzoo.grad.calls"] == 128
