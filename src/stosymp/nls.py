@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -140,8 +140,8 @@ RECIPES = {name: CompositionRecipe(stages, ()) for name, stages in {
 
 
 def nls_step(lattice: NlsLattice, recipe: str, s: PhaseState, grid: np.ndarray, step: int,
-             cfg: ProjectionConfig = ProjectionConfig(), substeps: Optional[int] = None,
-             bounds: Optional[tuple] = None) -> Tuple[PhaseState, ProjectionReport]:
+             cfg: ProjectionConfig, substeps: int,
+             bounds: tuple) -> Tuple[PhaseState, ProjectionReport]:
     """One projected multi-symplectic step on (x, y) = (Q, P); ``bounds`` as in
     ``projection_step``."""
     if recipe not in RECIPES:

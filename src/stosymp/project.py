@@ -342,11 +342,11 @@ def _stage_map(recipe: CompositionRecipe, model: HamiltonianModel, incs: list,
 
 
 def projection_step(model: HamiltonianModel, recipe: CompositionRecipe, z: PhaseState,
-                    grid: np.ndarray, step: int, cfg: ProjectionConfig,
-                    substeps: Optional[int] = None, bounds: Optional[tuple] = None):
+                    grid: np.ndarray, step: int, cfg: ProjectionConfig, substeps: int,
+                    bounds: tuple):
     """One semi-explicit symplectic step on the original phase space; ``z``
-    may carry a trailing batch axis.  A stepper passes the recipe's
-    ``stage_bounds`` at ``substeps`` as ``bounds``, found once for all steps."""
+    may carry a trailing batch axis.  ``bounds`` are the recipe's
+    ``stage_bounds`` at ``substeps``, which a stepper finds once for all steps."""
     incs = stage_increments(recipe, grid, step, substeps, bounds)  # frozen for all iterates
     corrected, rep = project_map(_stage_map(recipe, model, incs), lift(z), cfg,
                                  lambda theta: _stage_map(recipe, model, incs, theta))

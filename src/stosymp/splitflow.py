@@ -5,8 +5,11 @@ Three explicit maps act on the doubled state (x, u, y, v), one
 driven by the model Hamiltonians and a rotation of the copy difference driven
 by the restraint constants.  Each flow takes the increments of its window as
 one ``(m+1[, n_paths])`` array (row 0 the window length, of either sign) and
-returns a new array.  Compositions (Lie, Strang, or any user recipe) yield
-explicit symplectic one-step maps on the extended space.
+returns a new array.  A recipe (Lie, Strang, or any user stage list) is
+applied by ``apply_stages`` over the windows that ``stage_increments`` cuts
+from one scheme step; ``project`` iterates that map in its symmetric
+projection.  ``symplectic_residual_phase`` checks a map on the original
+phase space for symplecticity at frozen noise.
 """
 
 from __future__ import annotations
@@ -139,12 +142,9 @@ def stage_bounds(recipe: CompositionRecipe, substeps: int) -> tuple:
 
 
 def stage_increments(recipe: CompositionRecipe, grid: np.ndarray, step: int,
-                     substeps: Optional[int] = None, bounds: Optional[tuple] = None):
+                     substeps: int, bounds: tuple):
     """Per-stage increments for one scheme step; ``bounds`` are the recipe's
-    ``stage_bounds`` at ``substeps``, found here when not given."""
-    substeps = grid.shape[1] if substeps is None else int(substeps)
-    if bounds is None:
-        bounds = stage_bounds(recipe, substeps)
+    ``stage_bounds`` at ``substeps``."""
     return grid_windows(grid, step, substeps, bounds)
 
 
@@ -159,42 +159,22 @@ def f3_trig(recipe: CompositionRecipe, incs: Sequence[np.ndarray],
 
 
 def apply_stages(recipe: CompositionRecipe, model: HamiltonianModel, s: np.ndarray,
-                 incs: Sequence[np.ndarray], trig: Optional[dict] = None) -> np.ndarray:
+                 incs: Sequence[np.ndarray], trig: dict) -> np.ndarray:
     """The recipe's stages at the frozen increments ``incs``, F3 left out
-    when the recipe has no restraint."""
+    when the recipe has no restraint; ``trig`` is ``f3_trig`` of ``incs``."""
     for i, ((flow, _), delta) in enumerate(zip(recipe.stages, incs)):
         if flow is FlowId.F1:
             s = flow_f1(model, s, delta)
         elif flow is FlowId.F2:
             s = flow_f2(model, s, delta)
         elif recipe.restrained:
-            s = flow_f3(recipe.gammas, s, delta,
-                        None if trig is None else trig.get(i))
+            s = flow_f3(recipe.gammas, s, delta, trig[i])
     return s
 
 
-def compose(recipe: CompositionRecipe, model: HamiltonianModel, s: np.ndarray,
-            grid: np.ndarray, step: int, substeps: Optional[int] = None) -> np.ndarray:
-    """Apply the recipe over scheme step ``step`` of the grid."""
-    out = apply_stages(recipe, model, s, stage_increments(recipe, grid, step, substeps))
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError("non-finite state after composition")
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Symplecticity diagnostics (finite-difference Jacobian tests)
+# Symplecticity diagnostic (finite-difference Jacobian test)
 # ---------------------------------------------------------------------------
-
-def _two_form_residual(vec_map: Callable, v0: np.ndarray, fd_step: float,
-                       form: np.ndarray) -> float:
-    if fd_step <= 0:
-        raise ValueError("fd_step must be positive")
-    jac = fd_jacobian(vec_map, v0, fd_step)
-    if not np.all(np.isfinite(jac)):
-        raise FloatingPointError("non-finite Jacobian")
-    return float(np.max(np.abs(jac.T @ form @ jac - form)))
-
 
 def phase_form_matrix(d: int) -> np.ndarray:
     """Standard symplectic matrix for z = (x, y)."""
@@ -204,29 +184,22 @@ def phase_form_matrix(d: int) -> np.ndarray:
     return J
 
 
-def symplectic_residual_extended(map_fn: Callable[[np.ndarray], np.ndarray],
-                                 s: np.ndarray, fd_step: float) -> float:
-    """max |M' J M - J| for the 4d x 4d finite-difference Jacobian M of the
-    one-step extended map at fixed noise, at the single-path state ``s``.
-    J is dx^dy + du^dv: in (x, u, y, v) order the standard matrix of 2d
-    pairs, x_i with y_i and u_i with v_i.  ``map_fn`` must accept a batch:
-    ``fd_jacobian`` passes its points as one (4, d, n_points) state."""
-    def vec_map(v):
-        return map_fn(v.reshape(s.shape + v.shape[1:])).reshape(v.shape)
-
-    return _two_form_residual(vec_map, s.reshape(-1), fd_step,
-                              phase_form_matrix(2 * s.shape[1]))
-
-
 def symplectic_residual_phase(map_fn: Callable, z, fd_step: float) -> float:
-    """Same test for a map on the original phase space; ``map_fn`` takes and
-    returns a PhaseState, and must accept a batch: ``fd_jacobian`` passes its
-    points as one PhaseState of (d, n_points) arrays."""
+    """max |M' J M - J| for the 2d x 2d finite-difference Jacobian M of a map
+    on the original phase space at ``z``, with J the standard matrix of
+    dx^dy; ``map_fn`` takes and returns a PhaseState, and must accept a
+    batch: ``fd_jacobian`` passes its points as one PhaseState of
+    (d, n_points) arrays."""
+    if fd_step <= 0:
+        raise ValueError("fd_step must be positive")
     d = z.x.shape[0]
 
     def vec_map(v):
         out = map_fn(PhaseState(v[0:d], v[d:2 * d]))
         return np.concatenate([out.x, out.y])
 
-    v0 = np.concatenate([z.x, z.y])
-    return _two_form_residual(vec_map, v0, fd_step, phase_form_matrix(d))
+    jac = fd_jacobian(vec_map, np.concatenate([z.x, z.y]), fd_step)
+    if not np.all(np.isfinite(jac)):
+        raise FloatingPointError("non-finite Jacobian")
+    form = phase_form_matrix(d)
+    return float(np.max(np.abs(jac.T @ form @ jac - form)))

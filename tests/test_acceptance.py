@@ -16,10 +16,11 @@ from stosymp.core import (HamiltonianModel, LinearInvariant, PhaseState,
                           eval_linear, eval_quadratic)
 from stosymp.harness import ConvergenceSpec, make_stepper, ms_error, track
 from stosymp.modelzoo import get_example
-from stosymp.nls import build_lattice, charge, nls_initial, nls_step, noise_vector, subflow_a
+from stosymp.nls import (RECIPES, build_lattice, charge, nls_initial, nls_step, noise_vector,
+                         subflow_a)
 from stosymp.project import NoConvergence, ProjectionConfig, projection_step
 from stosymp.splitflow import (flow_f1, flow_f2, flow_f3, lie_recipe,
-                               phase_form_matrix, strang_recipe,
+                               phase_form_matrix, stage_bounds, strang_recipe,
                                symplectic_residual_phase)
 
 ORDER_DTS = tuple(2.0 ** -s for s in range(5, 9))
@@ -93,13 +94,14 @@ def test_criterion_04_projected_map_symplecticity():
         ex = get_example(name)
         gammas = np.full(ex.model.m + 1, 0.3)
         for recipe in (lie_recipe(gammas), strang_recipe(gammas)):
+            bounds = stage_bounds(recipe, 2)
             for k in range(50):
                 grid = build_noise_grid(17, k, ex.model.m, 0.0, 0.01, 2)
                 z = PhaseState(ex.z0.x + scale[name] * rng.standard_normal(ex.model.d),
                                ex.z0.y + scale[name] * rng.standard_normal(ex.model.d))
 
                 def step(zz):
-                    out, _ = projection_step(ex.model, recipe, zz, grid, 0, cfg, 2)
+                    out, _ = projection_step(ex.model, recipe, zz, grid, 0, cfg, 2, bounds)
                     return out
 
                 worst = max(worst, symplectic_residual_phase(step, z, 1e-5))
@@ -138,11 +140,12 @@ def test_criterion_07_nls_charge_conservation():
     grid = build_noise_grid(0, 0, lat.modes, 0.0, 1.0, 2 * n_steps)
     drifts = {}
     for recipe in ("lie-ab", "strang-ab"):
+        bounds = stage_bounds(RECIPES[recipe], 2)
         s = nls_initial(lat)
         c0 = charge(s)
         worst = 0.0
         for n in range(n_steps):
-            s, _ = nls_step(lat, recipe, s, grid, n, cfg, 2)
+            s, _ = nls_step(lat, recipe, s, grid, n, cfg, 2, bounds)
             worst = max(worst, abs(charge(s) - c0) / c0)
         drifts[recipe] = worst
     ok = all(v <= 1e-8 for v in drifts.values())
@@ -154,13 +157,14 @@ def test_criterion_08_nls_projected_map_symplecticity():
     lat = build_lattice(-5.0, 5.0, 9, modes=10)
     cfg = ProjectionConfig(tol=1e-13)
     J = phase_form_matrix(9)
+    bounds = stage_bounds(RECIPES["strang-ab"], 2)
     worst = 0.0
     for k in range(20):
         grid = build_noise_grid(11, k, lat.modes, 0.0, 1e-3, 2)
 
         def vec_map(v):
             out, _ = nls_step(lat, "strang-ab", PhaseState(v[:9], v[9:]), grid, 0,
-                              cfg, 2)
+                              cfg, 2, bounds)
             return np.concatenate([out.x, out.y])
 
         s0 = nls_initial(lat)

@@ -175,3 +175,15 @@ def test_fd_jacobian_equals_column_by_column(shape, step):
     assert len(calls) == -(-len(w) // block)
     assert calls[0] == (len(w), 2 * min(block, len(w))) + shape[1:]
     assert np.array_equal(jac, column_jacobian(fn, w, step))
+
+
+def test_package_exports_resolve():
+    # a name deleted from the package but left in __all__ or its import line
+    # fails here, not at a user's star import
+    import stosymp
+
+    missing = [name for name in stosymp.__all__ if not hasattr(stosymp, name)]
+    assert not missing
+    namespace = {}
+    exec("from stosymp import *", namespace)
+    assert all(namespace[name] is getattr(stosymp, name) for name in stosymp.__all__)

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 from stosymp.core import HamiltonianModel, PhaseState, build_noise_grid, verify_gradients
 from stosymp.nls import (build_lattice, charge, nls_initial, nls_step, nls_stepper,
                          noise_vector, subflow_a, subflow_b, RECIPES)
-from stosymp.project import ProjectionConfig
-from stosymp.splitflow import compose, phase_form_matrix
+from stosymp.project import ProjectionConfig, _stage_map
+from stosymp.splitflow import phase_form_matrix, stage_bounds, stage_increments
 
 
 def unit_lattice():
@@ -94,7 +94,7 @@ def test_nls_step_zero_increments_identity():
     lat = build_lattice(-5.0, 5.0, 9, modes=10)
     s = nls_initial(lat)
     out, rep = nls_step(lat, "strang-ab", s, zero_grid(10), 0,
-                        ProjectionConfig(tol=1e-13), 2)
+                        ProjectionConfig(tol=1e-13), 2, stage_bounds(RECIPES["strang-ab"], 2))
     assert np.allclose(out.x, s.x, atol=1e-13)
     assert np.allclose(out.y, s.y, atol=1e-13)
     assert np.allclose(rep.lam, 0.0, atol=1e-13)
@@ -103,7 +103,8 @@ def test_nls_step_zero_increments_identity():
 def test_unknown_recipe_rejected():
     lat = unit_lattice()
     with pytest.raises(KeyError):
-        nls_step(lat, "lie-xy", nls_initial(lat), zero_grid(1), 0)
+        nls_step(lat, "lie-xy", nls_initial(lat), zero_grid(1), 0, ProjectionConfig(), 2,
+                 ((0, 2), (0, 2)))
 
 
 @pytest.mark.parametrize("recipe", sorted(RECIPES))
@@ -112,7 +113,8 @@ def test_single_step_charge_conservation(recipe):
     g = build_noise_grid(3, 0, 10, 0.0, 1e-3, 2)
     s = nls_initial(lat)
     c0 = charge(s)
-    out, rep = nls_step(lat, recipe, s, g, 0, ProjectionConfig(tol=1e-13), 2)
+    out, rep = nls_step(lat, recipe, s, g, 0, ProjectionConfig(tol=1e-13), 2,
+                        stage_bounds(RECIPES[recipe], 2))
     assert abs(charge(out) - c0) <= 1e-12 * c0
 
 
@@ -120,11 +122,12 @@ def test_projected_step_symplectic():
     lat = build_lattice(-5.0, 5.0, 9, modes=10)
     g = build_noise_grid(7, 0, 10, 0.0, 1e-3, 2)
     cfg = ProjectionConfig(tol=1e-13)
+    bounds = stage_bounds(RECIPES["strang-ab"], 2)
     s0 = nls_initial(lat)
 
     def vec_map(v):
         st = PhaseState(v[:9], v[9:])
-        out, _ = nls_step(lat, "strang-ab", st, g, 0, cfg, 2)
+        out, _ = nls_step(lat, "strang-ab", st, g, 0, cfg, 2, bounds)
         return np.concatenate([out.x, out.y])
 
     v0 = np.concatenate([s0.x, s0.y])
@@ -145,10 +148,12 @@ def test_unprojected_defect_grows_projected_does_not():
     s = nls_initial(lat)
     ext = np.stack((s.x, s.x, s.y, s.y))
     cfg = ProjectionConfig(tol=1e-13)
+    recipe = RECIPES["strang-ab"]
+    bounds = stage_bounds(recipe, 2)
     max_proj_defect = 0.0
     for n in range(n_steps):
-        ext = compose(RECIPES["strang-ab"], lat.model, ext, g, n, 2)
-        s, rep = nls_step(lat, "strang-ab", s, g, n, cfg, 2)
+        ext = _stage_map(recipe, lat.model, stage_increments(recipe, g, n, 2, bounds))(ext)
+        s, rep = nls_step(lat, "strang-ab", s, g, n, cfg, 2, bounds)
         max_proj_defect = max(max_proj_defect, rep.residual)
     raw_defect = np.sqrt(np.sum((ext[0] - ext[1]) ** 2 + (ext[2] - ext[3]) ** 2))
     assert raw_defect > 1e-6          # splitting desynchronizes the copies

@@ -169,7 +169,8 @@ def test_solve_ends_at_its_last_evaluated_lambda():
 
     ex = get_example("ex1", c=0.5)
     recipe = strang_recipe(np.array([0.5]))
-    incs = project.stage_increments(recipe, build_noise_grid(3, 0, 1, 0.0, 0.05, 2), 0)
+    incs = project.stage_increments(recipe, build_noise_grid(3, 0, 1, 0.0, 0.05, 2), 0, 2,
+                                    stage_bounds(recipe, 2))
     assert check(project._stage_map(recipe, ex.model, incs), lift(ex.z0), False).iterations > 1
     assert check(lambda s: s, lift(PhaseState([0.7], [-0.2])), False).iterations == 1
 
@@ -252,8 +253,9 @@ def test_rotation_oracle_strang():
                              grad_x=(lambda x, y: x.copy(),),
                              grad_y=(lambda x, y: y.copy(),))
     g = build_noise_grid(0, 0, 0, 0.0, 0.1, 2)
-    z, rep = projection_step(model, strang_recipe([0.0]), PhaseState([1.0], [0.0]),
-                             g, 0, ProjectionConfig(tol=1e-13), substeps=2)
+    recipe = strang_recipe([0.0])
+    z, rep = projection_step(model, recipe, PhaseState([1.0], [0.0]), g, 0,
+                             ProjectionConfig(tol=1e-13), 2, stage_bounds(recipe, 2))
     assert abs(z.x[0] - np.cos(0.1)) < 1e-4
     assert abs(z.y[0] + np.sin(0.1)) < 1e-4
 
@@ -264,14 +266,14 @@ def test_kernel_membership_and_defect_symmetry():
     cfg = ProjectionConfig(tol=1e-13)
     recipe = lie_recipe([0.5, 0.5])
     z = ex.z0
-    incs_consumed, rep = projection_step(ex.model, recipe, z, g, 0, cfg, 2)
+    bounds = stage_bounds(recipe, 2)
+    incs_consumed, rep = projection_step(ex.model, recipe, z, g, 0, cfg, 2, bounds)
     lam = rep.lam
     # reconstruct the perturbed input/output to check the symmetry identity
     l1, l2 = lam[:1], lam[1:]
-    from stosymp.splitflow import stage_increments, apply_stages
-    incs = stage_increments(recipe, g, 0, 2)
+    incs = project.stage_increments(recipe, g, 0, 2, bounds)
     s_in = np.stack((z.x + l1, z.x - l1, z.y + l2, z.y - l2))
-    s_out = apply_stages(recipe, ex.model, s_in, incs)
+    s_out = project._stage_map(recipe, ex.model, incs)(s_in)
     assert abs((s_out[1, 0] - s_out[0, 0]) - (s_in[0, 0] - s_in[1, 0])) <= 4 * cfg.tol
     assert abs((s_out[3, 0] - s_out[2, 0]) - (s_in[2, 0] - s_in[3, 0])) <= 4 * cfg.tol
     # corrected output is on ker(A) within 2 tol

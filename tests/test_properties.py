@@ -68,7 +68,8 @@ def lattice_steps(draw):
 
 
 def projected(model, recipe, grid):
-    return lambda z: projection_step(model, recipe, z, grid, 0, CFG, 2)[0]
+    bounds = stage_bounds(recipe, 2)
+    return lambda z: projection_step(model, recipe, z, grid, 0, CFG, 2, bounds)[0]
 
 
 @st.composite
@@ -164,7 +165,7 @@ def test_linearised_matrix_keeps_the_fixed_point(case):
     model, recipe, z, grid, z0 = case
     cfg = replace(CFG, newton_matrix=linearised_matrix(model, recipe, z0,
                                                        stage_bounds(recipe, 2), grid[0, 0]))
-    out = projection_step(model, recipe, z, grid, 0, cfg, 2)[0]
+    out = projection_step(model, recipe, z, grid, 0, cfg, 2, stage_bounds(recipe, 2))[0]
     ref = projected(model, recipe, grid)(z)   # the chord on ex1-ex4, P on the lattice
     assert np.max(np.abs(out.x - ref.x)) <= 10 * CFG.tol
     assert np.max(np.abs(out.y - ref.y)) <= 10 * CFG.tol
@@ -176,7 +177,7 @@ def test_chord_keeps_the_4i_fixed_point(case):
     # 4I, the identity map's Jacobian, stays reachable as a constant matrix
     ex, recipe, z, grid = case
     cfg = replace(CFG, newton_matrix=0.25 * np.eye(2 * ex.model.d))
-    ref = projection_step(ex.model, recipe, z, grid, 0, cfg, 2)[0]
+    ref = projection_step(ex.model, recipe, z, grid, 0, cfg, 2, stage_bounds(recipe, 2))[0]
     out = projected(ex.model, recipe, grid)(z)
     assert np.max(np.abs(out.x - ref.x)) <= 10 * CFG.tol
     assert np.max(np.abs(out.y - ref.y)) <= 10 * CFG.tol

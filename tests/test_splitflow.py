@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from stosymp.core import HamiltonianModel, build_noise_grid
+from stosymp.core import HamiltonianModel, PhaseState, build_noise_grid
 from stosymp import splitflow
-from stosymp.splitflow import (CompositionRecipe, FlowId, apply_stages, compose, flow_f1,
+from stosymp.project import _stage_map
+from stosymp.splitflow import (CompositionRecipe, FlowId, apply_stages, f3_trig, flow_f1,
                                flow_f2, flow_f3, lie_recipe, stage_bounds,
-                               stage_increments, strang_recipe,
-                               symplectic_residual_extended)
+                               stage_increments, strang_recipe, symplectic_residual_phase)
 from stosymp.modelzoo import get_example
 
 
@@ -31,6 +31,25 @@ def S(x, u, y, v):
 def assert_state(s, x, u, y, v, tol=1e-14):
     got = s[:, 0]
     assert np.allclose(got, [x, u, y, v], rtol=0, atol=tol), got
+
+
+def stepped(recipe, model, s, grid, step, substeps):
+    """The recipe's map over scheme step ``step``, as a projection solve
+    iterates it."""
+    incs = stage_increments(recipe, grid, step, substeps, stage_bounds(recipe, substeps))
+    return _stage_map(recipe, model, incs)(s)
+
+
+def extended_residual(map_fn, s, fd_step):
+    """``symplectic_residual_phase`` of a map on the doubled state (x, u, y, v)
+    at the single-path ``s``, viewed as a phase map on ((x, u), (y, v)): the
+    form is dx^dy + du^dv."""
+    def phase_map(z):
+        out = map_fn(np.concatenate([z.x, z.y]).reshape(s.shape + z.x.shape[1:]))
+        return PhaseState(out[0:2].reshape(z.x.shape), out[2:4].reshape(z.y.shape))
+
+    return symplectic_residual_phase(phase_map, PhaseState(s[0:2].reshape(-1),
+                                                           s[2:4].reshape(-1)), fd_step)
 
 
 def test_flow_f1_hand_oracle():
@@ -103,7 +122,7 @@ def test_lie_reduces_to_f2_after_f1_at_zero_gamma():
     m = xy_model()
     g = build_noise_grid(0, 0, 0, 0.0, 0.5, 1)
     s = S(0.4, 0.1, -0.7, 1.2)
-    lie = compose(lie_recipe([0.0]), m, s, g, 0)
+    lie = stepped(lie_recipe([0.0]), m, s, g, 0, 1)
     inc = g[:, 0]
     byhand = flow_f2(m, flow_f1(m, s, inc), inc)
     assert_state(lie, *byhand[:, 0])
@@ -114,7 +133,7 @@ def test_lie_hand_computed_two_stage():
     # F1: u=1, y=-0.1; F2 at (u,y)=(1,-0.1): x=1-0.01, v=-0.1
     m = osc_model()
     g = build_noise_grid(0, 0, 0, 0.0, 0.1, 1)
-    out = compose(lie_recipe([0.0]), m, S(1, 1, 0, 0), g, 0)
+    out = stepped(lie_recipe([0.0]), m, S(1, 1, 0, 0), g, 0, 1)
     assert_state(out, 0.99, 1.0, -0.1, -0.1)
 
 
@@ -124,13 +143,13 @@ def test_strang_is_palindrome():
     rec = strang_recipe([0.0])
     rev = CompositionRecipe(tuple(reversed(rec.stages)), [0.0])
     s = S(0.9, 0.9, -0.4, -0.4)
-    a = compose(rec, m, s, g, 0, substeps=2)
-    b = compose(rev, m, s, g, 0, substeps=2)
+    a = stepped(rec, m, s, g, 0, 2)
+    b = stepped(rev, m, s, g, 0, 2)
     assert np.allclose(a, b, rtol=0, atol=1e-14)
 
 
 def test_symplectic_residual_identity_zero():
-    res = symplectic_residual_extended(lambda s: s, S(0.0, 0.0, 0.0, 0.0), 1e-5)
+    res = extended_residual(lambda s: s, S(0.0, 0.0, 0.0, 0.0), 1e-5)
     assert res == 0.0
 
 
@@ -138,7 +157,7 @@ def test_symplectic_residual_rotation_exact():
     def rot(s):
         return flow_f3([np.pi / 3], s, np.array([1.0]))
 
-    res = symplectic_residual_extended(rot, S(0.3, 0.1, -0.2, 0.5), 1e-5)
+    res = extended_residual(rot, S(0.3, 0.1, -0.2, 0.5), 1e-5)
     assert res <= 1e-9
 
 
@@ -146,8 +165,17 @@ def test_symplectic_residual_doubling_map():
     def double(s):
         return 2 * s
 
-    res = symplectic_residual_extended(double, S(0.3, 0.1, -0.2, 0.5), 1e-5)
+    res = extended_residual(double, S(0.3, 0.1, -0.2, 0.5), 1e-5)
     assert np.isclose(res, 3.0, atol=1e-8)
+
+
+def test_symplectic_residual_rejects_bad_step_and_non_finite_jacobian():
+    z = PhaseState([0.3], [-0.2])
+    for fd_step in (0.0, -1e-5):
+        with pytest.raises(ValueError, match="fd_step"):
+            symplectic_residual_phase(lambda zz: zz, z, fd_step)
+    with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
+        symplectic_residual_phase(lambda zz: PhaseState(zz.x * np.inf, zz.y), z, 1e-5)
 
 
 @pytest.mark.parametrize("name", ["ex1", "ex3"])
@@ -162,8 +190,8 @@ def test_composed_map_is_symplectic(name):
             v = base + 0.3 * rng.standard_normal(base.size)
             d = ex.model.d
             s = v.reshape(4, d)
-            res = symplectic_residual_extended(
-                lambda st: compose(recipe, ex.model, st, g, 0, substeps=2), s, 1e-5)
+            res = extended_residual(
+                lambda st: stepped(recipe, ex.model, st, g, 0, 2), s, 1e-5)
             assert res <= 1e-6
 
 
@@ -177,7 +205,7 @@ def test_defect_growth_first_order():
         for path in range(32):   # RMS over paths smooths increment cancellations
             g = build_noise_grid(3, path, ex.model.m, 0.0, dt, 2)
             s = np.stack((ex.z0.x, ex.z0.x, ex.z0.y, ex.z0.y))
-            out = compose(lie_recipe([0.0, 0.0]), ex.model, s, g, 0, substeps=2)
+            out = stepped(lie_recipe([0.0, 0.0]), ex.model, s, g, 0, 2)
             sq.append(np.sum((out[0] - out[1]) ** 2 + (out[2] - out[3]) ** 2))
         defects.append(np.sqrt(np.mean(sq)))
     slope = np.polyfit(np.log(dts), np.log(defects), 1)[0]
@@ -192,7 +220,7 @@ def test_linear_invariant_preserved_by_recipes():
     for recipe in (lie_recipe([0.3, 0.1]), strang_recipe([0.3, 0.1])):
         for _ in range(20):
             s = 0.5 * rng.standard_normal((4, 2))
-            out = compose(recipe, ex.model, s, g, 0, substeps=2)
+            out = stepped(recipe, ex.model, s, g, 0, 2)
             before = a_x @ (s[0] + s[1]) + a_y @ (s[2] + s[3])
             after = a_x @ (out[0] + out[1]) + a_y @ (out[2] + out[3])
             assert abs(after - before) <= 1e-12 * max(1.0, abs(before))
@@ -205,7 +233,7 @@ def test_unrestrained_recipe_skips_f3(make, monkeypatch):
     recipe = make([0.0, 0.0])
     assert not recipe.restrained and make([0.0, 0.1]).restrained
     g = build_noise_grid(5, 0, 1, 0.0, 0.02, 2)
-    incs = stage_increments(recipe, g, 0, 2)
+    incs = stage_increments(recipe, g, 0, 2, stage_bounds(recipe, 2))
     s = np.stack((ex.z0.x, ex.z0.x + [0.3, -0.1], ex.z0.y, ex.z0.y + [-0.2, 0.4]))
     explicit = s
     for (flow, _), inc in zip(recipe.stages, incs):
@@ -220,7 +248,7 @@ def test_unrestrained_recipe_skips_f3(make, monkeypatch):
         raise AssertionError("F3 evaluated at gamma = 0")
 
     monkeypatch.setattr(splitflow, "flow_f3", not_called)
-    skipped = apply_stages(recipe, model, s, incs)
+    skipped = apply_stages(recipe, model, s, incs, f3_trig(recipe, incs))
     for name, a, b in zip("xuyv", skipped, explicit):
         assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b)), name
 

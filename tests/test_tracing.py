@@ -42,6 +42,13 @@ def test_traced_run_counts_every_layer(monkeypatch, tmp_path):
     # stage call, its 36 central-difference points batched.  ses-sp-2's
     # Strang map calls F1 and F2 twice each, the lattice's strang-ab F1 twice
     # and F2 once; each ex1 flow takes one gradient pair
+    # the steppers pass their window bounds, and each step still goes through
+    # the names the tracer counts: 5 ex1 and 3 lattice steps, one solve and
+    # one stage_increments call each
+    assert stats["project.projection_step.calls"] == 5
+    assert stats["nls.step.calls"] == 3
+    assert stats["project.solve.calls"] == 8
+    assert stats["splitflow.stage_increments.calls"] == 8
     assert stats["project.map_evals"] == 22
     assert stats["splitflow.apply_stages.calls"] == 23
     assert stats["splitflow.flow_f1.calls"] == 46
