@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -213,7 +213,6 @@ def ordered_sum(a: np.ndarray) -> np.ndarray:
     return reduce(lambda total, row: total + row, a)
 
 
-@lru_cache(maxsize=256)
 def window_bounds(split: tuple, substeps: int) -> tuple:
     """Integer fine-grid offsets (lo, hi) of the windows that ``split``, a
     tuple of positive fractions summing to 1, cuts from one scheme step of

@@ -16,11 +16,11 @@ more than they save) it is one constant matrix per stepper, the inverse P of
 the Jacobian linearised at the run's initial state at zero noise.  Where the
 cubic term dominates, as on the h = 0.5 lattice at dt = 0.25, P's iteration
 count grows from step to step.  A path stops at the first lambda whose
-update is below the tolerance, without applying that update, so its
-corrected state, defect and residual come from the map call that gave the
-update and a solve costs no map call beyond its iterations.  Paths the
-iteration does not solve fall back to ``newton``, the one finite-difference
-Newton solver that the implicit baselines use as well.
+update is below the tolerance, without applying that update.  Its lambda
+stays fixed, so later map calls evaluate the path there again: its corrected
+state, defect and residual are read from the last map call, at no extra call.
+Paths the iteration does not solve fall back to ``newton``, the one
+finite-difference Newton solver that the implicit baselines use as well.
 
 ``simulate`` is the one loop that drives a stepper, one path or a batch; it
 keeps each step's solver numbers in arrays, not its ``ProjectionReport``.
@@ -205,7 +205,7 @@ def project_map(map_fn: Callable[[np.ndarray], np.ndarray], s0: np.ndarray,
     = 0, one per path, evaluated in the same map call as the first g.  Each
     path stops at the lambda whose own update is below ``cfg.tol``, without
     applying it: its corrected state, pre-projection defect and residual come
-    from the map output that gave that update, and the residual must be at
+    from the map output at that lambda, and the residual must be at
     most 10 ``cfg.tol``.  A path whose simplified Newton iteration diverges
     (restarting from zero), stalls or meets a singular J goes to full Newton
     and then, when ``map_at_scale(theta)`` is given (the map with all step
@@ -228,7 +228,6 @@ def project_map(map_fn: Callable[[np.ndarray], np.ndarray], s0: np.ndarray,
             out, g, inv_t = _chord_start(map_fn, s0, lam)
         else:
             out, g = _perturbed(map_fn, s0, lam)
-        kept = np.full_like(out, np.nan)   # map output at each done path's lambda
         while True:
             # the chord's J^-1 g sums left to right, so a batch column rounds
             # as the path run alone does
@@ -237,14 +236,14 @@ def project_map(map_fn: Callable[[np.ndarray], np.ndarray], s0: np.ndarray,
             stop = live & (ordered_sum(step * step) < cfg.tol ** 2)
             done |= stop
             live ^= stop
-            np.copyto(kept, out, where=stop)
             np.subtract(lam, step, out=lam, where=live)
             live &= ordered_sum(lam * lam) <= guard   # a diverged or non-finite path leaves
             if iterations == cfg.max_iter or not np.count_nonzero(live):
                 break
             out, g = _perturbed(map_fn, s0, lam)
         lam = np.where(live | done, lam, 0.0)   # diverged paths restart from zero
-        corrected, defect, residual = _settled(kept, lam)
+        # done paths keep lambda, so out holds their outputs while calls still evaluate them
+        corrected, defect, residual = _settled(out, lam)
         done &= residual <= 10.0 * cfg.tol
         fallback = not done.all()
         if fallback:
@@ -256,8 +255,7 @@ def project_map(map_fn: Callable[[np.ndarray], np.ndarray], s0: np.ndarray,
                 solved |= reached
                 extra += more
             iterations += extra
-            np.copyto(kept, map_fn(_shifted(s0, lam)), where=~done)
-            corrected, defect, residual = _settled(kept, lam)
+            corrected, defect, residual = _settled(map_fn(_shifted(s0, lam)), lam)
             solved &= residual <= 10.0 * cfg.tol
     rep = ProjectionReport(lam, iterations, float(defect.max()), float(residual.max()),
                            fallback)

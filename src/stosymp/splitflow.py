@@ -3,13 +3,15 @@
 Three explicit maps act on the doubled state (x, u, y, v), one
 ``(4, d[, n_paths])`` array in that row order: two cross-coupled shear maps
 driven by the model Hamiltonians and a rotation of the copy difference driven
-by the restraint constants.  Each flow takes the increments of its window as
-one ``(m+1[, n_paths])`` array (row 0 the window length, of either sign) and
-returns a new array.  A recipe (Lie, Strang, or any user stage list) is
-applied by ``apply_stages`` over the windows that ``stage_increments`` cuts
-from one scheme step; ``project`` iterates that map in its symmetric
-projection.  ``symplectic_residual_phase`` checks a map on the original
-phase space for symplecticity at frozen noise.
+by the restraint constants.  The shears take the increments of their window
+as one ``(m+1[, n_paths])`` array (row 0 the window length, of either sign);
+the rotation takes the (cos, sin) of its angle, which ``f3_trig`` finds once
+per step from its window's increments.  Each flow returns a new array.  A
+recipe (Lie, Strang, or any user stage list) is applied by ``apply_stages``
+over the windows that ``stage_increments`` cuts from one scheme step;
+``project`` iterates that map in its symmetric projection.
+``symplectic_residual_phase`` checks a map on the original phase space for
+symplecticity at frozen noise.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -57,7 +59,7 @@ class CompositionRecipe:
         stages = tuple((FlowId(f), Fraction(frac)) for f, frac in self.stages)
         object.__setattr__(self, "stages", stages)
         for flow in FlowId:
-            fracs = [frac for f, frac in stages if f is flow]
+            fracs = self.family_fractions(flow)
             if fracs and sum(fracs) != 1:
                 raise ValueError(f"fractions of {flow} must sum to 1, got {fracs}")
 
@@ -67,8 +69,7 @@ class CompositionRecipe:
 
 def lie_recipe(gammas) -> CompositionRecipe:
     return CompositionRecipe(
-        ((FlowId.F1, Fraction(1)), (FlowId.F2, Fraction(1)), (FlowId.F3, Fraction(1))),
-        np.asarray(gammas, dtype=float))
+        ((FlowId.F1, Fraction(1)), (FlowId.F2, Fraction(1)), (FlowId.F3, Fraction(1))), gammas)
 
 
 def strang_recipe(gammas) -> CompositionRecipe:
@@ -76,7 +77,7 @@ def strang_recipe(gammas) -> CompositionRecipe:
     return CompositionRecipe(
         ((FlowId.F1, half), (FlowId.F2, half), (FlowId.F3, Fraction(1)),
          (FlowId.F2, half), (FlowId.F1, half)),
-        np.asarray(gammas, dtype=float))
+        gammas)
 
 
 # ---------------------------------------------------------------------------
@@ -101,13 +102,12 @@ def flow_f2(model: HamiltonianModel, s: np.ndarray, delta: np.ndarray) -> np.nda
     return out
 
 
-def flow_f3(gammas, s: np.ndarray, delta: np.ndarray,
-            trig: Optional[tuple] = None) -> np.ndarray:
+def flow_f3(s: np.ndarray, trig: tuple) -> np.ndarray:
     """Restraint rotation: sums x+u, y+v are preserved exactly; the copy
-    differences rotate by the angle 4*sum_r gamma_r*delta_r.  ``trig`` may
-    carry precomputed (cos, sin) of that angle; it depends only on the noise,
-    so callers iterating a projection solve compute it once per step."""
-    c, sn = _rotation(gammas, delta) if trig is None else trig
+    differences rotate by the angle 4*sum_r gamma_r*delta_r, whose (cos, sin)
+    ``trig`` is, as ``f3_trig`` gives it.  The angle depends only on the
+    noise, so a projection solve finds it once per step."""
+    c, sn = trig
     dx, dy = s[0::2] - s[1::2]   # copy differences x - u and y - v
     total = s[0::2] + s[1::2]
     turned = np.empty_like(total)
@@ -117,12 +117,6 @@ def flow_f3(gammas, s: np.ndarray, delta: np.ndarray,
     out[0::2] = 0.5 * (total + turned)
     out[1::2] = 0.5 * (total - turned)
     return out
-
-
-def _rotation(gammas, delta: np.ndarray, scale: float = 1.0) -> tuple:
-    """(cos, sin) of the restraint angle 4 * scale * sum_r gamma_r * delta_r."""
-    theta = 4.0 * scale * ordered_sum((delta.T * np.asarray(gammas, dtype=float)).T)
-    return np.cos(theta), np.sin(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +144,13 @@ def stage_increments(recipe: CompositionRecipe, grid: np.ndarray, step: int,
 
 def f3_trig(recipe: CompositionRecipe, incs: Sequence[np.ndarray],
             scale: float = 1.0) -> dict:
-    """Precomputed (cos, sin) of the restraint rotation angle per F3 stage;
-    valid for every iterate of a projection solve at frozen noise.  Empty
-    when the recipe has no restraint, since the engine then skips F3."""
-    return {i: _rotation(recipe.gammas, incs[i], scale)
-            for i, (flow, _) in enumerate(recipe.stages)
-            if flow is FlowId.F3 and recipe.restrained}
+    """(cos, sin) of the restraint angle 4 * scale * sum_r gamma_r * delta_r
+    per F3 stage of increments delta, valid for every iterate of a projection
+    solve at frozen noise; empty when the recipe has no restraint (F3 skipped)."""
+    angles = {i: 4 * scale * ordered_sum((incs[i].T * recipe.gammas).T)
+              for i, (flow, _) in enumerate(recipe.stages)
+              if flow is FlowId.F3 and recipe.restrained}
+    return {i: (np.cos(a), np.sin(a)) for i, a in angles.items()}
 
 
 def apply_stages(recipe: CompositionRecipe, model: HamiltonianModel, s: np.ndarray,
@@ -168,7 +163,7 @@ def apply_stages(recipe: CompositionRecipe, model: HamiltonianModel, s: np.ndarr
         elif flow is FlowId.F2:
             s = flow_f2(model, s, delta)
         elif recipe.restrained:
-            s = flow_f3(recipe.gammas, s, delta, trig[i])
+            s = flow_f3(s, trig[i])
     return s
 
 

@@ -19,8 +19,8 @@ from stosymp.modelzoo import get_example
 from stosymp.nls import (RECIPES, build_lattice, charge, nls_initial, nls_step, noise_vector,
                          subflow_a)
 from stosymp.project import NoConvergence, ProjectionConfig, projection_step
-from stosymp.splitflow import (flow_f1, flow_f2, flow_f3, lie_recipe,
-                               phase_form_matrix, stage_bounds, strang_recipe,
+from stosymp.splitflow import (CompositionRecipe, FlowId, f3_trig, flow_f1, flow_f2, flow_f3,
+                               lie_recipe, phase_form_matrix, stage_bounds, strang_recipe,
                                symplectic_residual_phase)
 
 ORDER_DTS = tuple(2.0 ** -s for s in range(5, 9))
@@ -272,7 +272,9 @@ def test_criterion_12_unit_oracles():
     close("subflow one", s[:, 0], [1, 0.5, -1, 2])
     s = flow_f2(xy, np.array([[1.0], [2.0], [3.0], [0.0]]), np.array([0.5]))
     close("subflow two", s[:, 0], [2, 2, 3, -1.5])
-    s = flow_f3([np.pi / 8], np.array([[1.0], [0.0], [0.0], [0.0]]), np.array([1.0]))
+    rotation = CompositionRecipe(((FlowId.F3, 1),), [np.pi / 8])
+    s = flow_f3(np.array([[1.0], [0.0], [0.0], [0.0]]),
+                f3_trig(rotation, [np.array([1.0])])[0])
     close("copy rotation", s[:, 0], [0.5, 0.5, -0.5, 0.5])
 
     osc = HamiltonianModel(d=1, m=0, h=(lambda x, y: 0.5 * (x[0] ** 2 + y[0] ** 2),),

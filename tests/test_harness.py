@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from stosymp.core import build_noise_grid
-from stosymp.harness import ConvergenceSpec, fit_slope, make_stepper, ms_error, track
+from stosymp.core import PhaseState, build_noise_grid
+from stosymp.harness import (FINE_STEPS, ConvergenceSpec, fit_slope, make_stepper, ms_error,
+                             track)
 from stosymp.modelzoo import get_example
+from stosymp.project import simulate
 
 
 def test_fit_slope_synthetic():
@@ -81,3 +84,48 @@ def test_constant_tracker_yields_zero_series():
     st = make_stepper("ses-sp-1", ex, g, 2, 0.0)
     traj = simulate(st, ex.z0, 10, 0.01, trackers={"const": lambda z: 1.0})
     assert np.all(traj.tracked["const"] == 1.0)
+
+
+def exact_endpoint(example, grid):
+    """The exact endpoints at t = 1 of a batch grid's paths.  Every noise
+    Hamiltonian is c_r H_0, so a path ends where the H_0 flow takes z0 in the
+    time tau = 1 + sum_r c_r W_r(1) (Doss 1977; Sussmann 1978): one DOP853
+    solve of dz/ds = tau f(z) over s in [0, 1] for all paths together."""
+    model = example.model
+    d, paths = model.d, grid.shape[2]
+    totals = grid.sum(axis=1)
+    clock = np.zeros_like(totals)   # the H_0 flow at speed tau, no noise
+    clock[0] = totals[0] + sum(cr * totals[r] for r, cr in enumerate(model.c, 1))
+
+    def rhs(_, v):
+        dx, dy = model.field(v[:d * paths].reshape(d, paths), v[d * paths:].reshape(d, paths),
+                             clock)
+        return np.concatenate([dx.ravel(), dy.ravel()])
+
+    z0 = np.concatenate([np.repeat(example.z0.x, paths), np.repeat(example.z0.y, paths)])
+    end = solve_ivp(rhs, (0.0, 1.0), z0, method="DOP853", rtol=1e-13, atol=1e-13).y[:, -1]
+    return PhaseState(end[:d * paths].reshape(d, paths), end[d * paths:].reshape(d, paths))
+
+
+@pytest.mark.parametrize("name, c, gamma", [("ex1", 0.15, 0.01), ("ex3", 0.5, 0.0),
+                                            ("ex4", 1.0, 0.2)])
+def test_schemes_converge_to_the_exact_endpoint(name, c, gamma):
+    # measured with this recipe, ses-sp-1 / ses-sp-2 / midpoint: ex1 1.351 /
+    # 1.261 / 1.240, ex3 1.058 / 1.074 / 1.058, ex4 1.056 / 1.175 / 1.056
+    ex = get_example(name, c=c)
+    paths, dts = 32, [2.0 ** -k for k in range(4, 9)]
+    grid = build_noise_grid(0, range(paths), ex.model.m, 0.0, 1.0,
+                            round(1 / dts[-1]) * FINE_STEPS)
+    exact = exact_endpoint(ex, grid)
+    z0 = PhaseState(np.repeat(ex.z0.x[:, None], paths, axis=1),
+                    np.repeat(ex.z0.y[:, None], paths, axis=1))
+    for scheme in ("ses-sp-1", "ses-sp-2", "midpoint"):
+        errs = []
+        for dt in dts:
+            n_steps = round(1 / dt)
+            stepper = make_stepper(scheme, ex, grid, grid.shape[1] // n_steps, gamma)
+            z = simulate(stepper, z0, n_steps, dt, keep_states=False).final
+            sq = np.sum((z.x - exact.x) ** 2 + (z.y - exact.y) ** 2, axis=0)
+            errs.append(np.sqrt(np.mean(sq)))
+        assert all(b < a for a, b in zip(errs, errs[1:])), (scheme, errs)
+        assert fit_slope(dts, errs) >= 0.9, (scheme, errs)

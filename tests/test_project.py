@@ -165,24 +165,40 @@ def test_solve_ends_at_its_last_evaluated_lambda():
         gap = project._copy_gap(out)
         assert rep.residual == float(np.max(project._norm(gap + 2.0 * rep.lam)))
         assert rep.defect_pre == float(np.max(project._norm(gap)))
-        return rep
+        return corrected, rep
 
     ex = get_example("ex1", c=0.5)
     recipe = strang_recipe(np.array([0.5]))
     incs = project.stage_increments(recipe, build_noise_grid(3, 0, 1, 0.0, 0.05, 2), 0, 2,
                                     stage_bounds(recipe, 2))
-    assert check(project._stage_map(recipe, ex.model, incs), lift(ex.z0), False).iterations > 1
-    assert check(lambda s: s, lift(PhaseState([0.7], [-0.2])), False).iterations == 1
+    _, rep = check(project._stage_map(recipe, ex.model, incs), lift(ex.z0), False)
+    assert rep.iterations > 1
+    _, rep = check(lambda s: s, lift(PhaseState([0.7], [-0.2])), False)
+    assert rep.iterations == 1
 
     gains = np.array([0.0, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 1.0])
 
-    def cubic(s):   # residual lambda + 4 k lambda^3 - 1 in x, as above
-        w = s[0] - s[1]
-        val = 0.5 * gains * w ** 3 - 0.5 * w - 1.0
-        return np.stack((0.5 * val, -0.5 * val, s[2], s[3]))
+    def cubic(gain):   # residual lambda + 4 k lambda^3 - 1 in x, as above
+        def map_fn(s):
+            w = s[0] - s[1]
+            val = 0.5 * gain * w ** 3 - 0.5 * w - 1.0
+            return np.stack((0.5 * val, -0.5 * val, s[2], s[3]))
+        return map_fn
 
-    s0 = lift(PhaseState(np.zeros((1, 8)), np.zeros((1, 8))))
-    check(cubic, s0, True)
+    def zeros(*shape):
+        return lift(PhaseState(np.zeros(shape), np.zeros(shape)))
+
+    # a column that stops early keeps its output through the batch's later
+    # map calls: in the whole batch, whose fallback evaluates every column
+    # once more, and in its 7 chord-only columns, which settle from the
+    # loop's last map call; the iteration counts are each column's alone
+    singles = [project_map(cubic(gain), zeros(1), ProjectionConfig()) for gain in gains]
+    counts = [rep.iterations for _, rep in singles]
+    early = int(np.argmin(counts))
+    for n, fallback in ((8, True), (7, False)):
+        batch, _ = check(cubic(gains[:n]), zeros(1, n), fallback)
+        assert counts[early] <= max(counts[:n]) - 2
+        assert np.array_equal(batch[..., early], singles[early][0])
 
 
 def test_singular_chord_jacobian_goes_to_the_fallback():

@@ -52,6 +52,16 @@ def extended_residual(map_fn, s, fd_step):
                                                            s[2:4].reshape(-1)), fd_step)
 
 
+def f3_recipe(gammas):
+    """The one-stage recipe F3 alone, with restraint constants ``gammas``."""
+    return CompositionRecipe(((FlowId.F3, 1),), gammas)
+
+
+def rotated(gammas, s, delta):
+    """F3 over the increments ``delta``, its angle from ``f3_trig``."""
+    return flow_f3(s, f3_trig(f3_recipe(gammas), [delta])[0])
+
+
 def test_flow_f1_hand_oracle():
     out = flow_f1(xy_model(), S(1, 0, 0, 2), np.array([0.5]))
     assert_state(out, 1, 0.5, -1, 2)
@@ -85,17 +95,19 @@ def test_flow_f2_semigroup():
 
 
 def test_flow_f3_zero_gamma_identity():
-    out = flow_f3([0.0], S(1, 2, 3, 4), np.array([0.7]))
+    # gamma = 0 gives no rotation to find, and the rotation by angle 0 is the identity
+    assert f3_trig(f3_recipe([0.0]), [np.array([0.7])]) == {}
+    out = flow_f3(S(1, 2, 3, 4), (1.0, 0.0))
     assert_state(out, 1, 2, 3, 4)
 
 
 def test_flow_f3_quarter_rotation_oracle():
-    out = flow_f3([np.pi / 8], S(1, 0, 0, 0), np.array([1.0]))
+    out = rotated([np.pi / 8], S(1, 0, 0, 0), np.array([1.0]))
     assert_state(out, 0.5, 0.5, -0.5, 0.5)
 
 
 def test_flow_f3_full_rotation_identity():
-    out = flow_f3([np.pi / 2], S(0.3, -0.8, 1.1, 0.2), np.array([1.0]))
+    out = rotated([np.pi / 2], S(0.3, -0.8, 1.1, 0.2), np.array([1.0]))
     assert_state(out, 0.3, -0.8, 1.1, 0.2, tol=1e-15)
 
 
@@ -103,7 +115,7 @@ def test_flow_f3_preserves_sums_and_difference_norm():
     rng = np.random.default_rng(0)
     for _ in range(20):
         s = rng.standard_normal((4, 3))
-        out = flow_f3([0.37, -0.8], s, np.array([0.5, 1.2]))
+        out = rotated([0.37, -0.8], s, np.array([0.5, 1.2]))
         assert np.allclose(out[0] + out[1], s[0] + s[1], rtol=0, atol=1e-14)
         assert np.allclose(out[2] + out[3], s[2] + s[3], rtol=0, atol=1e-14)
         n0 = np.sum((s[0] - s[1]) ** 2 + (s[2] - s[3]) ** 2)
@@ -155,7 +167,7 @@ def test_symplectic_residual_identity_zero():
 
 def test_symplectic_residual_rotation_exact():
     def rot(s):
-        return flow_f3([np.pi / 3], s, np.array([1.0]))
+        return rotated([np.pi / 3], s, np.array([1.0]))
 
     res = extended_residual(rot, S(0.3, 0.1, -0.2, 0.5), 1e-5)
     assert res <= 1e-9
@@ -241,8 +253,8 @@ def test_unrestrained_recipe_skips_f3(make, monkeypatch):
             explicit = flow_f1(model, explicit, inc)
         elif flow is FlowId.F2:
             explicit = flow_f2(model, explicit, inc)
-        else:   # rotation by angle 0
-            explicit = flow_f3(recipe.gammas, explicit, inc)
+        else:   # rotation by angle 0, which f3_trig leaves out at gamma = 0
+            explicit = flow_f3(explicit, (1.0, 0.0))
 
     def not_called(*args):
         raise AssertionError("F3 evaluated at gamma = 0")
