@@ -9,8 +9,9 @@ simplified Newton iteration whose matrix ``linearised_config`` chooses per
 stepper.  For a short lambda (ex1-ex4) it is the chord: each step takes the
 central-difference Jacobian of the projection residual at lambda = 0 in its
 first map call, one matrix per path, and keeps its inverse for the step's
-iterations.  That call stacks the 2k + 1 points on lambda's axis 1, so the
-map must broadcast over them as ``fd_jacobian``'s ``fn`` does.  For a long
+iterations: the closed form for k <= 2 (ex1, ex2, ex4), LAPACK's for a
+larger k (ex3).  That call stacks the 2k + 1 points on lambda's axis 1, so
+the map must broadcast over them as ``fd_jacobian``'s ``fn`` does.  For a long
 lambda (the lattice, where a per-step Jacobian and its inverse would cost
 more than they save) it is one constant matrix per stepper, the inverse P of
 the Jacobian linearised at the run's initial state at zero noise.  Where the
@@ -141,10 +142,29 @@ def _per_path(solve: Callable, a: np.ndarray, *b: np.ndarray) -> np.ndarray:
         return out
 
 
+def _inverse_t(jac: np.ndarray) -> np.ndarray:
+    """The transposed inverse of each path's Jacobian in ``jac`` (k, k[, n_paths]),
+    in the same layout with [j, i] = J^-1[i, j]; a path whose Jacobian is
+    singular gets NaN.  For k <= 2 it is the closed form, 1/a or the adjugate
+    over the determinant, elementwise over the paths, so a batch column rounds
+    as the path alone; a larger k takes LAPACK's inverse one matrix per path."""
+    k = len(jac)
+    if k > 2:
+        inv = _per_path(np.linalg.inv, jac.reshape(k, k, -1).transpose(2, 0, 1))
+        return inv.transpose(2, 1, 0).reshape(jac.shape)
+    if k == 1:
+        return 1.0 / np.where(jac == 0, np.nan, jac)
+    (a, b), (c, d) = jac
+    det = a * d - b * c
+    return np.array([[d, -c], [-b, a]]) / np.where(det == 0, np.nan, det)
+
+
 def _newton_steps(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Solve jac[:, :, p] step[:, p] = r[:, p] for every path p; a path whose
-    Jacobian is singular gets a NaN step."""
+    """Solve jac[:, :, p] step[:, p] = r[:, p] for every path p, by ``_inverse_t``
+    for k <= 2 and LAPACK beyond; a path whose Jacobian is singular gets NaN."""
     k = len(r)
+    if k <= 2:
+        return ordered_sum(_inverse_t(jac) * r[:, None])
     a = jac.reshape(k, k, -1).transpose(2, 0, 1)   # one (k, k) system per path
     b = r.reshape(k, 1, -1).transpose(2, 0, 1)
     return _per_path(np.linalg.solve, a, b).transpose(1, 2, 0).reshape(r.shape)
@@ -155,17 +175,16 @@ def _chord_start(map_fn, s0: np.ndarray, lam: np.ndarray):
     matrix, the inverse of the residual's central-difference Jacobian there,
     from one map call on 2k + 1 points stacked on lambda's axis 1: ``lam``
     itself, then the points ``fd_jacobian`` stacks (lam + FD_STEP e_j, then
-    lam - FD_STEP e_j).  The inverse comes transposed, (k, k[, n_paths]) with
-    [j, i] = J^-1[i, j], one matrix per path; a path whose Jacobian is
-    singular gets NaN."""
+    lam - FD_STEP e_j).  The inverse is ``_inverse_t``'s, transposed, one
+    matrix per path: the closed form for k <= 2, LAPACK's for a larger k; a
+    path whose Jacobian is singular gets NaN."""
     k = len(lam)
     e = np.zeros((k, k) + lam.shape[1:])
     e[np.arange(k), np.arange(k)] = FD_STEP
     at = lam[:, None]
     out, g = _perturbed(map_fn, s0, np.concatenate((at, at + e, at - e), axis=1))
     jac = (g[:, 1:k + 1] - g[:, k + 1:]) / (2 * FD_STEP)
-    inv = _per_path(np.linalg.inv, jac.reshape(k, k, -1).transpose(2, 0, 1))
-    return out[:, :, 0], g[:, 0], inv.transpose(2, 1, 0).reshape(jac.shape)
+    return out[:, :, 0], g[:, 0], _inverse_t(jac)
 
 
 def _settled(out: np.ndarray, lam: np.ndarray):

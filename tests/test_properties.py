@@ -5,14 +5,15 @@ noise of one step.  The projected step must be symplectic, must keep the
 example-3 invariants and the lattice charge to solver tolerance, must not
 depend on the simplified-Newton matrix (the chord, 4I or P) beyond that
 tolerance, and a batched column must equal the same path run alone, bit for
-bit.  The fused field of the examples must equal the generic channel sum.
+bit.  The fused field of the examples must equal the generic channel sum, and
+the closed-form 2x2 inverse must equal LAPACK's.
 """
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stosymp import project
 from stosymp.core import (HamiltonianModel, PhaseState, ScaledNoiseModel,
@@ -81,7 +82,8 @@ def field_points(draw):
     batch = draw(st.sampled_from([(), (3,)]))
     paths = int(np.prod(batch))
     n = d * paths
-    # a subnormal offset puts the bound below the smallest subnormal
+    # a subnormal offset puts the bound below the smallest subnormal (a
+    # subnormal delta may still be drawn; the test's bound has a floor for it)
     unit = st.floats(-1.0, 1.0, allow_subnormal=False)
     offset = np.array(draw(st.lists(unit, min_size=2 * n, max_size=2 * n)))
     x0 = ex.z0.x.reshape((d,) + (1,) * len(batch))
@@ -95,6 +97,10 @@ def field_points(draw):
 
 @PROPERTY
 @given(field_points())
+# subnormal increments: the sums differ by one subnormal ulp, while the
+# relative bound underflows to 0 or to the smallest subnormal
+@example((get_example("ex3", c=0.5).model, np.array([-1.0, 2.225]), np.array([1.0, -1.0]),
+          np.full(2, 2.2250738585072014e-309)))
 def test_fused_field_equals_channel_sum(case):
     model, x, y, delta = case
     assert isinstance(model, ScaledNoiseModel)
@@ -102,9 +108,44 @@ def test_fused_field_equals_channel_sum(case):
     generic = HamiltonianModel.field(model, x, y, delta)
     weight = np.abs(delta[0]) + sum(abs(cr) * np.abs(delta[r])
                                     for r, cr in enumerate(model.c, 1))
+    # subnormals carry fewer significant bits, so the bound has an absolute floor
+    floor = 4 * np.finfo(float).smallest_subnormal
     for f, g, grad in zip(fused, generic, (model.grad_y[0], model.grad_x[0])):
         assert f.shape == g.shape
-        assert np.all(np.abs(f - g) <= 1e-14 * np.abs(grad(x, y)) * weight)
+        assert np.all(np.abs(f - g) <= 1e-14 * np.abs(grad(x, y)) * weight + floor)
+
+
+@st.composite
+def jacobian_stacks(draw):
+    """A (k, k[, n_paths]) stack of well-conditioned Jacobians, k 1 or 2, one
+    path or a batch of 4: diagonally dominant, at a scale of 1e-3 to 1e3."""
+    k = draw(st.sampled_from([1, 2]))
+    batch = draw(st.sampled_from([(), (4,)]))
+    n = k * k * int(np.prod(batch))
+    entries = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    diag = 3.0 * np.eye(k).reshape((k, k) + (1,) * len(batch))
+    return draw(st.floats(1e-3, 1e3)) * (entries.reshape((k, k) + batch) + diag)
+
+
+@PROPERTY
+@given(jacobian_stacks())
+def test_closed_form_inverse(jac):
+    k, batch = len(jac), jac.shape[2:]
+    inv_t = project._inverse_t(jac)
+    ref = np.linalg.inv(np.moveaxis(jac, (0, 1), (-2, -1)))   # [..., i, j] = J^-1[i, j]
+    ref_t = np.moveaxis(ref, (-1, -2), (0, 1))                # [j, i, ...]
+    assert inv_t.shape == jac.shape
+    assert np.all(np.abs(inv_t - ref_t) <= 1e-13 * np.abs(ref_t).max(axis=(0, 1)))
+    if not batch:
+        return
+    for p in range(batch[0]):
+        assert np.array_equal(project._inverse_t(jac[..., p]), inv_t[..., p])
+    # a singular first column (zero, or two equal rows) gets NaN, the others keep theirs
+    singular = jac.copy()
+    singular[-1, :, 0] = 0.0 if k == 1 else singular[0, :, 0]
+    out = project._inverse_t(singular)
+    assert np.all(np.isnan(out[..., 0]))
+    assert np.array_equal(out[..., 1:], inv_t[..., 1:])
 
 
 @PROPERTY
