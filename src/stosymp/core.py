@@ -239,14 +239,11 @@ def grid_windows(grid: np.ndarray, step: int, substeps: int, bounds: Sequence) -
     """Increments, one ``(m+1[, n_paths])`` array per window, of scheme step
     ``step`` (``substeps`` fine steps) over the fine-grid windows ``bounds`` of
     ``window_bounds``.  Windows sum left to right, so a batch column gets the
-    same increments as the path alone.  Each distinct window is summed once
-    and its stages share that array, which no stage may mutate."""
+    same increments as the path alone."""
     start = step * substeps
     if start < 0 or start + substeps > grid.shape[1]:
         raise ValueError("step index outside the grid")
-    sums = {(lo, hi): ordered_sum(grid[:, start + lo:start + hi].swapaxes(0, 1))
-            for lo, hi in dict.fromkeys(bounds)}
-    return [sums[lo, hi] for lo, hi in bounds]
+    return [ordered_sum(grid[:, start + lo:start + hi].swapaxes(0, 1)) for lo, hi in bounds]
 
 
 def step_windows(grid: np.ndarray, step: int, split: Sequence, substeps: Optional[int] = None):

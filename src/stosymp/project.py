@@ -21,7 +21,8 @@ update is below the tolerance, without applying that update.  Its lambda
 stays fixed, so later map calls evaluate the path there again: its corrected
 state, defect and residual are read from the last map call, at no extra call.
 Paths the iteration does not solve fall back to ``newton``, the one
-finite-difference Newton solver that the implicit baselines use as well.
+finite-difference Newton solver that the implicit baselines use as well;
+it steps by the same per-path inverse, closed form or LAPACK's.
 
 ``simulate`` is the one loop that drives a stepper, one path or a batch; it
 keeps each step's solver numbers in arrays, not its ``ProjectionReport``.
@@ -129,19 +130,6 @@ def _perturbed(map_fn, s0: np.ndarray, lam: np.ndarray):
     return out, _copy_gap(out) + 2.0 * lam
 
 
-def _per_path(solve: Callable, a: np.ndarray, *b: np.ndarray) -> np.ndarray:
-    """``solve`` (``np.linalg.solve`` or ``np.linalg.inv``) over the stacked
-    (k, k) matrices ``a``, one per path; a path whose matrix is singular gets NaN."""
-    try:
-        return solve(a, *b)
-    except np.linalg.LinAlgError:   # find the singular paths one at a time
-        out = np.full_like(b[0] if b else a, np.nan)
-        for p in range(len(a)):
-            with contextlib.suppress(np.linalg.LinAlgError):
-                out[p] = solve(a[p], *(x[p] for x in b))
-        return out
-
-
 def _inverse_t(jac: np.ndarray) -> np.ndarray:
     """The transposed inverse of each path's Jacobian in ``jac`` (k, k[, n_paths]),
     in the same layout with [j, i] = J^-1[i, j]; a path whose Jacobian is
@@ -149,25 +137,27 @@ def _inverse_t(jac: np.ndarray) -> np.ndarray:
     over the determinant, elementwise over the paths, so a batch column rounds
     as the path alone; a larger k takes LAPACK's inverse one matrix per path."""
     k = len(jac)
-    if k > 2:
-        inv = _per_path(np.linalg.inv, jac.reshape(k, k, -1).transpose(2, 0, 1))
-        return inv.transpose(2, 1, 0).reshape(jac.shape)
     if k == 1:
         return 1.0 / np.where(jac == 0, np.nan, jac)
-    (a, b), (c, d) = jac
-    det = a * d - b * c
-    return np.array([[d, -c], [-b, a]]) / np.where(det == 0, np.nan, det)
+    if k == 2:
+        (a, b), (c, d) = jac
+        det = a * d - b * c
+        return np.array([[d, -c], [-b, a]]) / np.where(det == 0, np.nan, det)
+    mats = jac.reshape(k, k, -1).transpose(2, 0, 1)   # one (k, k) matrix per path
+    try:
+        inv = np.linalg.inv(mats)
+    except np.linalg.LinAlgError:   # find the singular paths one at a time
+        inv = np.full_like(mats, np.nan)
+        for p in range(len(mats)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                inv[p] = np.linalg.inv(mats[p])
+    return inv.transpose(2, 1, 0).reshape(jac.shape)
 
 
 def _newton_steps(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Solve jac[:, :, p] step[:, p] = r[:, p] for every path p, by ``_inverse_t``
-    for k <= 2 and LAPACK beyond; a path whose Jacobian is singular gets NaN."""
-    k = len(r)
-    if k <= 2:
-        return ordered_sum(_inverse_t(jac) * r[:, None])
-    a = jac.reshape(k, k, -1).transpose(2, 0, 1)   # one (k, k) system per path
-    b = r.reshape(k, 1, -1).transpose(2, 0, 1)
-    return _per_path(np.linalg.solve, a, b).transpose(1, 2, 0).reshape(r.shape)
+    """Solve jac[:, :, p] step[:, p] = r[:, p] for every path p by ``_inverse_t``,
+    adding J^-1 r left to right; a path whose Jacobian is singular gets NaN."""
+    return ordered_sum(_inverse_t(jac) * r[:, None])
 
 
 def _chord_start(map_fn, s0: np.ndarray, lam: np.ndarray):

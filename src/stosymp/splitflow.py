@@ -104,17 +104,18 @@ def flow_f2(model: HamiltonianModel, s: np.ndarray, delta: np.ndarray) -> np.nda
 
 def flow_f3(s: np.ndarray, trig: tuple) -> np.ndarray:
     """Restraint rotation: sums x+u, y+v are preserved exactly; the copy
-    differences (dx, dy) = (x - u, y - v) rotate by the angle
-    4*sum_r gamma_r*delta_r, with (cos, sin) = (c, sn) from ``f3_trig``, once per
-    step.  One half-increment h = ((c-1)dx + sn dy, (c-1)dy - sn dx) / 2 is
-    added to (x, y) and taken from (u, v) on a copy of ``s``."""
+    differences rotate by the angle 4*sum_r gamma_r*delta_r, whose (cos, sin)
+    ``trig`` is, as ``f3_trig`` gives it.  The angle depends only on the
+    noise, so a projection solve finds it once per step."""
     c, sn = trig
-    dx, dy = s[0::2] - s[1::2]
-    cm, sm = 0.5 * (c - 1.0), 0.5 * sn
-    half = np.array([cm * dx + sm * dy, cm * dy - sm * dx])
-    out = s.copy()
-    out[0::2] += half
-    out[1::2] -= half
+    dx, dy = s[0::2] - s[1::2]   # copy differences x - u and y - v
+    total = s[0::2] + s[1::2]
+    turned = np.empty_like(total)
+    turned[0] = c * dx + sn * dy
+    turned[1] = -sn * dx + c * dy
+    out = np.empty_like(s)
+    out[0::2] = 0.5 * (total + turned)
+    out[1::2] = 0.5 * (total - turned)
     return out
 
 

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from stosymp import project
-from stosymp.core import (HamiltonianModel, PhaseState, build_noise_grid, build_noise_grid_batch,
-                          grid_windows)
+from stosymp.core import HamiltonianModel, PhaseState, build_noise_grid, build_noise_grid_batch
 from stosymp.project import (FD_STEP, NoConvergence, ProjectionConfig, ProjectionReport,
                              _stage_residual, lift, linearised_config, linearised_matrix, newton,
                              project_map, projection_step, restrict, simulate)
@@ -233,43 +232,6 @@ def test_singular_chord_jacobian_goes_to_the_fallback(monkeypatch):
     for p, swap in enumerate(swaps):
         single, _ = solve(swap, (1,))
         assert np.array_equal(batch[..., p], single)
-
-
-@pytest.mark.parametrize("substeps", [2, 256])
-@pytest.mark.parametrize("make_recipe", [lie_recipe, strang_recipe])
-def test_stages_share_one_sum_per_window(make_recipe, substeps, monkeypatch):
-    # Lie's three stages share one window and Strang's five share three; at
-    # 256 substeps a window's sum takes ordered_sum's accumulate branch
-    ex, paths = get_example("ex1"), 3
-    recipe = make_recipe([0.3, 0.3])
-    grid = build_noise_grid(5, range(paths), 1, 0.0, 0.02, 2 * substeps)
-    bounds = stage_bounds(recipe, substeps)
-    incs = project.stage_increments(recipe, grid, 1, substeps, bounds)
-    distinct = {lie_recipe: 1, strang_recipe: 3}[make_recipe]
-    assert len({id(delta) for delta in incs}) == len(set(bounds)) == distinct
-    for delta, window in zip(incs, bounds):
-        assert np.array_equal(delta, grid_windows(grid, 1, substeps, [window])[0])
-        assert all(other is delta for other, w in zip(incs, bounds) if w == window)
-    # neither the solve nor the continuation writes into a shared window
-    kept = []
-    stage_increments = project.stage_increments
-
-    def keep(*args):
-        incs = stage_increments(*args)
-        kept.append((incs, [delta.copy() for delta in incs]))
-        return incs
-
-    monkeypatch.setattr(project, "stage_increments", keep)
-    z = PhaseState(np.repeat(ex.z0.x[:, None], paths, axis=1),
-                   np.repeat(ex.z0.y[:, None], paths, axis=1))
-    cfg = ProjectionConfig(tol=1e-13)
-    projection_step(ex.model, recipe, z, grid, 1, cfg, substeps, bounds)
-    (incs, before), = kept
-    _, reached, _ = project._continuation(
-        lambda theta: project._stage_map(recipe, ex.model, incs, theta), lift(z), cfg)
-    assert reached.all()
-    for delta, copy in zip(incs, before):
-        assert np.array_equal(delta, copy)
 
 
 @pytest.mark.parametrize("scheme, calls", [("ses-sp-1", (35, 80)), ("ses-sp-2", (30, 80))])
