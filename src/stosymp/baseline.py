@@ -1,9 +1,14 @@
 """Comparison schemes: stochastic midpoint and stochastic symplectic Euler.
 
-Both are implicit; the nonlinear systems are solved by ``project.newton``,
-the finite-difference Newton solver the projection fallback uses (robust for
-stiff nonseparable products at moderate step * increment sizes).  States may
-carry a trailing batch axis; every path is then solved on its own.
+Both are implicit.  Each solve is ``project.chord_newton`` from the scheme's
+start (midpoint's explicit Euler predictor, symplectic Euler's x0): the
+chord with one central-difference Jacobian per path at that start, from the
+same stacked first residual call as the projection's chord, until the
+residual norm is below tol.  A path whose norm does not decrease, is not
+finite, or is still too large after ``max_iter`` chord updates leaves the
+chord and restarts full ``project.newton`` from the start, itself bounded by
+``max_iter`` steps.  States may carry a trailing batch axis; every path is
+then solved on its own.
 """
 
 from __future__ import annotations
@@ -11,11 +16,11 @@ from __future__ import annotations
 import numpy as np
 
 from .core import HamiltonianModel, PhaseState, fd_jacobian, fd_shared
-from .project import NoConvergence, ProjectionConfig, newton
+from .project import NoConvergence, ProjectionConfig, chord_newton
 
 
 def _solve(residual, w0: np.ndarray, cfg: ProjectionConfig) -> np.ndarray:
-    w, norm, _ = newton(residual, w0, cfg)
+    w, norm = chord_newton(residual, w0, cfg)
     if not (norm < cfg.tol).all():
         raise NoConvergence(f"implicit solver stalled at residual {np.max(norm):.3e}")
     return w

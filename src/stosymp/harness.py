@@ -43,9 +43,10 @@ def make_stepper(scheme: str, example: ExampleSpec, grid: np.ndarray, substeps: 
         def stepper(z, step):
             return projection_step(model, recipe, z, grid, step, cfg, substeps, bounds)
     elif scheme in ("midpoint", "sympeuler"):
+        implicit = midpoint_step if scheme == "midpoint" else symplectic_euler_step
+
         def stepper(z, step):
             (delta,) = grid_windows(grid, step, substeps, ((0, substeps),))
-            implicit = midpoint_step if scheme == "midpoint" else symplectic_euler_step
             return implicit(model, z, delta, cfg), None
     else:
         raise KeyError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")

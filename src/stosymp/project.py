@@ -20,9 +20,11 @@ count grows from step to step.  A path stops at the first lambda whose
 update is below the tolerance, without applying that update.  Its lambda
 stays fixed, so later map calls evaluate the path there again: its corrected
 state, defect and residual are read from the last map call, at no extra call.
-Paths the iteration does not solve fall back to ``newton``, the one
-finite-difference Newton solver that the implicit baselines use as well;
-it steps by the same per-path inverse, closed form or LAPACK's.
+Paths the iteration does not solve fall back to ``newton``, full Newton by
+the same per-path inverse.  The implicit baselines take ``chord_newton``:
+the chord from the same ``_chord_start`` on their residual, stopping once
+its norm is below tol; a path whose norm does not decrease, is not finite or
+outlasts ``max_iter`` updates restarts ``newton`` from its start.
 
 ``simulate`` is the one loop that drives a stepper, one path or a batch; it
 keeps each step's solver numbers in arrays, not its ``ProjectionReport``.
@@ -53,8 +55,9 @@ class ProjectionConfig:
     inverse of the residual's central-difference Jacobian at lambda = 0 taken
     in each step's first map call.  A projection path stops at the lambda
     whose update is below ``tol``, leaving that update unapplied, and its
-    residual there must be at most 10 ``tol``; a Newton path stops once its
-    residual is below ``tol``."""
+    residual there must be at most 10 ``tol``; a ``chord_newton`` or ``newton``
+    path stops once its residual is below ``tol``.  ``max_iter`` bounds each
+    loop on its own: projection iterations, chord updates, Newton steps."""
 
     tol: float = 1e-12
     max_iter: int = 50
@@ -154,27 +157,19 @@ def _inverse_t(jac: np.ndarray) -> np.ndarray:
     return inv.transpose(2, 1, 0).reshape(jac.shape)
 
 
-def _newton_steps(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Solve jac[:, :, p] step[:, p] = r[:, p] for every path p by ``_inverse_t``,
-    adding J^-1 r left to right; a path whose Jacobian is singular gets NaN."""
-    return ordered_sum(_inverse_t(jac) * r[:, None])
-
-
-def _chord_start(map_fn, s0: np.ndarray, lam: np.ndarray):
-    """The map output and projection residual at ``lam`` and the chord
-    matrix, the inverse of the residual's central-difference Jacobian there,
-    from one map call on 2k + 1 points stacked on lambda's axis 1: ``lam``
-    itself, then the points ``fd_jacobian`` stacks (lam + FD_STEP e_j, then
-    lam - FD_STEP e_j).  The inverse is ``_inverse_t``'s, transposed, one
-    matrix per path: the closed form for k <= 2, LAPACK's for a larger k; a
-    path whose Jacobian is singular gets NaN."""
-    k = len(lam)
-    e = np.zeros((k, k) + lam.shape[1:])
+def _chord_start(evaluate: Callable, w: np.ndarray):
+    """The residual at ``w`` and the chord matrix, ``_inverse_t`` of the
+    residual's central-difference Jacobian there, from one call of
+    ``evaluate`` -> (output, residual) on 2k + 1 points stacked on ``w``'s
+    axis 1: ``w`` itself, then the points ``fd_jacobian`` stacks (w + FD_STEP
+    e_j, then w - FD_STEP e_j), so it must broadcast over them as
+    ``fd_jacobian``'s ``fn`` does.  Returns (output, residual at w, matrix)."""
+    k = len(w)
+    e = np.zeros((k, k) + w.shape[1:])
     e[np.arange(k), np.arange(k)] = FD_STEP
-    at = lam[:, None]
-    out, g = _perturbed(map_fn, s0, np.concatenate((at, at + e, at - e), axis=1))
-    jac = (g[:, 1:k + 1] - g[:, k + 1:]) / (2 * FD_STEP)
-    return out[:, :, 0], g[:, 0], _inverse_t(jac)
+    at = w[:, None]
+    out, r = evaluate(np.concatenate((at, at + e, at - e), axis=1))
+    return out, r[:, 0], _inverse_t((r[:, 1:k + 1] - r[:, k + 1:]) / (2 * FD_STEP))
 
 
 def _settled(out: np.ndarray, lam: np.ndarray):
@@ -186,9 +181,10 @@ def _settled(out: np.ndarray, lam: np.ndarray):
 
 def newton(residual: Callable, w0: np.ndarray, cfg: ProjectionConfig, live=True):
     """Newton iteration with a central-difference Jacobian, one system per
-    path; ``w0`` is (k,) or (k, n_paths).  A path stops once its residual norm
-    is below ``cfg.tol`` or not finite (as after a singular Jacobian); paths
-    outside ``live`` keep ``w0``.  Returns (w, residual norm per path, iterations)."""
+    path; ``w0`` is (k,) or (k, n_paths).  The step J^-1 r adds left to
+    right.  A path stops once its residual norm is below ``cfg.tol`` or not
+    finite (as after a singular Jacobian, whose inverse is NaN); paths outside
+    ``live`` keep ``w0``.  Returns (w, residual norm per path, iterations)."""
     w = w0.copy()
     live = np.full(w.shape[1:], live)
     with np.errstate(all="ignore"):
@@ -198,8 +194,33 @@ def newton(residual: Callable, w0: np.ndarray, cfg: ProjectionConfig, live=True)
             live &= (norm >= cfg.tol) & (norm < np.inf)
             if it == cfg.max_iter or not np.count_nonzero(live):
                 return w, norm, it
-            step = _newton_steps(fd_jacobian(residual, w, FD_STEP), r)
-            np.subtract(w, step, out=w, where=live)
+            inv_t = _inverse_t(fd_jacobian(residual, w, FD_STEP))
+            np.subtract(w, ordered_sum(inv_t * r[:, None]), out=w, where=live)
+
+
+def chord_newton(residual: Callable, w0: np.ndarray, cfg: ProjectionConfig):
+    """Solve residual(w) = 0 from ``w0``, (k,) or (k, n_paths), by the chord
+    w -= J^-1 r with ``_chord_start``'s J^-1 at w0, until a path's residual
+    norm is below ``cfg.tol``.  A path whose norm does not decrease, is not
+    finite, or is still too large after ``cfg.max_iter`` updates leaves the
+    chord and restarts in ``newton`` from ``w0``; returns (w, norm per path)."""
+    w = w0.copy()
+    with np.errstate(all="ignore"):
+        _, r, inv_t = _chord_start(lambda v: (None, residual(v)), w)
+        norm = _norm(r)
+        live = norm >= cfg.tol
+        for _ in range(cfg.max_iter):
+            if not np.count_nonzero(live):
+                break
+            np.subtract(w, ordered_sum(inv_t * r[:, None]), out=w, where=live)
+            r = residual(w)
+            last, norm = norm, _norm(r)
+            live &= (norm >= cfg.tol) & (norm < last)
+    left = ~(norm < cfg.tol)
+    if np.count_nonzero(left):
+        restart, again, _ = newton(residual, w0, cfg, left)
+        w, norm = np.where(left, restart, w), np.where(left, again, norm)
+    return w, norm
 
 
 def project_map(map_fn: Callable[[np.ndarray], np.ndarray], s0: np.ndarray,
@@ -234,7 +255,8 @@ def project_map(map_fn: Callable[[np.ndarray], np.ndarray], s0: np.ndarray,
     chord = cfg.newton_matrix is None
     with np.errstate(all="ignore"):
         if chord:
-            out, g, inv_t = _chord_start(map_fn, s0, lam)
+            out, g, inv_t = _chord_start(lambda points: _perturbed(map_fn, s0, points), lam)
+            out = out[:, :, 0]   # lambda's own point
         else:
             out, g = _perturbed(map_fn, s0, lam)
         while True:

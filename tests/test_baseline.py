@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from stosymp import baseline, project
 from stosymp.baseline import midpoint_step, symplectic_euler_step
-from stosymp.core import HamiltonianModel, PhaseState, build_noise_grid
+from stosymp.core import HamiltonianModel, PhaseState, build_noise_grid, build_noise_grid_batch
+from stosymp.harness import make_stepper, track
 from stosymp.modelzoo import get_example
-from stosymp.project import NoConvergence, ProjectionConfig
+from stosymp.project import NoConvergence, ProjectionConfig, chord_newton, simulate
 from stosymp.splitflow import symplectic_residual_phase
 
 
@@ -120,3 +122,75 @@ def test_midpoint_singular_jacobian_is_noconvergence():
 def test_invalid_solver_config():
     with pytest.raises(ValueError):
         ProjectionConfig(tol=0.0)
+
+
+def counted_newton(monkeypatch, calls=()):
+    """Patch ``project.newton`` to record, at every call, its start and how
+    many entries ``calls`` had."""
+    starts = []
+    newton = project.newton
+    monkeypatch.setattr(project, "newton", lambda residual, w0, cfg, live:
+                        starts.append((len(calls), w0.copy())) or newton(residual, w0, cfg, live))
+    return starts
+
+
+def test_chord_hands_diverging_path_to_newton_from_start(monkeypatch):
+    # w^3 = 8 from w = 1: the chord's slope 3 overshoots to 10/3, where the
+    # residual grows from 7 to 29, so after that one update (two residual
+    # calls, the first stacked) the path restarts full Newton from 1
+    calls = []
+    starts = counted_newton(monkeypatch, calls)
+    w, norm = chord_newton(lambda w: calls.append(1) or w ** 3 - 8.0, np.array([1.0]),
+                           ProjectionConfig())
+    assert [(n, list(w0)) for n, w0 in starts] == [(2, [1.0])]
+    assert norm < 1e-12 and abs(w[0] - 2.0) < 1e-12
+    # beside a column that converges on the chord (w^3 = 1 from 1.1), each
+    # column of a batch is its path solved alone
+    target, w0 = np.array([[8.0, 1.0]]), np.array([[1.0, 1.1]])
+    w, norm = chord_newton(lambda w: w ** 3 - target, w0, ProjectionConfig())
+    assert np.all(norm < 1e-12) and np.array_equal(starts[-1][1], w0)
+    for p in range(2):
+        alone, _ = chord_newton(lambda w: w ** 3 - target[:, p], w0[:, p], ProjectionConfig())
+        assert np.array_equal(alone, w[:, p])
+
+
+@pytest.mark.parametrize("scheme", ["midpoint", "sympeuler"])
+def test_batch_columns_equal_single_paths_through_newton(scheme, monkeypatch):
+    # ex2 (c 0.5) at dt 2^-2: the chord leaves some columns of an 8-path
+    # batch (midpoint: 2 and 6; sympeuler: 6 solves), which take full Newton
+    # while the other columns stay put
+    starts = counted_newton(monkeypatch)
+    ex = get_example("ex2", c=0.5)
+    m, paths, n, dt = ex.model.m, 8, 8, 0.25
+    batch_grid = build_noise_grid_batch(0, range(paths), m, 0.0, n * dt, 2 * n)
+    zb = PhaseState(np.repeat(ex.z0.x[:, None], paths, axis=1),
+                    np.repeat(ex.z0.y[:, None], paths, axis=1))
+    zb = simulate(make_stepper(scheme, ex, batch_grid, 2, 0.5), zb, n, dt).final
+    assert starts
+    for p in range(paths):
+        grid = build_noise_grid(0, p, m, 0.0, n * dt, 2 * n)
+        z = simulate(make_stepper(scheme, ex, grid, 2, 0.5), ex.z0, n, dt).final
+        assert np.array_equal(zb.x[:, p], z.x) and np.array_equal(zb.y[:, p], z.y), p
+
+
+@pytest.mark.parametrize("scheme, calls", [("midpoint", (40, 80)), ("sympeuler", (156, 130))])
+def test_residual_calls_per_step(scheme, calls, monkeypatch):
+    # every residual call of the implicit solve, the chord's stacked first
+    # call included: 8 steps of an 8-path ex1 batch (c 0.15, dt 2^-5; 50 / 76
+    # calls with Newton alone), and the first 40 steps of criterion 10's
+    # single path (c 0.1, dt 1e-4; 120 / 198 with Newton alone).  Started
+    # from x0, symplectic Euler's chord contracts slowly on the batch.
+    counted = []
+    solve = baseline._solve
+    monkeypatch.setattr(baseline, "_solve", lambda residual, w0, cfg:
+                        solve(lambda w: counted.append(1) or residual(w), w0, cfg))
+    ex = get_example("ex1", c=0.15)
+    paths, n, dt = 8, 8, 2.0 ** -5
+    g = build_noise_grid_batch(0, range(paths), 1, 0.0, n * dt, 2 * n)
+    z0 = PhaseState(np.repeat(ex.z0.x[:, None], paths, axis=1),
+                    np.repeat(ex.z0.y[:, None], paths, axis=1))
+    simulate(make_stepper(scheme, ex, g, 2, 0.01), z0, n, dt)
+    batch = len(counted)
+    counted.clear()
+    track(get_example("ex1", c=0.1), scheme, 40 * 1e-4, 1e-4, [], seed=0, gamma=0.0)
+    assert (batch, len(counted)) == calls
