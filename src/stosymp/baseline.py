@@ -43,14 +43,14 @@ def midpoint_step(model: HamiltonianModel, z: PhaseState, delta: np.ndarray,
     return PhaseState(w[:d], w[d:])
 
 
-def _hessian(model: HamiltonianModel, block: str, x, y, step_scale: float = 1e-6):
+def _hessian(model: HamiltonianModel, block: str, x, y):
     """Second-derivative block ``block`` of H_1: "xx", "yy", or "yx", whose
     (i, j) entry is d^2 H1 / (dy_i dx_j).  Analytic when supplied, otherwise
     central differences of a gradient with a step scaled per path."""
     analytic = getattr(model, "hess_" + block)
     if analytic is not None:
         return np.asarray(analytic(x, y), dtype=float)
-    h = step_scale * (1.0 + np.sqrt(x * x + y * y).max(axis=0))
+    h = 1e-6 * (1.0 + np.sqrt(x * x + y * y).max(axis=0))
     gx, gy = model.grad_x[1], model.grad_y[1]
     if block == "xx":
         return fd_jacobian(lambda v: gx(v, fd_shared(y, v)), x, h)

@@ -31,8 +31,6 @@ from .splitflow import CompositionRecipe, FlowId, flow_f1, flow_f2, stage_bounds
 
 @dataclass(frozen=True)
 class NlsLattice:
-    x_left: float
-    x_right: float
     n_interior: int
     h: float
     nodes: np.ndarray
@@ -84,8 +82,7 @@ def build_lattice(x_left: float = -5.0, x_right: float = 5.0, n_interior: int = 
     k = np.arange(1, modes + 1)
     emat = np.sin(np.pi * np.outer(nodes, k)) / np.sqrt(5.0)
     lam_sqrt = k.astype(float) ** -3
-    return NlsLattice(float(x_left), float(x_right), int(n_interior), h, nodes,
-                      int(modes), emat, lam_sqrt)
+    return NlsLattice(int(n_interior), h, nodes, int(modes), emat, lam_sqrt)
 
 
 def noise_vector(lattice: NlsLattice, dbeta: np.ndarray) -> np.ndarray:

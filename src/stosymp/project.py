@@ -38,7 +38,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .core import HamiltonianModel, PhaseState, fd_jacobian, ordered_sum
+from .core import HamiltonianModel, PhaseState, fd_jacobian, grid_windows, ordered_sum
 from .splitflow import CompositionRecipe, apply_stages, f3_trig, stage_increments
 
 
@@ -158,11 +158,11 @@ def _inverse_t(jac: np.ndarray) -> np.ndarray:
 
 
 def _chord_start(evaluate: Callable, w: np.ndarray):
-    """The residual at ``w`` and the chord matrix, ``_inverse_t`` of the
-    residual's central-difference Jacobian there, from one call of
-    ``evaluate`` -> (output, residual) on 2k + 1 points stacked on ``w``'s
-    axis 1: ``w`` itself, then the points ``fd_jacobian`` stacks (w + FD_STEP
-    e_j, then w - FD_STEP e_j), so it must broadcast over them as
+    """The residual at ``w`` and ``_inverse_t`` of its central-difference
+    Jacobian there, the start of every chord and every ``newton`` iterate,
+    from one call of ``evaluate`` -> (output, residual) on 2k + 1 points
+    stacked on ``w``'s axis 1: ``w``, then w + FD_STEP e_j and w - FD_STEP e_j
+    as ``fd_jacobian`` stacks them, so it must broadcast over them as
     ``fd_jacobian``'s ``fn`` does.  Returns (output, residual at w, matrix)."""
     k = len(w)
     e = np.zeros((k, k) + w.shape[1:])
@@ -180,21 +180,20 @@ def _settled(out: np.ndarray, lam: np.ndarray):
 
 
 def newton(residual: Callable, w0: np.ndarray, cfg: ProjectionConfig, live=True):
-    """Newton iteration with a central-difference Jacobian, one system per
-    path; ``w0`` is (k,) or (k, n_paths).  The step J^-1 r adds left to
-    right.  A path stops once its residual norm is below ``cfg.tol`` or not
-    finite (as after a singular Jacobian, whose inverse is NaN); paths outside
-    ``live`` keep ``w0``.  Returns (w, residual norm per path, iterations)."""
+    """Newton iteration, one system per path; ``w0`` is (k,) or (k, n_paths).
+    Each iterate's residual and Jacobian inverse come from one ``_chord_start``
+    call; the step J^-1 r adds left to right.  A path stops once its residual
+    norm is below ``cfg.tol`` or not finite (as after a singular Jacobian);
+    paths outside ``live`` keep ``w0``.  Returns (w, norm per path, iterations)."""
     w = w0.copy()
     live = np.full(w.shape[1:], live)
     with np.errstate(all="ignore"):
         for it in range(cfg.max_iter + 1):
-            r = residual(w)
+            _, r, inv_t = _chord_start(lambda v: (None, residual(v)), w)
             norm = _norm(r)
             live &= (norm >= cfg.tol) & (norm < np.inf)
             if it == cfg.max_iter or not np.count_nonzero(live):
                 return w, norm, it
-            inv_t = _inverse_t(fd_jacobian(residual, w, FD_STEP))
             np.subtract(w, ordered_sum(inv_t * r[:, None]), out=w, where=live)
 
 
@@ -349,11 +348,10 @@ def linearised_matrix(model: HamiltonianModel, recipe: CompositionRecipe, z0: Ph
 def _stage_residual(recipe: CompositionRecipe, model: HamiltonianModel, s0: np.ndarray,
                     bounds: tuple, dt_fine: float) -> Callable:
     """lambda -> A map(s0 + A'lambda) + 2 lambda, with map the recipe's stages
-    at zero noise: each window's length in channel 0, 0 in every noise channel."""
-    incs = [np.zeros(model.m + 1) for _ in bounds]
-    for delta, (lo, hi) in zip(incs, bounds):
-        delta[0] = (hi - lo) * dt_fine
-    map_fn = _stage_map(recipe, model, incs)
+    over ``grid_windows`` of one step of fine steps ``dt_fine`` at zero noise."""
+    grid = np.zeros((model.m + 1, max(hi for _, hi in bounds)))
+    grid[0] = dt_fine
+    map_fn = _stage_map(recipe, model, grid_windows(grid, 0, grid.shape[1], bounds))
     return lambda lam: _perturbed(map_fn, s0, lam)[1]
 
 
@@ -376,7 +374,7 @@ def projection_step(model: HamiltonianModel, recipe: CompositionRecipe, z: Phase
     """One semi-explicit symplectic step on the original phase space; ``z``
     may carry a trailing batch axis.  ``bounds`` are the recipe's
     ``stage_bounds`` at ``substeps``, which a stepper finds once for all steps."""
-    incs = stage_increments(recipe, grid, step, substeps, bounds)  # frozen for all iterates
+    incs = stage_increments(grid, step, substeps, bounds)  # frozen for all iterates
     corrected, rep = project_map(_stage_map(recipe, model, incs), lift(z), cfg,
                                  lambda theta: _stage_map(recipe, model, incs, theta))
     return restrict(corrected), rep

@@ -8,8 +8,8 @@ as one ``(m+1[, n_paths])`` array (row 0 the window length, of either sign);
 the rotation takes the (cos, sin) of its angle, which ``f3_trig`` finds once
 per step from its window's increments.  Each flow returns a new array.  A
 recipe (Lie, Strang, or any user stage list) is applied by ``apply_stages``
-over the windows that ``stage_increments`` cuts from one scheme step;
-``project`` iterates that map in its symmetric projection.
+over the windows of one scheme step that ``core.grid_windows`` sums, named
+``stage_increments`` here; ``project`` iterates that map in its projection.
 ``symplectic_residual_phase`` checks a map on the original phase space for
 symplecticity at frozen noise.
 """
@@ -135,11 +135,7 @@ def stage_bounds(recipe: CompositionRecipe, substeps: int) -> tuple:
     return tuple(next(windows[flow]) for flow, _ in recipe.stages)
 
 
-def stage_increments(recipe: CompositionRecipe, grid: np.ndarray, step: int,
-                     substeps: int, bounds: tuple):
-    """Per-stage increments for one scheme step; ``bounds`` are the recipe's
-    ``stage_bounds`` at ``substeps``."""
-    return grid_windows(grid, step, substeps, bounds)
+stage_increments = grid_windows   # the name perfbench/tracing.py patches on project
 
 
 def f3_trig(recipe: CompositionRecipe, incs: Sequence[np.ndarray],

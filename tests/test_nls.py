@@ -152,7 +152,7 @@ def test_unprojected_defect_grows_projected_does_not():
     bounds = stage_bounds(recipe, 2)
     max_proj_defect = 0.0
     for n in range(n_steps):
-        ext = _stage_map(recipe, lat.model, stage_increments(recipe, g, n, 2, bounds))(ext)
+        ext = _stage_map(recipe, lat.model, stage_increments(g, n, 2, bounds))(ext)
         s, rep = nls_step(lat, "strang-ab", s, g, n, cfg, 2, bounds)
         max_proj_defect = max(max_proj_defect, rep.residual)
     raw_defect = np.sqrt(np.sum((ext[0] - ext[1]) ** 2 + (ext[2] - ext[3]) ** 2))

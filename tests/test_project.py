@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from stosymp import project
-from stosymp.core import HamiltonianModel, PhaseState, build_noise_grid, build_noise_grid_batch
+from stosymp.core import (HamiltonianModel, PhaseState, build_noise_grid, build_noise_grid_batch,
+                          fd_jacobian, ordered_sum)
 from stosymp.project import (FD_STEP, NoConvergence, ProjectionConfig, ProjectionReport,
                              _stage_residual, lift, linearised_config, linearised_matrix, newton,
                              project_map, projection_step, restrict, simulate)
@@ -118,10 +119,15 @@ def test_full_newton_fallback():
         val = 0.5 * w ** 3 - 0.5 * w - 1.0
         return np.stack((0.5 * val, -0.5 * val, s[2], s[3]))
 
+    # 13 map calls: the chord's 4, full Newton's 8 for its 7 steps, one per
+    # iterate with its residual and Jacobian stacked (15, and 20 in all,
+    # when each iterate took a residual call and a Jacobian call), and the
+    # settling call
     for shape in ((1,), (1, 3)):
         s0 = lift(PhaseState(np.zeros(shape), np.zeros(shape)))
-        out, rep = project_map(map_fn, s0, ProjectionConfig())
-        assert rep.used_fallback
+        calls = []
+        out, rep = project_map(lambda s: calls.append(1) or map_fn(s), s0, ProjectionConfig())
+        assert rep.used_fallback and len(calls) == 13
         assert rep.lam.shape == (2,) + shape[1:]
         assert np.allclose(rep.lam[0], 0.5, atol=1e-10)
         assert np.allclose(rep.lam[1], 0.0, atol=1e-10)
@@ -169,7 +175,7 @@ def test_solve_ends_at_its_last_evaluated_lambda():
 
     ex = get_example("ex1", c=0.5)
     recipe = strang_recipe(np.array([0.5]))
-    incs = project.stage_increments(recipe, build_noise_grid(3, 0, 1, 0.0, 0.05, 2), 0, 2,
+    incs = project.stage_increments(build_noise_grid(3, 0, 1, 0.0, 0.05, 2), 0, 2,
                                     stage_bounds(recipe, 2))
     _, rep = check(project._stage_map(recipe, ex.model, incs), lift(ex.z0), False)
     assert rep.iterations > 1
@@ -267,6 +273,87 @@ def test_newton_skips_finished_singular_column():
     assert w[0, 0] == 0.0 and abs(w[0, 1] - 2.0) < 1e-12
 
 
+def reference_newton(residual, w0, cfg, live=True):
+    """Newton as two calls per iterate: ``residual`` at w, then ``fd_jacobian``'s
+    blocked sweep for the Jacobian."""
+    w = w0.copy()
+    live = np.full(w.shape[1:], live)
+    with np.errstate(all="ignore"):
+        for it in range(cfg.max_iter + 1):
+            r = residual(w)
+            norm = project._norm(r)
+            live &= (norm >= cfg.tol) & (norm < np.inf)
+            if it == cfg.max_iter or not np.count_nonzero(live):
+                return w, norm, it
+            inv_t = project._inverse_t(fd_jacobian(residual, w, FD_STEP))
+            np.subtract(w, ordered_sum(inv_t * r[:, None]), out=w, where=live)
+
+
+class FallbackReached(Exception):
+    pass
+
+
+def newton_case(nodes, ratio, monkeypatch):
+    """(residual, w0, live) of a Newton solve.  ``nodes`` None: the first
+    projection solve of an 8-path ex2 batch (c 0.5, gamma 0.5, dt 2^-4) that
+    leaves the chord for ``_full_newton``, on its one failed column; else the
+    zero-noise residual of P on the ``nodes``-node lattice at dt/h^2 =
+    ``ratio``, from 0."""
+    if nodes is None:
+        def reached(map_fn, s0, lam, cfg, live):
+            raise FallbackReached(lambda v: project._perturbed(map_fn, s0, v)[1], lam, live)
+        monkeypatch.setattr(project, "_full_newton", reached)
+        ex = get_example("ex2", c=0.5)
+        paths, n, dt = 8, 8, 2.0 ** -4
+        g = build_noise_grid_batch(0, range(paths), ex.model.m, 0.0, n * dt, 2 * n)
+        z0 = PhaseState(np.repeat(ex.z0.x[:, None], paths, axis=1),
+                        np.repeat(ex.z0.y[:, None], paths, axis=1))
+        with pytest.raises(FallbackReached) as hit:
+            simulate(make_stepper("ses-sp-1", ex, g, 2, 0.5), z0, n, dt)
+        return hit.value.args
+    lat = build_lattice(-5.0, 5.0, nodes, modes=10)
+    recipe = RECIPES["strang-ab"]
+    residual = _stage_residual(recipe, lat.model, lift(nls_initial(lat)),
+                               stage_bounds(recipe, 2), ratio * lat.h ** 2 / 2)
+    return residual, np.zeros(2 * lat.n_interior), True
+
+
+@pytest.mark.parametrize("nodes, ratio", [(None, None), (9, 0.25), (99, 1.0)])
+def test_newton_equals_two_call_reference(nodes, ratio, monkeypatch):
+    # each iterate's residual and Jacobian come from one stacked call, which
+    # evaluates every point as the reference's residual call and blocked
+    # sweep do (on the 99-node lattice fd_jacobian takes 5 blocks of columns)
+    residual, w0, live = newton_case(nodes, ratio, monkeypatch)
+    calls = []
+    w, norm, it = newton(lambda v: calls.append(1) or residual(v), w0, ProjectionConfig(),
+                         live)
+    ref = reference_newton(residual, w0, ProjectionConfig(), live)
+    assert np.array_equal(w, ref[0]) and np.array_equal(norm, ref[1]) and it == ref[2]
+    assert it > 1 and len(calls) == it + 1
+    assert np.all(np.where(live, norm, 0.0) < 1e-12)
+
+
+def test_stage_residual_takes_the_window_lengths(monkeypatch):
+    # P's zero-noise increments come from grid_windows; at 2 fine steps per
+    # step each window sums to its length exactly
+    seen = []
+    stage_map = project._stage_map
+    monkeypatch.setattr(project, "_stage_map",
+                        lambda recipe, model, incs: seen.append(incs) or stage_map(recipe, model, incs))
+    lat = build_lattice(-5.0, 5.0, 9, modes=10)
+    for recipe in RECIPES.values():
+        bounds = stage_bounds(recipe, 2)
+        for ratio in (0.01, 0.25, 1.0):
+            dt_fine = ratio * lat.h ** 2 / 2
+            _stage_residual(recipe, lat.model, lift(nls_initial(lat)), bounds, dt_fine)
+            hand = [np.zeros(lat.modes + 1) for _ in bounds]
+            for delta, (lo, hi) in zip(hand, bounds):
+                delta[0] = (hi - lo) * dt_fine
+            incs = seen.pop()
+            assert len(incs) == len(hand)
+            assert all(np.array_equal(a, b) for a, b in zip(incs, hand))
+
+
 def test_rotation_oracle_strang():
     # harmonic oscillator, deterministic: exact flow is a clockwise rotation
     model = HamiltonianModel(d=1, m=0,
@@ -292,7 +379,7 @@ def test_kernel_membership_and_defect_symmetry():
     lam = rep.lam
     # reconstruct the perturbed input/output to check the symmetry identity
     l1, l2 = lam[:1], lam[1:]
-    incs = project.stage_increments(recipe, g, 0, 2, bounds)
+    incs = project.stage_increments(g, 0, 2, bounds)
     s_in = np.stack((z.x + l1, z.x - l1, z.y + l2, z.y - l2))
     s_out = project._stage_map(recipe, ex.model, incs)(s_in)
     assert abs((s_out[1, 0] - s_out[0, 0]) - (s_in[0, 0] - s_in[1, 0])) <= 4 * cfg.tol

@@ -36,7 +36,7 @@ def assert_state(s, x, u, y, v, tol=1e-14):
 def stepped(recipe, model, s, grid, step, substeps):
     """The recipe's map over scheme step ``step``, as a projection solve
     iterates it."""
-    incs = stage_increments(recipe, grid, step, substeps, stage_bounds(recipe, substeps))
+    incs = stage_increments(grid, step, substeps, stage_bounds(recipe, substeps))
     return _stage_map(recipe, model, incs)(s)
 
 
@@ -245,7 +245,7 @@ def test_unrestrained_recipe_skips_f3(make, monkeypatch):
     recipe = make([0.0, 0.0])
     assert not recipe.restrained and make([0.0, 0.1]).restrained
     g = build_noise_grid(5, 0, 1, 0.0, 0.02, 2)
-    incs = stage_increments(recipe, g, 0, 2, stage_bounds(recipe, 2))
+    incs = stage_increments(g, 0, 2, stage_bounds(recipe, 2))
     s = np.stack((ex.z0.x, ex.z0.x + [0.3, -0.1], ex.z0.y, ex.z0.y + [-0.2, 0.4]))
     explicit = s
     for (flow, _), inc in zip(recipe.stages, incs):
