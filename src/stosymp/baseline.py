@@ -1,14 +1,14 @@
 """Comparison schemes: stochastic midpoint and stochastic symplectic Euler.
 
-Both are implicit.  Each solve is ``project.chord_newton`` from the scheme's
-start (midpoint's explicit Euler predictor, symplectic Euler's x0): the
-chord with one central-difference Jacobian per path at that start, from the
-same stacked first residual call as the projection's chord, until the
-residual norm is below tol.  A path whose norm does not decrease, is not
-finite, or is still too large after ``max_iter`` chord updates leaves the
-chord and restarts full ``project.newton`` from the start, itself bounded by
-``max_iter`` steps.  States may carry a trailing batch axis; every path is
-then solved on its own.
+Both are implicit.  Each solve is ``project.chord_newton`` from the
+explicit Euler predictor of its unknowns ((x, y) for midpoint, x for
+symplectic Euler): the chord with one central-difference Jacobian per path
+at that start, from the same stacked first residual call as the projection's
+chord, until the residual norm is below tol.  A path whose norm does not
+decrease, is not finite, or is still too large after ``max_iter`` chord
+updates leaves the chord and restarts full ``project.newton`` from the
+start, itself bounded by ``max_iter`` steps.  States may carry a trailing
+batch axis; every path is then solved on its own.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ def _solve(residual, w0: np.ndarray, cfg: ProjectionConfig) -> np.ndarray:
 def midpoint_step(model: HamiltonianModel, z: PhaseState, delta: np.ndarray,
                   cfg: ProjectionConfig = ProjectionConfig()) -> PhaseState:
     """Stochastic midpoint rule: all H-derivatives at the state average.
-    ``delta`` holds the step's increments, as a window of ``core.grid_windows``."""
+    ``delta`` holds the step's increments, the one window of a ``project.step_plan``."""
     d = model.d
     w0 = np.concatenate([z.x, z.y])
 
@@ -79,7 +79,8 @@ def symplectic_euler_step(model: HamiltonianModel, z: PhaseState, delta: np.ndar
                       - 0.5 * np.einsum("ij...,j...->i...", hyx, g1y))
         return x1 - fd_shared(x0, x1) - fx + corr * dt
 
-    x1 = _solve(x_residual, x0, cfg)
+    # explicit Euler predictor
+    x1 = _solve(x_residual, x0 + model.field(x0, y0, delta)[0], cfg)
 
     fy = model.field(x1, y0, delta)[1]
     hxx = _hessian(model, "xx", x1, y0)

@@ -235,15 +235,25 @@ def window_bounds(split: tuple, substeps: int) -> tuple:
     return tuple(bounds)
 
 
-def grid_windows(grid: np.ndarray, step: int, substeps: int, bounds: Sequence) -> list:
-    """Increments, one ``(m+1[, n_paths])`` array per window, of scheme step
-    ``step`` (``substeps`` fine steps) over the fine-grid windows ``bounds`` of
-    ``window_bounds``.  Windows sum left to right, so a batch column gets the
-    same increments as the path alone."""
-    start = step * substeps
-    if start < 0 or start + substeps > grid.shape[1]:
-        raise ValueError("step index outside the grid")
-    return [ordered_sum(grid[:, start + lo:start + hi].swapaxes(0, 1)) for lo, hi in bounds]
+def grid_windows(grid: np.ndarray, substeps: int, bounds: Sequence) -> np.ndarray:
+    """Increments of every scheme step in ``grid``, a slice of whole steps of
+    ``substeps`` fine steps, over the fine-grid windows ``bounds`` of
+    ``window_bounds``: shape ``(n_steps, n_windows, m+1[, n_paths])``.  Each
+    window adds its fine steps left to right in place, the rounding of
+    ``ordered_sum``, so a batch column gets the same increments as the path
+    alone and a step the same as on its own slice."""
+    n_steps, rest = divmod(grid.shape[1], substeps)
+    if rest or not n_steps:
+        raise ValueError("the grid slice must hold whole steps")
+    # (n_steps, m+1, substeps[, n_paths]), a view
+    fine = grid.reshape(grid.shape[:1] + (n_steps, substeps) + grid.shape[2:]).swapaxes(0, 1)
+    out = np.empty((n_steps, len(bounds)) + grid.shape[:1] + grid.shape[2:])
+    for w, (lo, hi) in enumerate(bounds):
+        total = out[:, w]
+        total[...] = fine[:, :, lo]
+        for j in range(lo + 1, hi):
+            total += fine[:, :, j]
+    return out
 
 
 def step_windows(grid: np.ndarray, step: int, split: Sequence, substeps: Optional[int] = None):
@@ -254,7 +264,11 @@ def step_windows(grid: np.ndarray, step: int, split: Sequence, substeps: Optiona
     window boundary must land on a fine-grid point.
     """
     substeps = grid.shape[1] if substeps is None else int(substeps)
-    return grid_windows(grid, step, substeps, window_bounds(tuple(split), substeps))
+    start = step * substeps
+    if start < 0 or start + substeps > grid.shape[1]:
+        raise ValueError("step index outside the grid")
+    return list(grid_windows(grid[:, start:start + substeps], substeps,
+                             window_bounds(tuple(split), substeps))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,10 @@ import numpy as np
 from .baseline import midpoint_step, symplectic_euler_step
 # step_windows is not called here; perfbench/tracing.py patches the name on
 # this module
-from .core import (PhaseState, build_noise_grid, build_noise_grid_batch, grid_windows,
-                   step_windows)
+from .core import PhaseState, build_noise_grid, build_noise_grid_batch, step_windows
 from .modelzoo import ExampleSpec
 from .project import (NoConvergence, ProjectionConfig, linearised_config, projection_step,
-                      simulate)
+                      simulate, step_plan)
 from .splitflow import lie_recipe, stage_bounds, strang_recipe
 
 SCHEMES = ("ses-sp-1", "ses-sp-2", "midpoint", "sympeuler")
@@ -31,22 +30,25 @@ FINE_STEPS = 2   # noise-grid steps per reference step: >= 2 for half windows
 def make_stepper(scheme: str, example: ExampleSpec, grid: np.ndarray, substeps: int,
                  gamma, cfg: ProjectionConfig = ProjectionConfig()) -> Callable:
     """Bind a scheme id to a one-step callable ``(z, step) -> (z', report)``
-    from ``example.z0``; the fine-grid windows of a step and the projection's
-    simplified-Newton matrix are found here, once."""
+    from ``example.z0``; the window bounds and the projection's
+    simplified-Newton matrix are found here, once, and the steps' increments
+    (and F3 rotations) by a ``step_plan``, one block of steps at a time."""
     model = example.model
     if scheme in ("ses-sp-1", "ses-sp-2"):
         gammas = np.full(model.m + 1, gamma) if np.ndim(gamma) == 0 else np.asarray(gamma)
         recipe = lie_recipe(gammas) if scheme == "ses-sp-1" else strang_recipe(gammas)
         bounds = stage_bounds(recipe, substeps)
         cfg = linearised_config(cfg, model, recipe, example.z0, bounds, grid[0].flat[0])
+        plan = step_plan(grid, substeps, bounds, recipe)
 
         def stepper(z, step):
-            return projection_step(model, recipe, z, grid, step, cfg, substeps, bounds)
+            return projection_step(model, recipe, z, *plan(step), cfg)
     elif scheme in ("midpoint", "sympeuler"):
         implicit = midpoint_step if scheme == "midpoint" else symplectic_euler_step
+        plan = step_plan(grid, substeps, ((0, substeps),))
 
         def stepper(z, step):
-            (delta,) = grid_windows(grid, step, substeps, ((0, substeps),))
+            (delta,), _ = plan(step)
             return implicit(model, z, delta, cfg), None
     else:
         raise KeyError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")

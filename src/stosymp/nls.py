@@ -25,7 +25,7 @@ import numpy as np
 # patches those names on this module
 from .core import HamiltonianModel, PhaseState, ordered_sum, step_windows
 from .project import (ProjectionConfig, ProjectionReport, linearised_config, project_map,
-                      projection_step)
+                      projection_step, step_plan)
 from .splitflow import CompositionRecipe, FlowId, flow_f1, flow_f2, stage_bounds
 
 
@@ -136,28 +136,28 @@ RECIPES = {name: CompositionRecipe(stages, ()) for name, stages in {
 }.items()}
 
 
-def nls_step(lattice: NlsLattice, recipe: str, s: PhaseState, grid: np.ndarray, step: int,
-             cfg: ProjectionConfig, substeps: int,
-             bounds: tuple) -> Tuple[PhaseState, ProjectionReport]:
-    """One projected multi-symplectic step on (x, y) = (Q, P); ``bounds`` as in
-    ``projection_step``."""
+def nls_step(lattice: NlsLattice, recipe: str, s: PhaseState, incs: np.ndarray, trig: dict,
+             cfg: ProjectionConfig) -> Tuple[PhaseState, ProjectionReport]:
+    """One projected multi-symplectic step on (x, y) = (Q, P); ``incs`` and
+    ``trig`` as in ``projection_step``."""
     if recipe not in RECIPES:
         raise KeyError(f"unknown recipe {recipe!r}; choose from {sorted(RECIPES)}")
-    return projection_step(lattice.model, RECIPES[recipe], s, grid, step, cfg, substeps,
-                           bounds)
+    return projection_step(lattice.model, RECIPES[recipe], s, incs, trig, cfg)
 
 
 def nls_stepper(lattice: NlsLattice, recipe: str, grid: np.ndarray, cfg: ProjectionConfig,
                 substeps: int) -> Callable:
     """Bind ``nls_step`` to a one-step callable ``(s, step) -> (s', report)``
     for a run from ``nls_initial(lattice)``; the stage windows and the
-    projection's simplified-Newton matrix are found here, once."""
+    projection's simplified-Newton matrix are found here, once, and the
+    steps' increments by a ``step_plan``, one block of steps at a time."""
     bounds = stage_bounds(RECIPES[recipe], substeps)
     cfg = linearised_config(cfg, lattice.model, RECIPES[recipe], nls_initial(lattice),
                             bounds, grid[0].flat[0])
+    plan = step_plan(grid, substeps, bounds, RECIPES[recipe])
 
     def stepper(s, step):
-        return nls_step(lattice, recipe, s, grid, step, cfg, substeps, bounds)
+        return nls_step(lattice, recipe, s, *plan(step), cfg)
     return stepper
 
 

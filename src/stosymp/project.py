@@ -26,8 +26,10 @@ the chord from the same ``_chord_start`` on their residual, stopping once
 its norm is below tol; a path whose norm does not decrease, is not finite or
 outlasts ``max_iter`` updates restarts ``newton`` from its start.
 
-``simulate`` is the one loop that drives a stepper, one path or a batch; it
-keeps each step's solver numbers in arrays, not its ``ProjectionReport``.
+A stepper takes each step's increments and F3 rotations from a ``step_plan``,
+which builds them one block of steps at a time.  ``simulate`` is the one
+loop that drives a stepper, one path or a batch; it keeps each step's solver
+numbers in arrays, not its ``ProjectionReport``.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .splitflow import CompositionRecipe, apply_stages, f3_trig, stage_increment
 
 FD_STEP = 1e-7  # central-difference step of every Newton Jacobian
 SHORT_LAMBDA = 8  # longest lambda whose projection takes a per-step chord Jacobian
+PLAN_BLOCK = 2**16   # entries (steps x windows x channels x paths) per step-plan block
 
 
 @dataclass(frozen=True)
@@ -351,7 +354,7 @@ def _stage_residual(recipe: CompositionRecipe, model: HamiltonianModel, s0: np.n
     over ``grid_windows`` of one step of fine steps ``dt_fine`` at zero noise."""
     grid = np.zeros((model.m + 1, max(hi for _, hi in bounds)))
     grid[0] = dt_fine
-    map_fn = _stage_map(recipe, model, grid_windows(grid, 0, grid.shape[1], bounds))
+    map_fn = _stage_map(recipe, model, grid_windows(grid, grid.shape[1], bounds)[0])
     return lambda lam: _perturbed(map_fn, s0, lam)[1]
 
 
@@ -368,15 +371,35 @@ def _stage_map(recipe: CompositionRecipe, model: HamiltonianModel, incs: list,
     return lambda s: apply_stages(recipe, model, s, incs, trig)
 
 
+def step_plan(grid: np.ndarray, substeps: int, bounds: tuple,
+              recipe: Optional[CompositionRecipe] = None) -> Callable:
+    """step -> (its increments over the windows ``bounds``, an (n_windows,
+    m+1[, n_paths]) array, and F3's (cos, sin) per F3 stage of ``recipe``)
+    for a run on ``grid`` of ``substeps`` fine steps per step.
+    ``stage_increments`` builds them one block of steps at a time, at most
+    ``PLAN_BLOCK`` entries or one step, whenever a step falls outside the
+    block in hand; a step indexes its block."""
+    per_step = len(bounds) * grid[:, 0].size
+    block = max(1, PLAN_BLOCK // per_step)
+    held = [-1, None, None]   # first step, increments and trig of the block in hand
+
+    def plan(step):
+        j = step % block
+        if held[0] != step - j:
+            first = step - j
+            held[:] = first, *stage_increments(
+                recipe, grid[:, first * substeps:(first + block) * substeps], substeps, bounds)
+        return held[1][j], {i: (c[j], sn[j]) for i, (c, sn) in held[2].items()}
+    return plan
+
+
 def projection_step(model: HamiltonianModel, recipe: CompositionRecipe, z: PhaseState,
-                    grid: np.ndarray, step: int, cfg: ProjectionConfig, substeps: int,
-                    bounds: tuple):
+                    incs: np.ndarray, trig: dict, cfg: ProjectionConfig):
     """One semi-explicit symplectic step on the original phase space; ``z``
-    may carry a trailing batch axis.  ``bounds`` are the recipe's
-    ``stage_bounds`` at ``substeps``, which a stepper finds once for all steps."""
-    incs = stage_increments(grid, step, substeps, bounds)  # frozen for all iterates
-    corrected, rep = project_map(_stage_map(recipe, model, incs), lift(z), cfg,
-                                 lambda theta: _stage_map(recipe, model, incs, theta))
+    may carry a trailing batch axis.  ``incs`` and ``trig`` are the step's
+    entry of a ``step_plan`` of the recipe, frozen for all iterates."""
+    corrected, rep = project_map(lambda s: apply_stages(recipe, model, s, incs, trig), lift(z),
+                                 cfg, lambda theta: _stage_map(recipe, model, incs, theta))
     return restrict(corrected), rep
 
 

@@ -5,11 +5,13 @@ Three explicit maps act on the doubled state (x, u, y, v), one
 driven by the model Hamiltonians and a rotation of the copy difference driven
 by the restraint constants.  The shears take the increments of their window
 as one ``(m+1[, n_paths])`` array (row 0 the window length, of either sign);
-the rotation takes the (cos, sin) of its angle, which ``f3_trig`` finds once
-per step from its window's increments.  Each flow returns a new array.  A
-recipe (Lie, Strang, or any user stage list) is applied by ``apply_stages``
-over the windows of one scheme step that ``core.grid_windows`` sums, named
-``stage_increments`` here; ``project`` iterates that map in its projection.
+the rotation takes the (cos, sin) of its angle, which ``f3_trig`` finds from
+its window's increments.  Each flow returns a new array.  A recipe (Lie,
+Strang, or any user stage list) is applied by ``apply_stages`` over the
+windows of one scheme step; ``stage_increments`` builds the windows
+(``core.grid_windows``) and the (cos, sin) of a block of steps at once, which
+``project.step_plan`` hands out step by step, and ``project`` iterates that
+map in its projection.
 ``symplectic_residual_phase`` checks a map on the original phase space for
 symplecticity at frozen noise.
 """
@@ -19,7 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -135,14 +137,24 @@ def stage_bounds(recipe: CompositionRecipe, substeps: int) -> tuple:
     return tuple(next(windows[flow]) for flow, _ in recipe.stages)
 
 
-stage_increments = grid_windows   # the name perfbench/tracing.py patches on project
+def stage_increments(recipe: Optional[CompositionRecipe], grid: np.ndarray, substeps: int,
+                     bounds: tuple) -> tuple:
+    """One block of a step plan: ``grid_windows`` of the grid slice ``grid``,
+    (n_steps, n_windows, m+1[, n_paths]), and ``f3_trig`` of every step at
+    once, each F3 stage's (cos, sin) an (n_steps[, n_paths]) array.  A
+    ``recipe`` of None (no stages, as for the implicit baselines) plans the
+    windows alone."""
+    incs = grid_windows(grid, substeps, bounds)
+    # f3_trig reads a window's channels on axis 0, so the steps go after them
+    return incs, {} if recipe is None else f3_trig(recipe, np.moveaxis(incs, 0, 2))
 
 
 def f3_trig(recipe: CompositionRecipe, incs: Sequence[np.ndarray],
             scale: float = 1.0) -> dict:
     """(cos, sin) of the restraint angle 4 * scale * sum_r gamma_r * delta_r
-    per F3 stage of increments delta, valid for every iterate of a projection
-    solve at frozen noise; empty when the recipe has no restraint (F3 skipped)."""
+    per F3 stage of increments delta, channels on delta's axis 0, valid for
+    every iterate of a projection solve at frozen noise; empty when the
+    recipe has no restraint (F3 skipped)."""
     angles = {i: 4 * scale * ordered_sum((incs[i].T * recipe.gammas).T)
               for i, (flow, _) in enumerate(recipe.stages)
               if flow is FlowId.F3 and recipe.restrained}

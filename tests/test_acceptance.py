@@ -18,7 +18,7 @@ from stosymp.harness import ConvergenceSpec, make_stepper, ms_error, track
 from stosymp.modelzoo import get_example
 from stosymp.nls import (RECIPES, build_lattice, charge, nls_initial, nls_step, noise_vector,
                          subflow_a)
-from stosymp.project import NoConvergence, ProjectionConfig, projection_step
+from stosymp.project import NoConvergence, ProjectionConfig, projection_step, step_plan
 from stosymp.splitflow import (CompositionRecipe, FlowId, f3_trig, flow_f1, flow_f2, flow_f3,
                                lie_recipe, phase_form_matrix, stage_bounds, strang_recipe,
                                symplectic_residual_phase)
@@ -101,7 +101,8 @@ def test_criterion_04_projected_map_symplecticity():
                                ex.z0.y + scale[name] * rng.standard_normal(ex.model.d))
 
                 def step(zz):
-                    out, _ = projection_step(ex.model, recipe, zz, grid, 0, cfg, 2, bounds)
+                    out, _ = projection_step(ex.model, recipe, zz,
+                                             *step_plan(grid, 2, bounds, recipe)(0), cfg)
                     return out
 
                 worst = max(worst, symplectic_residual_phase(step, z, 1e-5))
@@ -141,11 +142,12 @@ def test_criterion_07_nls_charge_conservation():
     drifts = {}
     for recipe in ("lie-ab", "strang-ab"):
         bounds = stage_bounds(RECIPES[recipe], 2)
+        plan = step_plan(grid, 2, bounds, RECIPES[recipe])
         s = nls_initial(lat)
         c0 = charge(s)
         worst = 0.0
         for n in range(n_steps):
-            s, _ = nls_step(lat, recipe, s, grid, n, cfg, 2, bounds)
+            s, _ = nls_step(lat, recipe, s, *plan(n), cfg)
             worst = max(worst, abs(charge(s) - c0) / c0)
         drifts[recipe] = worst
     ok = all(v <= 1e-8 for v in drifts.values())
@@ -163,8 +165,8 @@ def test_criterion_08_nls_projected_map_symplecticity():
         grid = build_noise_grid(11, k, lat.modes, 0.0, 1e-3, 2)
 
         def vec_map(v):
-            out, _ = nls_step(lat, "strang-ab", PhaseState(v[:9], v[9:]), grid, 0,
-                              cfg, 2, bounds)
+            out, _ = nls_step(lat, "strang-ab", PhaseState(v[:9], v[9:]),
+                              *step_plan(grid, 2, bounds, RECIPES["strang-ab"])(0), cfg)
             return np.concatenate([out.x, out.y])
 
         s0 = nls_initial(lat)

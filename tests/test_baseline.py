@@ -173,13 +173,13 @@ def test_batch_columns_equal_single_paths_through_newton(scheme, monkeypatch):
         assert np.array_equal(zb.x[:, p], z.x) and np.array_equal(zb.y[:, p], z.y), p
 
 
-@pytest.mark.parametrize("scheme, calls", [("midpoint", (40, 80)), ("sympeuler", (156, 130))])
+@pytest.mark.parametrize("scheme, calls", [("midpoint", (40, 80)), ("sympeuler", (96, 80))])
 def test_residual_calls_per_step(scheme, calls, monkeypatch):
     # every residual call of the implicit solve, the chord's stacked first
-    # call included: 8 steps of an 8-path ex1 batch (c 0.15, dt 2^-5; 50 / 76
-    # calls with Newton alone), and the first 40 steps of criterion 10's
-    # single path (c 0.1, dt 1e-4; 120 / 198 with Newton alone).  Started
-    # from x0, symplectic Euler's chord contracts slowly on the batch.
+    # call included: 8 steps of an 8-path ex1 batch (c 0.15, dt 2^-5; 29 / 37
+    # calls with Newton alone, one stacked call per iterate), and the first
+    # 40 steps of criterion 10's single path (c 0.1, dt 1e-4; 80 / 80 with
+    # Newton alone).  Both schemes start from the explicit Euler predictor.
     counted = []
     solve = baseline._solve
     monkeypatch.setattr(baseline, "_solve", lambda residual, w0, cfg:

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from stosymp.core import PhaseState, build_noise_grid
+from stosymp import project
+from stosymp.baseline import midpoint_step
+from stosymp.core import PhaseState, build_noise_grid, ordered_sum
 from stosymp.harness import (FINE_STEPS, ConvergenceSpec, fit_slope, make_stepper, ms_error,
                              track)
 from stosymp.modelzoo import get_example
-from stosymp.project import simulate
+from stosymp.project import ProjectionConfig, projection_step, simulate
+from stosymp.splitflow import f3_trig, stage_bounds, strang_recipe
 
 
 def test_fit_slope_synthetic():
@@ -129,3 +132,51 @@ def test_schemes_converge_to_the_exact_endpoint(name, c, gamma):
             errs.append(np.sqrt(np.mean(sq)))
         assert all(b < a for a, b in zip(errs, errs[1:])), (scheme, errs)
         assert fit_slope(dts, errs) >= 0.9, (scheme, errs)
+
+
+def per_step_stepper(scheme, ex, grid, substeps, gamma):
+    """``make_stepper``'s ses-sp-2 or midpoint stepper on ex1, with each
+    step's windows summed on that step's own slice by ``ordered_sum``."""
+    def windows(step, bounds):
+        fine = grid[:, step * substeps:(step + 1) * substeps]
+        return [ordered_sum(fine[:, lo:hi].swapaxes(0, 1)) for lo, hi in bounds]
+
+    if scheme == "midpoint":
+        return lambda z, step: (midpoint_step(ex.model, z, windows(step, ((0, substeps),))[0]),
+                                None)
+    recipe = strang_recipe(np.full(ex.model.m + 1, gamma))
+    bounds = stage_bounds(recipe, substeps)
+
+    def stepper(z, step):
+        incs = windows(step, bounds)
+        return projection_step(ex.model, recipe, z, incs, f3_trig(recipe, incs),
+                               ProjectionConfig())
+    return stepper
+
+
+@pytest.mark.parametrize("scheme, windows", [("ses-sp-2", 5), ("midpoint", 1)])
+def test_run_across_plan_blocks_matches_per_step_windows(scheme, windows, monkeypatch):
+    # plan blocks of 7 steps: 17 steps cross two block boundaries and end
+    # inside the third block, on an 8-path batch and on each path alone
+    ex = get_example("ex1", c=0.15)
+    paths, n, dt, gamma = 8, 17, 2.0 ** -5, 0.01
+    blocks = []
+    build = project.stage_increments
+    monkeypatch.setattr(project, "stage_increments",
+                        lambda *args: blocks.append(args[1].shape[1] // args[2]) or build(*args))
+
+    def run(grid, z0, width):
+        monkeypatch.setattr(project, "PLAN_BLOCK", 7 * windows * (ex.model.m + 1) * width)
+        return simulate(make_stepper(scheme, ex, grid, 2, gamma), z0, n, dt).final
+
+    g = build_noise_grid(4, range(paths), 1, 0.0, n * dt, 2 * n)
+    zb = PhaseState(np.repeat(ex.z0.x[:, None], paths, axis=1),
+                    np.repeat(ex.z0.y[:, None], paths, axis=1))
+    got = run(g, zb, paths)
+    assert blocks == [7, 7, 3]
+    ref = simulate(per_step_stepper(scheme, ex, g, 2, gamma), zb, n, dt).final
+    assert np.array_equal(got.x, ref.x) and np.array_equal(got.y, ref.y)
+    for p in range(paths):
+        z = run(build_noise_grid(4, p, 1, 0.0, n * dt, 2 * n), ex.z0, 1)
+        assert np.array_equal(got.x[:, p], z.x) and np.array_equal(got.y[:, p], z.y), p
+    assert blocks[3:] == [7, 7, 3] * paths

@@ -175,8 +175,8 @@ def test_solve_ends_at_its_last_evaluated_lambda():
 
     ex = get_example("ex1", c=0.5)
     recipe = strang_recipe(np.array([0.5]))
-    incs = project.stage_increments(build_noise_grid(3, 0, 1, 0.0, 0.05, 2), 0, 2,
-                                    stage_bounds(recipe, 2))
+    incs = project.step_plan(build_noise_grid(3, 0, 1, 0.0, 0.05, 2), 2,
+                             stage_bounds(recipe, 2))(0)[0]
     _, rep = check(project._stage_map(recipe, ex.model, incs), lift(ex.z0), False)
     assert rep.iterations > 1
     _, rep = check(lambda s: s, lift(PhaseState([0.7], [-0.2])), False)
@@ -362,8 +362,9 @@ def test_rotation_oracle_strang():
                              grad_y=(lambda x, y: y.copy(),))
     g = build_noise_grid(0, 0, 0, 0.0, 0.1, 2)
     recipe = strang_recipe([0.0])
-    z, rep = projection_step(model, recipe, PhaseState([1.0], [0.0]), g, 0,
-                             ProjectionConfig(tol=1e-13), 2, stage_bounds(recipe, 2))
+    z, rep = projection_step(model, recipe, PhaseState([1.0], [0.0]),
+                             *project.step_plan(g, 2, stage_bounds(recipe, 2), recipe)(0),
+                             ProjectionConfig(tol=1e-13))
     assert abs(z.x[0] - np.cos(0.1)) < 1e-4
     assert abs(z.y[0] + np.sin(0.1)) < 1e-4
 
@@ -375,11 +376,12 @@ def test_kernel_membership_and_defect_symmetry():
     recipe = lie_recipe([0.5, 0.5])
     z = ex.z0
     bounds = stage_bounds(recipe, 2)
-    incs_consumed, rep = projection_step(ex.model, recipe, z, g, 0, cfg, 2, bounds)
+    incs_consumed, rep = projection_step(ex.model, recipe, z,
+                                         *project.step_plan(g, 2, bounds, recipe)(0), cfg)
     lam = rep.lam
     # reconstruct the perturbed input/output to check the symmetry identity
     l1, l2 = lam[:1], lam[1:]
-    incs = project.stage_increments(g, 0, 2, bounds)
+    incs = project.step_plan(g, 2, bounds)(0)[0]
     s_in = np.stack((z.x + l1, z.x - l1, z.y + l2, z.y - l2))
     s_out = project._stage_map(recipe, ex.model, incs)(s_in)
     assert abs((s_out[1, 0] - s_out[0, 0]) - (s_in[0, 0] - s_in[1, 0])) <= 4 * cfg.tol

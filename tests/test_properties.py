@@ -6,10 +6,13 @@ example-3 invariants and the lattice charge to solver tolerance, must not
 depend on the simplified-Newton matrix (the chord, 4I or P) beyond that
 tolerance, and a batched column must equal the same path run alone, bit for
 bit.  The fused field of the examples must equal the generic channel sum, and
-the closed-form 2x2 inverse must equal LAPACK's.
+the closed-form 2x2 inverse must equal LAPACK's.  A step plan, built one
+block of steps at a time, must hand each step the window sums and F3
+rotations of that step's own slice, bit for bit.
 """
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,12 +21,12 @@ from hypothesis import example, given, settings, strategies as st
 from stosymp import project
 from stosymp.core import (HamiltonianModel, PhaseState, ScaledNoiseModel,
                           build_noise_grid, build_noise_grid_batch, eval_linear,
-                          eval_quadratic)
+                          eval_quadratic, ordered_sum)
 from stosymp.harness import SCHEMES, make_stepper
 from stosymp.modelzoo import get_example
 from stosymp.nls import RECIPES, build_lattice, nls_initial
-from stosymp.project import ProjectionConfig, linearised_matrix, projection_step
-from stosymp.splitflow import (lie_recipe, stage_bounds, strang_recipe,
+from stosymp.project import ProjectionConfig, linearised_matrix, projection_step, step_plan
+from stosymp.splitflow import (f3_trig, lie_recipe, stage_bounds, strang_recipe,
                                symplectic_residual_phase)
 
 CFG = ProjectionConfig(tol=1e-13, max_iter=100)
@@ -70,7 +73,8 @@ def lattice_steps(draw):
 
 def projected(model, recipe, grid):
     bounds = stage_bounds(recipe, 2)
-    return lambda z: projection_step(model, recipe, z, grid, 0, CFG, 2, bounds)[0]
+    return lambda z: projection_step(model, recipe, z, *step_plan(grid, 2, bounds, recipe)(0),
+                                     CFG)[0]
 
 
 @st.composite
@@ -206,7 +210,8 @@ def test_linearised_matrix_keeps_the_fixed_point(case):
     model, recipe, z, grid, z0 = case
     cfg = replace(CFG, newton_matrix=linearised_matrix(model, recipe, z0,
                                                        stage_bounds(recipe, 2), grid[0, 0]))
-    out = projection_step(model, recipe, z, grid, 0, cfg, 2, stage_bounds(recipe, 2))[0]
+    out = projection_step(model, recipe, z,
+                          *step_plan(grid, 2, stage_bounds(recipe, 2), recipe)(0), cfg)[0]
     ref = projected(model, recipe, grid)(z)   # the chord on ex1-ex4, P on the lattice
     assert np.max(np.abs(out.x - ref.x)) <= 10 * CFG.tol
     assert np.max(np.abs(out.y - ref.y)) <= 10 * CFG.tol
@@ -218,7 +223,8 @@ def test_chord_keeps_the_4i_fixed_point(case):
     # 4I, the identity map's Jacobian, stays reachable as a constant matrix
     ex, recipe, z, grid = case
     cfg = replace(CFG, newton_matrix=0.25 * np.eye(2 * ex.model.d))
-    ref = projection_step(ex.model, recipe, z, grid, 0, cfg, 2, stage_bounds(recipe, 2))[0]
+    ref = projection_step(ex.model, recipe, z,
+                          *step_plan(grid, 2, stage_bounds(recipe, 2), recipe)(0), cfg)[0]
     out = projected(ex.model, recipe, grid)(z)
     assert np.max(np.abs(out.x - ref.x)) <= 10 * CFG.tol
     assert np.max(np.abs(out.y - ref.y)) <= 10 * CFG.tol
@@ -274,3 +280,47 @@ def test_batch_columns_equal_single_paths_through_continuation(monkeypatch):
             assert np.array_equal(zb.x[:, p], z.x) and np.array_equal(zb.y[:, p], z.y), \
                 (scheme, p)
     assert calls
+
+
+@st.composite
+def plan_cases(draw):
+    """(recipe, substeps, channels m, paths or None, steps, block in steps,
+    grid seed) of a step plan."""
+    make = draw(st.sampled_from([lie_recipe, strang_recipe]))
+    half = make is strang_recipe   # Strang's half windows need an even count
+    substeps = draw(st.integers(1, 150 if half else 300)) * (2 if half else 1)
+    m = draw(st.integers(1, 2))
+    recipe = make(np.full(m + 1, draw(st.sampled_from([0.0, 0.3]))))
+    n_steps = draw(st.integers(1, 6))
+    return (recipe, substeps, m, draw(st.sampled_from([None, 3])), n_steps,
+            draw(st.integers(1, n_steps + 1)), draw(st.integers(0, 99)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(plan_cases())
+@example((strang_recipe([0.3, 0.3]), 18, 1, None, 5, 2, 1))   # one path, 0-d angles
+@example((lie_recipe([0.0, 0.0]), 300, 1, 3, 3, 1, 2))
+def test_step_plan_equals_per_step_sums(case):
+    # every planned window and F3 (cos, sin) equals ordered_sum / f3_trig on
+    # the step's own slice: windows above 8 fine steps, where ordered_sum
+    # switches to np.add.accumulate, Lie and Strang, restrained and gamma 0,
+    # blocks of 1 step up to the whole run, and one path, whose angle per
+    # step is 0-d (scalar cos and sin), or a batch
+    recipe, substeps, m, paths, n_steps, block, seed = case
+    bounds = stage_bounds(recipe, substeps)
+    grid = build_noise_grid(seed, 0 if paths is None else range(paths), m, 0.0,
+                            n_steps * 0.01, n_steps * substeps)
+    per_step = len(bounds) * (m + 1) * (paths or 1)
+    with mock.patch.object(project, "PLAN_BLOCK", block * per_step):
+        plan = step_plan(grid, substeps, bounds, recipe)
+        planned = [plan(n) for n in range(n_steps)]
+    for n, (incs, trig) in enumerate(planned):
+        fine = grid[:, n * substeps:(n + 1) * substeps]
+        ref = [ordered_sum(fine[:, lo:hi].swapaxes(0, 1)) for lo, hi in bounds]
+        assert len(incs) == len(ref)
+        assert all(np.array_equal(a, b) for a, b in zip(incs, ref)), n
+        ref_trig = f3_trig(recipe, ref)
+        assert trig.keys() == ref_trig.keys() and bool(trig) == recipe.restrained
+        for i, (c, sn) in ref_trig.items():
+            assert np.shape(c) == np.shape(trig[i][0]) == np.shape(grid[0, 0])
+            assert np.array_equal(trig[i][0], c) and np.array_equal(trig[i][1], sn), (n, i)

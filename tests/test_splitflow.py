@@ -3,7 +3,7 @@ import pytest
 
 from stosymp.core import HamiltonianModel, PhaseState, build_noise_grid
 from stosymp import splitflow
-from stosymp.project import _stage_map
+from stosymp.project import _stage_map, step_plan
 from stosymp.splitflow import (CompositionRecipe, FlowId, apply_stages, f3_trig, flow_f1,
                                flow_f2, flow_f3, lie_recipe, stage_bounds,
                                stage_increments, strang_recipe, symplectic_residual_phase)
@@ -36,7 +36,7 @@ def assert_state(s, x, u, y, v, tol=1e-14):
 def stepped(recipe, model, s, grid, step, substeps):
     """The recipe's map over scheme step ``step``, as a projection solve
     iterates it."""
-    incs = stage_increments(grid, step, substeps, stage_bounds(recipe, substeps))
+    incs = step_plan(grid, substeps, stage_bounds(recipe, substeps))(step)[0]
     return _stage_map(recipe, model, incs)(s)
 
 
@@ -245,7 +245,7 @@ def test_unrestrained_recipe_skips_f3(make, monkeypatch):
     recipe = make([0.0, 0.0])
     assert not recipe.restrained and make([0.0, 0.1]).restrained
     g = build_noise_grid(5, 0, 1, 0.0, 0.02, 2)
-    incs = stage_increments(g, 0, 2, stage_bounds(recipe, 2))
+    (incs,), _ = stage_increments(None, g, 2, stage_bounds(recipe, 2))
     s = np.stack((ex.z0.x, ex.z0.x + [0.3, -0.1], ex.z0.y, ex.z0.y + [-0.2, 0.4]))
     explicit = s
     for (flow, _), inc in zip(recipe.stages, incs):
