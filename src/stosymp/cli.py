@@ -358,7 +358,7 @@ def cmd_nls(args, cfg: ProjectionConfig) -> int:
     stem = args.out or f"nls_{args.recipe}"
     stem = stem[:-4] if stem.endswith(".csv") else stem
     _check_writable([f"{stem}_field.csv", f"{stem}_summary.csv"])
-    grid = build_noise_grid(args.seed, 0, args.modes, 0.0, n_steps * args.dt,
+    grid = build_noise_grid(args.seed, 0, args.modes, n_steps * args.dt,
                             n_steps * harness.FINE_STEPS)
 
     stepper = nlsmod.nls_stepper(lattice, args.recipe, grid, cfg, harness.FINE_STEPS)
@@ -381,17 +381,16 @@ def cmd_nls(args, cfg: ProjectionConfig) -> int:
 def cmd_check(args, cfg: ProjectionConfig) -> int:
     example = get_example(args.example, c=args.c)
     radius = 0.3 if args.example in ("ex2", "ex4") else 1.0
-    rep = verify_gradients(example.model, samples=100, fd_step=1e-5, tol=1e-6,
-                           seed=args.seed, center=example.z0, radius=radius)
+    rep = verify_gradients(example.model, seed=args.seed, center=example.z0, radius=radius)
     ok = rep.passed
     print(f"gradients: {'pass' if rep.passed else 'FAIL'} "
           f"(worst deviation {rep.worst:.3e})")
 
     # spot-check symplecticity of one --scheme step at fixed noise
-    grid = build_noise_grid(args.seed, 0, example.model.m, 0.0, 1e-2, harness.FINE_STEPS)
+    grid = build_noise_grid(args.seed, 0, example.model.m, 1e-2, harness.FINE_STEPS)
     stepper = harness.make_stepper(args.scheme, example, grid, harness.FINE_STEPS,
                                    args.gamma, cfg)
-    res = symplectic_residual_phase(lambda z: stepper(z, 0)[0], example.z0, 1e-5)
+    res = symplectic_residual_phase(lambda z: stepper(z, 0)[0], example.z0)
     sym_ok = res <= 1e-5
     ok = ok and sym_ok
     print(f"symplecticity: {'pass' if sym_ok else 'FAIL'} (residual {res:.3e})")

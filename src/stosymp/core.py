@@ -178,21 +178,21 @@ def _channel_normals(seed: int, path_index: int, channel: int, size: int) -> np.
     return ndtri(u)
 
 
-def build_noise_grid(seed: int, path_index, m: int, t0: float, t_end: float,
-                     n_fine: int) -> np.ndarray:
-    """Sample a reproducible noise grid: the ``(m+1, n_fine)`` array of fine
-    increments of one path (an int ``path_index``), or ``(m+1, n_fine, n_paths)``
-    for a batch (a sequence of ints).  Row 0 is the clock channel, the fine step
-    throughout.  Identical arguments give bit-identical grids, and batch column
-    j is bit-identical to path ``path_index[j]`` built alone."""
-    if not t_end > t0:
-        raise ValueError("invalid time range")
+def build_noise_grid(seed: int, path_index, m: int, t_end: float, n_fine: int) -> np.ndarray:
+    """Sample a reproducible noise grid on [0, t_end]: the ``(m+1, n_fine)``
+    array of fine increments of one path (an int ``path_index``), or
+    ``(m+1, n_fine, n_paths)`` for a batch (a sequence of ints).  Row 0 is the
+    clock channel, the fine step throughout.  Identical arguments give
+    bit-identical grids, and batch column j is bit-identical to path
+    ``path_index[j]`` built alone."""
+    if not t_end > 0:
+        raise ValueError("t_end must be positive")
     if n_fine < 1:
         raise ValueError("n_fine must be at least 1")
     paths = np.asarray(path_index, dtype=np.int64)
     if paths.size == 0:
         raise ValueError("at least one path required")
-    dt = (t_end - t0) / n_fine
+    dt = t_end / n_fine
     inc = np.empty((m + 1, n_fine, paths.size))   # filled in place: no per-path copy
     inc[0] = dt
     sd = np.sqrt(dt)
@@ -202,7 +202,7 @@ def build_noise_grid(seed: int, path_index, m: int, t0: float, t_end: float,
     return inc if paths.ndim else inc[..., 0]
 
 
-build_noise_grid_batch = build_noise_grid   # the batch's older name
+build_noise_grid_batch = build_noise_grid   # the batch's older name, for perfbench/tracing.py
 
 
 def ordered_sum(a: np.ndarray) -> np.ndarray:
@@ -319,22 +319,26 @@ class GradientReport:
     failures: list = field(default_factory=list)
 
 
-def verify_gradients(model: HamiltonianModel, samples: int = 100, fd_step: float = 1e-5,
-                     tol: float = 1e-6, seed: int = 0,
+GRAD_SAMPLES = 100   # random points per verify_gradients call
+GRAD_FD_STEP = 1e-5
+GRAD_TOL = 1e-6      # largest accepted |gradient - central difference|
+
+
+def verify_gradients(model: HamiltonianModel, seed: int = 0,
                      center: Optional[PhaseState] = None, radius: float = 1.0) -> GradientReport:
-    """Check supplied gradients against central differences of H at random points.
+    """Check supplied gradients against central differences of H, step
+    GRAD_FD_STEP, at GRAD_SAMPLES random points; a deviation above GRAD_TOL
+    fails.
 
     Report-only: never raises.  Points are drawn from a Gaussian ball around
     ``center`` (origin by default) so constrained models can be probed near
     their admissible region.
     """
-    if fd_step <= 0:
-        raise ValueError("fd_step must be positive")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     cx = np.zeros(model.d) if center is None else center.x
     cy = np.zeros(model.d) if center is None else center.y
     report = GradientReport(passed=True, worst=0.0)
-    for _ in range(samples):
+    for _ in range(GRAD_SAMPLES):
         x = cx + radius * rng.standard_normal(model.d)
         y = cy + radius * rng.standard_normal(model.d)
         for r in range(model.m + 1):
@@ -343,14 +347,14 @@ def verify_gradients(model: HamiltonianModel, samples: int = 100, fd_step: float
                 fd = np.empty(model.d)
                 for i in range(model.d):
                     e = np.zeros(model.d)
-                    e[i] = fd_step
+                    e[i] = GRAD_FD_STEP
                     if block == "x":
-                        fd[i] = (model.h[r](x + e, y) - model.h[r](x - e, y)) / (2 * fd_step)
+                        fd[i] = (model.h[r](x + e, y) - model.h[r](x - e, y)) / (2 * GRAD_FD_STEP)
                     else:
-                        fd[i] = (model.h[r](x, y + e) - model.h[r](x, y - e)) / (2 * fd_step)
+                        fd[i] = (model.h[r](x, y + e) - model.h[r](x, y - e)) / (2 * GRAD_FD_STEP)
                 dev = float(np.max(np.abs(g - fd)))
                 report.worst = max(report.worst, dev)
-                if dev > tol:
+                if dev > GRAD_TOL:
                     report.passed = False
                     report.failures.append((r, block, PhaseState(x, y), dev))
     return report

@@ -15,8 +15,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .baseline import midpoint_step, symplectic_euler_step
-# step_windows is not called here; perfbench/tracing.py patches the name on
-# this module
+# step_windows and build_noise_grid_batch are not called here;
+# perfbench/tracing.py patches the names on this module
 from .core import PhaseState, build_noise_grid, build_noise_grid_batch, step_windows
 from .modelzoo import ExampleSpec
 from .project import (NoConvergence, ProjectionConfig, linearised_config, projection_step,
@@ -134,8 +134,8 @@ def ms_error(spec: ConvergenceSpec) -> OrderReport:
     """Root-mean-square endpoint errors against a coupled fine-mesh reference."""
     n_ref = int(round(spec.t_end / spec.ref_dt))
     n_fine = n_ref * FINE_STEPS
-    grid = build_noise_grid_batch(spec.seed, range(spec.paths), spec.example.model.m,
-                                  0.0, spec.t_end, n_fine)
+    grid = build_noise_grid(spec.seed, range(spec.paths), spec.example.model.m, spec.t_end,
+                            n_fine)
     z_ref, _ = _run_final(spec, grid, spec.ref_dt)
 
     err_x, err_y, err_norm, se_x, se_y, walls = [], [], [], [], [], []
@@ -183,7 +183,7 @@ def track(example: ExampleSpec, scheme: str, t_end: float, dt: float,
     if problem:
         raise ValueError(problem)
     n_steps = int(round(t_end / dt))
-    grid = build_noise_grid(seed, 0, example.model.m, 0.0, n_steps * dt, n_steps * FINE_STEPS)
+    grid = build_noise_grid(seed, 0, example.model.m, n_steps * dt, n_steps * FINE_STEPS)
     stepper = make_stepper(scheme, example, grid, FINE_STEPS, gamma, cfg)
     trackers = {name: example.invariants[name] for name in invariants}
     traj = simulate(stepper, example.z0, n_steps, dt, trackers, keep_states=keep_states)

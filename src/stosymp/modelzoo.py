@@ -55,14 +55,10 @@ def make_example1(c: float = 0.5) -> ExampleSpec:
     return ExampleSpec("ex1", model, z0, invariants, params={"c": c})
 
 
-def make_example2(a: float = -2.0, b: float = -1.0, v: float = -0.5, omega: float = 1.0,
-                  mu: float = 2.0, y0=(1.0, 1.9, 0.5), c: float = 0.5) -> ExampleSpec:
+def make_example2(c: float = 0.5) -> ExampleSpec:
     """Planar reduction of a three-species Lotka-Volterra system."""
-    y0 = np.asarray(y0, dtype=float)
-    if np.any(y0 <= 0):
-        raise ValueError("initial populations must be positive")
-    if v == 0 or b == 0:
-        raise ValueError("v and b must be nonzero")
+    a, b, v, omega, mu = -2.0, -1.0, -0.5, 1.0, 2.0
+    y0 = np.array([1.0, 1.9, 0.5])   # initial populations
     cas = -np.log(y0[0]) / v - b * np.log(y0[1]) + np.log(y0[2])
 
     def e1(x, y):
@@ -144,9 +140,9 @@ _I2 = np.sqrt(2.0) - 0.51 * np.sqrt(2.0 / 1.51)
 _I3 = 1.0
 
 
-def make_example4(c: float = 0.5, y0=(1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0), 0.0)) -> ExampleSpec:
+def make_example4(c: float = 0.5) -> ExampleSpec:
     """Planar reduction of the free rigid body on the angular-momentum sphere."""
-    y0 = np.asarray(y0, dtype=float)
+    y0 = np.array([1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0), 0.0])   # initial angular momentum
     c1 = 0.5 * float(y0 @ y0)
 
     def h0(x, y):
@@ -199,9 +195,8 @@ EXAMPLES = {
 }
 
 
-def get_example(name: str, c: Optional[float] = None, **kwargs) -> ExampleSpec:
+def get_example(name: str, c: Optional[float] = None) -> ExampleSpec:
+    """The example ``name`` at noise scale ``c``, or at its default scale."""
     if name not in EXAMPLES:
         raise KeyError(f"unknown example {name!r}; choose from {sorted(EXAMPLES)}")
-    if c is not None:
-        kwargs["c"] = c
-    return EXAMPLES[name](**kwargs)
+    return EXAMPLES[name]() if c is None else EXAMPLES[name](c)

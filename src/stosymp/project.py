@@ -365,9 +365,7 @@ def _stage_map(recipe: CompositionRecipe, model: HamiltonianModel, incs: list,
     and at theta < 1 of its continuation.  ``theta`` may hold one scale per
     state column, also where the columns share one ``(m+1,)`` increment."""
     trig = f3_trig(recipe, incs, theta)
-    if np.count_nonzero(theta != 1.0):
-        incs = [theta * (delta if delta.ndim > np.ndim(theta) else delta[:, None])
-                for delta in incs]
+    incs = [theta * (delta if delta.ndim > np.ndim(theta) else delta[:, None]) for delta in incs]
     return lambda s: apply_stages(recipe, model, s, incs, trig)
 
 
@@ -426,9 +424,9 @@ def simulate(stepper: Callable, z0: PhaseState, n_steps: int, dt: float,
              keep_states: bool = True) -> Trajectory:
     """Drive a one-step map ``stepper(z, step) -> (z', report|None)``.
 
-    Tracked functionals are evaluated at every stored state.  Deterministic
-    given its inputs; NoConvergence is re-raised with the offending step
-    index attached.
+    Tracked functionals are evaluated at z0 and after every step, whether or
+    not ``keep_states`` stores the states.  Deterministic given its inputs;
+    NoConvergence is re-raised with the offending step index attached.
     """
     trackers = trackers or {}
     times = dt * np.arange(n_steps + 1)

@@ -187,21 +187,22 @@ def phase_form_matrix(d: int) -> np.ndarray:
     return J
 
 
-def symplectic_residual_phase(map_fn: Callable, z, fd_step: float) -> float:
-    """max |M' J M - J| for the 2d x 2d finite-difference Jacobian M of a map
-    on the original phase space at ``z``, with J the standard matrix of
-    dx^dy; ``map_fn`` takes and returns a PhaseState, and must accept a
-    batch: ``fd_jacobian`` passes its points as one PhaseState of
-    (d, n_points) arrays."""
-    if fd_step <= 0:
-        raise ValueError("fd_step must be positive")
+SYMPLECTIC_FD_STEP = 1e-5
+
+
+def symplectic_residual_phase(map_fn: Callable, z) -> float:
+    """max |M' J M - J| for the 2d x 2d central-difference Jacobian M, step
+    SYMPLECTIC_FD_STEP, of a map on the original phase space at ``z``, with J
+    the standard matrix of dx^dy; ``map_fn`` takes and returns a PhaseState,
+    and must accept a batch: ``fd_jacobian`` passes its points as one
+    PhaseState of (d, n_points) arrays."""
     d = z.x.shape[0]
 
     def vec_map(v):
         out = map_fn(PhaseState(v[0:d], v[d:2 * d]))
         return np.concatenate([out.x, out.y])
 
-    jac = fd_jacobian(vec_map, np.concatenate([z.x, z.y]), fd_step)
+    jac = fd_jacobian(vec_map, np.concatenate([z.x, z.y]), SYMPLECTIC_FD_STEP)
     if not np.all(np.isfinite(jac)):
         raise FloatingPointError("non-finite Jacobian")
     form = phase_form_matrix(d)

@@ -3,7 +3,7 @@ import pytest
 
 from stosymp import baseline, project
 from stosymp.baseline import midpoint_step, symplectic_euler_step
-from stosymp.core import HamiltonianModel, PhaseState, build_noise_grid, build_noise_grid_batch
+from stosymp.core import HamiltonianModel, PhaseState, build_noise_grid
 from stosymp.harness import make_stepper, track
 from stosymp.modelzoo import get_example
 from stosymp.project import NoConvergence, ProjectionConfig, chord_newton, simulate
@@ -41,7 +41,7 @@ def test_midpoint_preserves_circle():
 
 def test_midpoint_preserves_example3_quadratic():
     ex = get_example("ex3")
-    g = build_noise_grid(1, 0, 1, 0.0, 10.0, 1000)
+    g = build_noise_grid(1, 0, 1, 10.0, 1000)
     z = ex.z0
     q0 = ex.invariants["quadratic"](z)
     for n in range(1000):
@@ -52,8 +52,7 @@ def test_midpoint_preserves_example3_quadratic():
 def test_midpoint_symplectic_at_fixed_noise():
     ex = get_example("ex1")
     inc = np.array([0.01, 0.037])
-    res = symplectic_residual_phase(
-        lambda z: midpoint_step(ex.model, z, inc), ex.z0, 1e-5)
+    res = symplectic_residual_phase(lambda z: midpoint_step(ex.model, z, inc), ex.z0)
     assert res <= 1e-5
 
 
@@ -162,13 +161,13 @@ def test_batch_columns_equal_single_paths_through_newton(scheme, monkeypatch):
     starts = counted_newton(monkeypatch)
     ex = get_example("ex2", c=0.5)
     m, paths, n, dt = ex.model.m, 8, 8, 0.25
-    batch_grid = build_noise_grid_batch(0, range(paths), m, 0.0, n * dt, 2 * n)
+    batch_grid = build_noise_grid(0, range(paths), m, n * dt, 2 * n)
     zb = PhaseState(np.repeat(ex.z0.x[:, None], paths, axis=1),
                     np.repeat(ex.z0.y[:, None], paths, axis=1))
     zb = simulate(make_stepper(scheme, ex, batch_grid, 2, 0.5), zb, n, dt).final
     assert starts
     for p in range(paths):
-        grid = build_noise_grid(0, p, m, 0.0, n * dt, 2 * n)
+        grid = build_noise_grid(0, p, m, n * dt, 2 * n)
         z = simulate(make_stepper(scheme, ex, grid, 2, 0.5), ex.z0, n, dt).final
         assert np.array_equal(zb.x[:, p], z.x) and np.array_equal(zb.y[:, p], z.y), p
 
@@ -186,7 +185,7 @@ def test_residual_calls_per_step(scheme, calls, monkeypatch):
                         solve(lambda w: counted.append(1) or residual(w), w0, cfg))
     ex = get_example("ex1", c=0.15)
     paths, n, dt = 8, 8, 2.0 ** -5
-    g = build_noise_grid_batch(0, range(paths), 1, 0.0, n * dt, 2 * n)
+    g = build_noise_grid(0, range(paths), 1, n * dt, 2 * n)
     z0 = PhaseState(np.repeat(ex.z0.x[:, None], paths, axis=1),
                     np.repeat(ex.z0.y[:, None], paths, axis=1))
     simulate(make_stepper(scheme, ex, g, 2, 0.01), z0, n, dt)

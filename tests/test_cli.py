@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from stosymp.cli import main, parse_args
+from stosymp.cli import CSV_BLOCK, _format_rows, main, parse_args, write_csv
 from stosymp.nls import build_lattice, nls_initial
 from stosymp.project import ProjectionConfig
 
@@ -78,6 +78,55 @@ def test_config_unknown_key_rejected(tmp_path):
         with pytest.raises(SystemExit) as err:
             parse_args(["run", "--config", str(cfg), "--dt", "0.01", "--t-end", "0.1"])
         assert err.value.code == 2
+
+
+def test_config_comments_and_blank_lines_are_skipped(tmp_path):
+    plain, commented = tmp_path / "plain.cfg", tmp_path / "commented.cfg"
+    plain.write_text("gamma = 0.5\nseed = 11\n")
+    commented.write_text("# a comment line\n\ngamma = 0.5  # restraint\n   \n"
+                         "  # indented comment\nseed = 11\n\n")
+    parsed = []
+    for cfg in (plain, commented):
+        args = vars(parse_args(["run", "--config", str(cfg), "--dt", "0.01", "--t-end", "0.1"]))
+        assert args.pop("config") == str(cfg)
+        parsed.append(args)
+    assert parsed[0] == parsed[1]
+    assert parsed[0]["gamma"] == 0.5 and parsed[0]["seed"] == 11
+
+
+def test_config_line_without_equals_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("gamma = 0.5\n\nseed 11\n")
+    with pytest.raises(SystemExit) as err:
+        parse_args(["run", "--config", str(cfg), "--dt", "0.01", "--t-end", "0.1"])
+    assert err.value.code == 2
+    assert f"{cfg}:3: expected 'key = value'" in capsys.readouterr().err
+
+
+def test_unknown_scheme_in_list_exit_2(capsys):
+    with pytest.raises(SystemExit) as err:
+        parse_args(["order", "--schemes", "ses-sp-1,bogus"])
+    assert err.value.code == 2
+    assert "unknown scheme 'bogus'" in capsys.readouterr().err
+
+
+def test_write_csv_across_a_block_boundary(tmp_path):
+    # a full block is written as it fills, the rest at the end; the bytes are
+    # those of one format call over all the rows
+    rows = [[i, i / 7.0] for i in range(CSV_BLOCK + 3)]
+    expected = ("n,value\n" + _format_rows(rows)).encode()
+    out = tmp_path / "rows.csv"
+    write_csv(str(out), ["n", "value"], iter(rows))
+    assert out.read_bytes() == expected
+
+    def failing():
+        yield from rows
+        raise RuntimeError("row source failed")
+
+    failed = tmp_path / "failed.csv"
+    with pytest.raises(RuntimeError, match="row source failed"):
+        write_csv(str(failed), ["n", "value"], failing())
+    assert failed.read_bytes() == expected
 
 
 def test_run_command_byte_identical(tmp_path):

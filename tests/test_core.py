@@ -6,54 +6,51 @@ from scipy import stats
 
 from stosymp import core
 from stosymp.core import (HamiltonianModel, LinearInvariant, PhaseState,
-                          QuadraticInvariant, build_noise_grid,
-                          build_noise_grid_batch, eval_linear,
+                          QuadraticInvariant, build_noise_grid, eval_linear,
                           eval_quadratic, fd_jacobian, step_windows, verify_gradients)
 from stosymp.modelzoo import make_example1
 
 
 def test_clock_channel_deterministic():
-    g = build_noise_grid(1, 0, 0, 0.0, 1.0, 4)
+    g = build_noise_grid(1, 0, 0, 1.0, 4)
     assert np.array_equal(g[0], np.full(4, 0.25))
 
 
 def test_noise_grid_bit_identical():
-    g1 = build_noise_grid(7, 3, 2, 0.0, 1.0, 64)
-    g2 = build_noise_grid(7, 3, 2, 0.0, 1.0, 64)
+    g1 = build_noise_grid(7, 3, 2, 1.0, 64)
+    g2 = build_noise_grid(7, 3, 2, 1.0, 64)
     assert np.array_equal(g1, g2)
 
 
 def test_noise_grid_invalid_args():
+    with pytest.raises(ValueError, match="t_end must be positive"):
+        build_noise_grid(0, 0, 1, 0.0, 4)
     with pytest.raises(ValueError):
-        build_noise_grid(0, 0, 1, 1.0, 1.0, 4)
-    with pytest.raises(ValueError):
-        build_noise_grid(0, 0, 1, 0.0, 1.0, 0)
+        build_noise_grid(0, 0, 1, 1.0, 0)
 
 
 def test_increment_statistics():
     # variance of fine increments and normality of per-path sums
     n = 2**16
-    g = build_noise_grid(42, 0, 1, 0.0, 1.0, n)
+    g = build_noise_grid(42, 0, 1, 1.0, n)
     assert abs(np.var(g[1]) - 1.0 / n) < 0.05 / n
-    sums = np.array([build_noise_grid(42, p, 1, 0.0, 1.0, 256)[1].sum()
+    sums = np.array([build_noise_grid(42, p, 1, 1.0, 256)[1].sum()
                      for p in range(1000)])
     assert stats.kstest(sums, "norm").pvalue > 0.01
 
 
 def test_batch_columns_match_single_paths():
-    gb = build_noise_grid_batch(5, [0, 1, 2], 1, 0.0, 1.0, 16)
+    gb = build_noise_grid(5, [0, 1, 2], 1, 1.0, 16)
     for j, p in enumerate([0, 1, 2]):
-        g = build_noise_grid(5, p, 1, 0.0, 1.0, 16)
+        g = build_noise_grid(5, p, 1, 1.0, 16)
         assert np.array_equal(gb[:, :, j], g)
-    # one builder for a path and a batch, under both names
-    assert np.array_equal(build_noise_grid(5, [0, 1, 2], 1, 0.0, 1.0, 16), gb)
 
 
 def test_batch_grid_built_in_place():
     # a 200-path, 2048-step grid holds no second copy of itself while it is built
     tracemalloc.start()
     try:
-        g = build_noise_grid_batch(0, range(200), 1, 0.0, 1.0, 2048)
+        g = build_noise_grid(0, range(200), 1, 1.0, 2048)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -63,11 +60,11 @@ def test_batch_grid_built_in_place():
 
 def test_noise_grid_needs_a_path():
     with pytest.raises(ValueError, match="at least one path"):
-        build_noise_grid_batch(0, [], 1, 0.0, 1.0, 4)
+        build_noise_grid(0, [], 1, 1.0, 4)
 
 
 def test_step_windows_full_and_halves():
-    g = build_noise_grid(0, 0, 1, 0.0, 1.0, 4)
+    g = build_noise_grid(0, 0, 1, 1.0, 4)
     (w,) = step_windows(g, 0, [1], substeps=2)
     assert np.isclose(w[1], g[1][:2].sum(), rtol=0, atol=0)
     h1, h2 = step_windows(g, 1, [0.5, 0.5], substeps=2)
@@ -77,7 +74,7 @@ def test_step_windows_full_and_halves():
 
 
 def test_step_windows_unrepresentable_boundary():
-    g = build_noise_grid(0, 0, 1, 0.0, 1.0, 4)
+    g = build_noise_grid(0, 0, 1, 1.0, 4)
     with pytest.raises(ValueError):
         step_windows(g, 0, [0.5, 0.5], substeps=3)
 
@@ -123,13 +120,13 @@ def test_eval_quadratic_matches_dense():
 
 def test_verify_gradients_pass_and_fail():
     ex = make_example1()
-    assert verify_gradients(ex.model, 100, 1e-5, 1e-6, seed=0).passed
+    assert verify_gradients(ex.model, seed=0).passed
     bad = HamiltonianModel(
         d=1, m=0,
         h=(ex.model.h[0],),
         grad_x=(lambda x, y: -ex.model.grad_x[0](x, y),),
         grad_y=(ex.model.grad_y[0],))
-    rep = verify_gradients(bad, 20, 1e-5, 1e-6, seed=0)
+    rep = verify_gradients(bad, seed=0)
     assert not rep.passed and rep.failures
 
 
@@ -138,7 +135,7 @@ def test_verify_gradients_constant_hamiltonian():
                              h=(lambda x, y: 1.0,),
                              grad_x=(lambda x, y: np.zeros_like(x),),
                              grad_y=(lambda x, y: np.zeros_like(y),))
-    assert verify_gradients(model, 20, 1e-5, 1e-6).passed
+    assert verify_gradients(model).passed
 
 
 def test_state_validation():

@@ -29,7 +29,7 @@ def test_spec_validation():
 
 def test_make_stepper_unknown_scheme():
     ex = get_example("ex1")
-    g = build_noise_grid(0, 0, 1, 0.0, 0.1, 4)
+    g = build_noise_grid(0, 0, 1, 0.1, 4)
     with pytest.raises(KeyError):
         make_stepper("heun", ex, g, 2, 0.0)
 
@@ -83,7 +83,7 @@ def test_track_starts_at_zero():
 def test_constant_tracker_yields_zero_series():
     from stosymp.project import simulate
     ex = get_example("ex1")
-    g = build_noise_grid(0, 0, 1, 0.0, 0.1, 20)
+    g = build_noise_grid(0, 0, 1, 0.1, 20)
     st = make_stepper("ses-sp-1", ex, g, 2, 0.0)
     traj = simulate(st, ex.z0, 10, 0.01, trackers={"const": lambda z: 1.0})
     assert np.all(traj.tracked["const"] == 1.0)
@@ -117,7 +117,7 @@ def test_schemes_converge_to_the_exact_endpoint(name, c, gamma):
     # 1.261 / 1.240, ex3 1.058 / 1.074 / 1.058, ex4 1.056 / 1.175 / 1.056
     ex = get_example(name, c=c)
     paths, dts = 32, [2.0 ** -k for k in range(4, 9)]
-    grid = build_noise_grid(0, range(paths), ex.model.m, 0.0, 1.0,
+    grid = build_noise_grid(0, range(paths), ex.model.m, 1.0,
                             round(1 / dts[-1]) * FINE_STEPS)
     exact = exact_endpoint(ex, grid)
     z0 = PhaseState(np.repeat(ex.z0.x[:, None], paths, axis=1),
@@ -169,7 +169,7 @@ def test_run_across_plan_blocks_matches_per_step_windows(scheme, windows, monkey
         monkeypatch.setattr(project, "PLAN_BLOCK", 7 * windows * (ex.model.m + 1) * width)
         return simulate(make_stepper(scheme, ex, grid, 2, gamma), z0, n, dt).final
 
-    g = build_noise_grid(4, range(paths), 1, 0.0, n * dt, 2 * n)
+    g = build_noise_grid(4, range(paths), 1, n * dt, 2 * n)
     zb = PhaseState(np.repeat(ex.z0.x[:, None], paths, axis=1),
                     np.repeat(ex.z0.y[:, None], paths, axis=1))
     got = run(g, zb, paths)
@@ -177,6 +177,6 @@ def test_run_across_plan_blocks_matches_per_step_windows(scheme, windows, monkey
     ref = simulate(per_step_stepper(scheme, ex, g, 2, gamma), zb, n, dt).final
     assert np.array_equal(got.x, ref.x) and np.array_equal(got.y, ref.y)
     for p in range(paths):
-        z = run(build_noise_grid(4, p, 1, 0.0, n * dt, 2 * n), ex.z0, 1)
+        z = run(build_noise_grid(4, p, 1, n * dt, 2 * n), ex.z0, 1)
         assert np.array_equal(got.x[:, p], z.x) and np.array_equal(got.y[:, p], z.y), p
     assert blocks[3:] == [7, 7, 3] * paths

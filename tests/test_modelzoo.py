@@ -82,11 +82,6 @@ def test_example2_round_trip():
         assert np.allclose(back.y, z.y, atol=1e-12)
 
 
-def test_example2_rejects_bad_initial_populations():
-    with pytest.raises(ValueError):
-        get_example("ex2", y0=(1.0, -1.0, 0.5))
-
-
 def test_example3_oracles():
     ex = get_example("ex3")
     zero = np.zeros(2)
@@ -142,8 +137,7 @@ def test_example4_round_trip_and_singularity():
                                          ("ex3", 1.0), ("ex4", 0.3)])
 def test_gradient_verification_all_examples(name, radius):
     ex = get_example(name)
-    rep = verify_gradients(ex.model, 100, 1e-5, 1e-6, seed=0,
-                           center=ex.z0, radius=radius)
+    rep = verify_gradients(ex.model, seed=0, center=ex.z0, radius=radius)
     assert rep.passed, f"{name}: worst {rep.worst}"
 
 

@@ -111,7 +111,7 @@ def test_unknown_recipe_rejected():
 @pytest.mark.parametrize("recipe", sorted(RECIPES))
 def test_single_step_charge_conservation(recipe):
     lat = build_lattice(-5.0, 5.0, 9, modes=10)
-    g = build_noise_grid(3, 0, 10, 0.0, 1e-3, 2)
+    g = build_noise_grid(3, 0, 10, 1e-3, 2)
     s = nls_initial(lat)
     c0 = charge(s)
     out, rep = nls_step(lat, recipe, s,
@@ -122,7 +122,7 @@ def test_single_step_charge_conservation(recipe):
 
 def test_projected_step_symplectic():
     lat = build_lattice(-5.0, 5.0, 9, modes=10)
-    g = build_noise_grid(7, 0, 10, 0.0, 1e-3, 2)
+    g = build_noise_grid(7, 0, 10, 1e-3, 2)
     cfg = ProjectionConfig(tol=1e-13)
     bounds = stage_bounds(RECIPES["strang-ab"], 2)
     s0 = nls_initial(lat)
@@ -147,7 +147,7 @@ def test_projected_step_symplectic():
 def test_unprojected_defect_grows_projected_does_not():
     lat = build_lattice(-5.0, 5.0, 9, modes=10)
     n_steps = 50
-    g = build_noise_grid(5, 0, 10, 0.0, n_steps * 1e-2, 2 * n_steps)
+    g = build_noise_grid(5, 0, 10, n_steps * 1e-2, 2 * n_steps)
     s = nls_initial(lat)
     ext = np.stack((s.x, s.x, s.y, s.y))
     cfg = ProjectionConfig(tol=1e-13)
@@ -191,7 +191,7 @@ def test_lattice_model_gradients_match_hamiltonians():
     lat = build_lattice(-5.0, 5.0, 9, modes=4)
     model = lat.model
     assert (model.d, model.m) == (9, 4)
-    rep = verify_gradients(model, samples=20, seed=3)
+    rep = verify_gradients(model, seed=3)
     assert rep.passed, rep.worst
 
 
@@ -217,7 +217,7 @@ def test_stiff_lattice_steps_without_fallback():
     # simplified-Newton matrix every step falls back to full Newton
     lat = build_lattice(-5.0, 5.0, 39, modes=10)
     dt = lat.h ** 2
-    g = build_noise_grid(0, 0, 10, 0.0, 4 * dt, 8)
+    g = build_noise_grid(0, 0, 10, 4 * dt, 8)
     stepper = nls_stepper(lat, "strang-ab", g, ProjectionConfig(tol=1e-13), 2)
     s = s0 = nls_initial(lat)
     for n in range(4):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stosymp import project
-from stosymp.core import (HamiltonianModel, PhaseState, build_noise_grid, build_noise_grid_batch,
+from stosymp.core import (HamiltonianModel, PhaseState, build_noise_grid,
                           fd_jacobian, ordered_sum)
 from stosymp.project import (FD_STEP, NoConvergence, ProjectionConfig, ProjectionReport,
                              _stage_residual, lift, linearised_config, linearised_matrix, newton,
@@ -175,7 +175,7 @@ def test_solve_ends_at_its_last_evaluated_lambda():
 
     ex = get_example("ex1", c=0.5)
     recipe = strang_recipe(np.array([0.5]))
-    incs = project.step_plan(build_noise_grid(3, 0, 1, 0.0, 0.05, 2), 2,
+    incs = project.step_plan(build_noise_grid(3, 0, 1, 0.05, 2), 2,
                              stage_bounds(recipe, 2))(0)[0]
     _, rep = check(project._stage_map(recipe, ex.model, incs), lift(ex.z0), False)
     assert rep.iterations > 1
@@ -254,7 +254,7 @@ def test_map_calls_per_step(scheme, calls, monkeypatch):
                         lambda *args: counted.append(1) or apply_stages(*args))
     ex = get_example("ex1", c=0.15)
     paths, n, dt = 8, 8, 2.0 ** -5
-    g = build_noise_grid_batch(0, range(paths), 1, 0.0, n * dt, 2 * n)
+    g = build_noise_grid(0, range(paths), 1, n * dt, 2 * n)
     z0 = PhaseState(np.repeat(ex.z0.x[:, None], paths, axis=1),
                     np.repeat(ex.z0.y[:, None], paths, axis=1))
     simulate(make_stepper(scheme, ex, g, 2, 0.01), z0, n, dt)
@@ -289,6 +289,24 @@ def reference_newton(residual, w0, cfg, live=True):
             np.subtract(w, ordered_sum(inv_t * r[:, None]), out=w, where=live)
 
 
+def test_inverse_per_path_fallback_for_k_above_2():
+    # k = 4 takes LAPACK's inverse; a singular path makes the stacked call
+    # raise, so every path is inverted on its own and that one gets NaN
+    rng = np.random.default_rng(8)
+    jac = rng.uniform(-1.0, 1.0, (4, 4, 5)) + 4.0 * np.eye(4)[:, :, None]
+    regular = project._inverse_t(jac)
+    singular = jac.copy()
+    singular[3, :, 2] = 0.0   # path 2: a zero row
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(singular.transpose(2, 0, 1))
+    out = project._inverse_t(singular)
+    assert out.shape == jac.shape
+    assert np.all(np.isnan(out[..., 2]))
+    others = [0, 1, 3, 4]
+    assert np.array_equal(out[..., others], regular[..., others])
+    assert np.all(np.isfinite(regular))
+
+
 class FallbackReached(Exception):
     pass
 
@@ -305,7 +323,7 @@ def newton_case(nodes, ratio, monkeypatch):
         monkeypatch.setattr(project, "_full_newton", reached)
         ex = get_example("ex2", c=0.5)
         paths, n, dt = 8, 8, 2.0 ** -4
-        g = build_noise_grid_batch(0, range(paths), ex.model.m, 0.0, n * dt, 2 * n)
+        g = build_noise_grid(0, range(paths), ex.model.m, n * dt, 2 * n)
         z0 = PhaseState(np.repeat(ex.z0.x[:, None], paths, axis=1),
                         np.repeat(ex.z0.y[:, None], paths, axis=1))
         with pytest.raises(FallbackReached) as hit:
@@ -360,7 +378,7 @@ def test_rotation_oracle_strang():
                              h=(lambda x, y: 0.5 * (x[0] ** 2 + y[0] ** 2),),
                              grad_x=(lambda x, y: x.copy(),),
                              grad_y=(lambda x, y: y.copy(),))
-    g = build_noise_grid(0, 0, 0, 0.0, 0.1, 2)
+    g = build_noise_grid(0, 0, 0, 0.1, 2)
     recipe = strang_recipe([0.0])
     z, rep = projection_step(model, recipe, PhaseState([1.0], [0.0]),
                              *project.step_plan(g, 2, stage_bounds(recipe, 2), recipe)(0),
@@ -371,7 +389,7 @@ def test_rotation_oracle_strang():
 
 def test_kernel_membership_and_defect_symmetry():
     ex = get_example("ex1")
-    g = build_noise_grid(9, 0, 1, 0.0, 0.01, 2)
+    g = build_noise_grid(9, 0, 1, 0.01, 2)
     cfg = ProjectionConfig(tol=1e-13)
     recipe = lie_recipe([0.5, 0.5])
     z = ex.z0
@@ -394,7 +412,7 @@ def test_kernel_membership_and_defect_symmetry():
 
 def test_simulate_zero_steps():
     ex = get_example("ex1")
-    g = build_noise_grid(0, 0, 1, 0.0, 0.01, 2)
+    g = build_noise_grid(0, 0, 1, 0.01, 2)
     st = make_stepper("ses-sp-1", ex, g, 2, 0.0)
     traj = simulate(st, ex.z0, 0, 0.01)
     assert len(traj.states) == 1
@@ -404,7 +422,7 @@ def test_simulate_zero_steps():
 def test_defect_series_bounded():
     ex = get_example("ex1")
     n = 100
-    g = build_noise_grid(11, 0, 1, 0.0, n * 1e-2, 2 * n)
+    g = build_noise_grid(11, 0, 1, n * 1e-2, 2 * n)
     st = make_stepper("ses-sp-1", ex, g, 2, 1.0, cfg=ProjectionConfig(tol=1e-12))
     traj = simulate(st, ex.z0, n, 1e-2)
     ds = traj.defect
@@ -437,11 +455,11 @@ def test_simulate_records_each_step(case):
     n, paths = 12, 3
     z0 = ex.z0
     if case == "ses-sp-1-batch":
-        g = build_noise_grid_batch(4, range(paths), 1, 0.0, n * 0.05, 2 * n)
+        g = build_noise_grid(4, range(paths), 1, n * 0.05, 2 * n)
         z0 = PhaseState(np.repeat(z0.x[:, None], paths, axis=1),
                         np.repeat(z0.y[:, None], paths, axis=1))
     else:
-        g = build_noise_grid(4, 0, 1, 0.0, n * 0.05, 2 * n)
+        g = build_noise_grid(4, 0, 1, n * 0.05, 2 * n)
     if case == "fake":
         stepper = _fake_fallback_stepper
     else:
@@ -463,7 +481,7 @@ def test_simulate_records_each_step(case):
 
 def test_noconvergence_carries_step_index():
     ex = get_example("ex1")
-    g = build_noise_grid(0, 0, 1, 0.0, 0.1, 4)
+    g = build_noise_grid(0, 0, 1, 0.1, 4)
     st = make_stepper("ses-sp-1", ex, g, 2, 0.0,
                       cfg=ProjectionConfig(tol=1e-12, max_iter=1))
 
