@@ -14,7 +14,6 @@ import argparse
 import math
 import os
 import sys
-from functools import lru_cache
 from itertools import chain
 from typing import Optional, Sequence
 
@@ -32,24 +31,11 @@ DEFAULT_DT_LIST = "0.03125,0.015625,0.0078125,0.00390625"  # 2^-5 .. 2^-8
 CSV_BLOCK = 1024   # rows formatted per %-format call
 
 
-@lru_cache(maxsize=None)
-def _number_line(n: int) -> str:
-    return ",".join(["%.17g"] * n) + "\n"
-
-
-def _line(row) -> str:
-    return ",".join("%s" if isinstance(v, str) else "%.17g" for v in row) + "\n"
-
-
 def _format_rows(rows: list) -> str:
-    """The rows as CSV lines from one %-format call: "%.17g" for a number,
-    "%s" for a string."""
-    values = tuple(chain.from_iterable(rows))
-    if any(issubclass(t, str) for t in set(map(type, values))):
-        template = "".join(map(_line, rows))
-    else:
-        template = "".join(map(_number_line, map(len, rows)))
-    return template % values
+    """The rows as CSV lines from one %-format call, every row laid out as
+    the first: "%s" for a string, "%.17g" for anything else."""
+    line = ",".join("%s" if isinstance(v, str) else "%.17g" for v in rows[0]) + "\n"
+    return (line * len(rows)) % tuple(chain.from_iterable(rows))
 
 
 class UsageError(Exception):
@@ -75,9 +61,12 @@ def _check_writable(paths: Sequence[str]) -> None:
 
 def write_csv(path: str, header: Sequence[str], rows) -> None:
     """``header`` and ``rows``, an iterable of sequences, as CSV, CSV_BLOCK
-    rows at a time.  The rows taken from ``rows`` are written even when it
-    raises, so a generator keeps what it yielded before it failed.  A path
-    that cannot be opened is a ``UsageError``."""
+    rows at a time.  Every row of a file has its first row's layout (the
+    same length, a string where the first row has one), and only full
+    blocks and a non-empty remainder are formatted.  The rows taken from
+    ``rows`` are written even when it raises, so a generator keeps what it
+    yielded before it failed.  A path that cannot be opened is a
+    ``UsageError``."""
     with _open_out(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         block = []
@@ -398,8 +387,8 @@ def cmd_check(args, cfg: ProjectionConfig) -> int:
     if example.forward is not None:
         w = example.forward(example.z0)
         z_back = example.inverse(w)
-        rt = max(float(np.max(np.abs(z_back.x - example.z0.x))),
-                 float(np.max(np.abs(z_back.y - example.z0.y))))
+        rt = float(np.max(np.abs(np.concatenate([z_back.x - example.z0.x,
+                                                  z_back.y - example.z0.y]))))
         rt_ok = rt <= 1e-12
         ok = ok and rt_ok
         print(f"transform round-trip: {'pass' if rt_ok else 'FAIL'} ({rt:.3e})")

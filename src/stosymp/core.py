@@ -327,8 +327,8 @@ GRAD_TOL = 1e-6      # largest accepted |gradient - central difference|
 def verify_gradients(model: HamiltonianModel, seed: int = 0,
                      center: Optional[PhaseState] = None, radius: float = 1.0) -> GradientReport:
     """Check supplied gradients against central differences of H, step
-    GRAD_FD_STEP, at GRAD_SAMPLES random points; a deviation above GRAD_TOL
-    fails.
+    GRAD_FD_STEP, at GRAD_SAMPLES random points; a deviation above GRAD_TOL,
+    or one that is not finite, fails.
 
     Report-only: never raises.  Points are drawn from a Gaussian ball around
     ``center`` (origin by default) so constrained models can be probed near
@@ -353,8 +353,8 @@ def verify_gradients(model: HamiltonianModel, seed: int = 0,
                     else:
                         fd[i] = (model.h[r](x, y + e) - model.h[r](x, y - e)) / (2 * GRAD_FD_STEP)
                 dev = float(np.max(np.abs(g - fd)))
-                report.worst = max(report.worst, dev)
-                if dev > GRAD_TOL:
+                report.worst = float(np.max([report.worst, dev]))   # keeps a NaN
+                if not dev <= GRAD_TOL:
                     report.passed = False
                     report.failures.append((r, block, PhaseState(x, y), dev))
     return report

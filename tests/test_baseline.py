@@ -119,8 +119,10 @@ def test_midpoint_singular_jacobian_is_noconvergence():
 
 
 def test_invalid_solver_config():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="tol must be positive"):
         ProjectionConfig(tol=0.0)
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        ProjectionConfig(max_iter=0)
 
 
 def counted_newton(monkeypatch, calls=()):

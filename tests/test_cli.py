@@ -1,9 +1,12 @@
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
+from stosymp import cli
 from stosymp.cli import CSV_BLOCK, _format_rows, main, parse_args, write_csv
+from stosymp.core import PhaseState
 from stosymp.nls import build_lattice, nls_initial
 from stosymp.project import ProjectionConfig
 
@@ -222,9 +225,33 @@ def test_nls_bad_spacing_exit_2(tmp_path, capsys):
     assert code == 2
 
 
-def test_check_command():
-    assert run_cli(["check", "--example", "ex1"]) == 0
-    assert run_cli(["check", "--example", "ex3"]) == 0
+def test_check_command(capsys):
+    for name in ("ex1", "ex2", "ex3", "ex4"):
+        assert run_cli(["check", "--example", name]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # ex2 and ex4 integrate in transformed coordinates and check the round trip
+        assert len(lines) == (3 if name in ("ex2", "ex4") else 2)
+        assert all(": pass (" in line for line in lines)
+        if len(lines) == 3:
+            assert lines[2].startswith("transform round-trip: pass (")
+
+
+def test_check_round_trip_fails_on_nan(monkeypatch, capsys):
+    # a NaN in the y round trip alone must not pass as the x deviation
+    real = cli.get_example
+
+    def nan_inverse_example(name, c=None):
+        ex = real(name, c=c)
+
+        def inverse(w):
+            z = ex.inverse(w)
+            return PhaseState(z.x, np.full_like(z.y, np.nan))
+
+        return dataclasses.replace(ex, inverse=inverse)
+
+    monkeypatch.setattr(cli, "get_example", nan_inverse_example)
+    assert run_cli(["check", "--example", "ex4"]) == 1
+    assert "transform round-trip: FAIL (nan)" in capsys.readouterr().out.splitlines()
 
 
 def test_check_honours_scheme(capsys):
@@ -267,27 +294,46 @@ def test_gamma_list_of_wrong_length_exit_2(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["run", "--example", "ex1", "--dt", "1", "--t-end", "0.1"],
-    ["track", "--example", "ex1", "--dt", "1", "--t-end", "0.1"],
-    ["nls", "--dt", "1", "--t-end", "0.1"],
-    ["order", "--example", "ex1", "--dt-list", "0.03", "--ref-dt", "0.01",
-     "--paths", "2", "--t-end", "0.1"],
-    ["order", "--example", "ex1", "--dt-list", "0.03", "--ref-dt", "0.007",
-     "--paths", "2", "--t-end", "0.1"],
-    ["timing", "--example", "ex1", "--dt-list", "0.03", "--ref-dt", "0.01",
-     "--t-end", "0.1"],
-    ["run", "--example", "ex1", "--dt", "0.03", "--t-end", "0.1"],
-    ["track", "--example", "ex1", "--dt", "0.03", "--t-end", "0.1"],
-    ["nls", "--dt", "0.03", "--t-end", "0.1"],
-    ["order", "--example", "ex1", "--c", "0.15", "--gamma", "0.01", "--t-end", "0.1025",
-     "--dt-list", "0.02,0.01", "--ref-dt", "0.005", "--paths", "4", "--schemes", "midpoint"],
-], ids=["run-zero-steps", "track-zero-steps", "nls-zero-steps", "order-untiled-dt",
-        "order-ref-dt-not-dividing", "timing-untiled-dt", "run-untiled-t-end",
-        "track-untiled-t-end", "nls-untiled-t-end", "order-ref-dt-not-tiling-t-end"])
-def test_unrunnable_step_sizes_exit_2(argv, tmp_path, capsys):
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["run", "--example", "ex1", "--dt", "1", "--t-end", "0.1"],
+                 "t_end 0.1 is not a whole number of steps of 1.0", id="run-zero-steps"),
+    pytest.param(["track", "--example", "ex1", "--dt", "1", "--t-end", "0.1"],
+                 "t_end 0.1 is not a whole number of steps of 1.0", id="track-zero-steps"),
+    pytest.param(["nls", "--dt", "1", "--t-end", "0.1"],
+                 "t_end 0.1 is not a whole number of steps of 1.0", id="nls-zero-steps"),
+    pytest.param(["order", "--example", "ex1", "--dt-list", "0.03", "--ref-dt", "0.01",
+                  "--paths", "2", "--t-end", "0.1"],
+                 "dt 0.03 does not tile t_end 0.1 on the ref_dt 0.01 grid", id="order-untiled-dt"),
+    pytest.param(["order", "--example", "ex1", "--dt-list", "0.03", "--ref-dt", "0.007",
+                  "--paths", "2", "--t-end", "0.1"],
+                 "t_end 0.1 is not a whole number of steps of 0.007",
+                 id="order-ref-dt-not-dividing"),
+    pytest.param(["timing", "--example", "ex1", "--dt-list", "0.03", "--ref-dt", "0.01",
+                  "--t-end", "0.1"],
+                 "dt 0.03 does not tile t_end 0.1 on the ref_dt 0.01 grid", id="timing-untiled-dt"),
+    pytest.param(["run", "--example", "ex1", "--dt", "0.03", "--t-end", "0.1"],
+                 "t_end 0.1 is not a whole number of steps of 0.03", id="run-untiled-t-end"),
+    pytest.param(["track", "--example", "ex1", "--dt", "0.03", "--t-end", "0.1"],
+                 "t_end 0.1 is not a whole number of steps of 0.03", id="track-untiled-t-end"),
+    pytest.param(["nls", "--dt", "0.03", "--t-end", "0.1"],
+                 "t_end 0.1 is not a whole number of steps of 0.03", id="nls-untiled-t-end"),
+    pytest.param(["order", "--example", "ex1", "--c", "0.15", "--gamma", "0.01",
+                  "--t-end", "0.1025", "--dt-list", "0.02,0.01", "--ref-dt", "0.005",
+                  "--paths", "4", "--schemes", "midpoint"],
+                 "t_end 0.1025 is not a whole number of steps of 0.005",
+                 id="order-ref-dt-not-tiling-t-end"),
+    # --dt-list takes any finite number, so a step that is not positive reaches
+    # the grid check (the default ref_dt is min(dt_list)/16)
+    pytest.param(["order", "--example", "ex1", "--dt-list", "0.1,-0.05", "--t-end", "0.1"],
+                 "steps must be positive (dt [0.1, -0.05], ref_dt -0.003125)",
+                 id="order-negative-dt"),
+    pytest.param(["order", "--example", "ex1", "--dt-list", "0.025", "--ref-dt", "0.01",
+                  "--t-end", "0.1"],
+                 "ref_dt 0.01 does not divide dt 0.025", id="order-ref-dt-not-dividing-dt"),
+])
+def test_unrunnable_step_sizes_exit_2(argv, message, tmp_path, capsys):
     assert run_cli(argv + ["--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not list(tmp_path.iterdir())
 
 
@@ -329,6 +375,21 @@ def test_max_iter_reaches_the_solver(argv, tmp_path, capsys):
     assert run_cli(argv + ["--max-iter", "1"] + out) == 1
     assert "numerical failure" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())   # the check of --out leaves no file
+
+
+def test_order_with_one_path_has_no_standard_error(tmp_path):
+    # the delete-one jackknife needs two paths; with one, se_x and se_y are NaN
+    out = tmp_path / "order.csv"
+    assert run_cli(["order", "--example", "ex1", "--schemes", "midpoint",
+                    "--t-end", "0.125", "--dt-list", "0.03125,0.015625",
+                    "--ref-dt", "0.0078125", "--paths", "1", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    assert len(rows) == 2
+    for row in rows:
+        assert row[header.index("se_x")] == row[header.index("se_y")] == "nan"
+        assert np.isfinite(float(row[header.index("err_x")]))
 
 
 def test_timing_command_rows(tmp_path):

@@ -7,7 +7,8 @@ from scipy import stats
 from stosymp import core
 from stosymp.core import (HamiltonianModel, LinearInvariant, PhaseState,
                           QuadraticInvariant, build_noise_grid, eval_linear,
-                          eval_quadratic, fd_jacobian, step_windows, verify_gradients)
+                          eval_quadratic, fd_jacobian, grid_windows, step_windows,
+                          verify_gradients, window_bounds)
 from stosymp.modelzoo import make_example1
 
 
@@ -73,6 +74,25 @@ def test_step_windows_full_and_halves():
     assert np.isclose(h1[1] + h2[1], step_windows(g, 1, [1], substeps=2)[0][1])
 
 
+@pytest.mark.parametrize("split, message", [
+    ((0.5, 0.0, 0.5), "window fractions must be positive"),
+    ((1.5, -0.5), "window fractions must be positive"),
+    ((0.5, 0.25), "window fractions must sum to 1"),
+    ((0.5, 0.75), "window fractions must sum to 1"),
+])
+def test_window_bounds_rejects_bad_fractions(split, message):
+    with pytest.raises(ValueError, match=message):
+        window_bounds(split, 4)
+
+
+def test_grid_windows_rejects_a_partial_step():
+    g = build_noise_grid(0, 0, 1, 1.0, 6)
+    assert grid_windows(g, 3, window_bounds((1,), 3)).shape == (2, 1, 2)
+    for substeps in (4, 12):   # 1.5 steps; no whole step
+        with pytest.raises(ValueError, match="the grid slice must hold whole steps"):
+            grid_windows(g, substeps, window_bounds((1,), substeps))
+
+
 def test_step_windows_unrepresentable_boundary():
     g = build_noise_grid(0, 0, 1, 1.0, 4)
     with pytest.raises(ValueError):
@@ -88,6 +108,8 @@ def test_eval_linear_oracles():
     assert np.isclose(eval_linear(inv3, z), -0.5)
     with pytest.raises(ValueError):
         LinearInvariant([0.0], [0.0])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        eval_linear(inv3, PhaseState([1.0], [1.0]))
 
 
 def test_eval_quadratic_oracles():
@@ -97,8 +119,12 @@ def test_eval_quadratic_oracles():
     z = PhaseState([-1.0, 2.0], [1.0, -1.0])
     assert np.isclose(eval_quadratic(inv3, z), 1.5)
     assert eval_quadratic(inv, PhaseState([0.0], [0.0])) == 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k11 must be symmetric"):
         QuadraticInvariant([[0, 1], [0, 0]], np.zeros((2, 2)), np.eye(2))
+    with pytest.raises(ValueError, match="k22 must be symmetric"):
+        QuadraticInvariant(np.eye(2), np.zeros((2, 2)), [[0, 1], [0, 0]])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        eval_quadratic(inv3, PhaseState([1.0], [1.0]))
 
 
 def test_eval_quadratic_matches_dense():
@@ -130,6 +156,20 @@ def test_verify_gradients_pass_and_fail():
     assert not rep.passed and rep.failures
 
 
+@pytest.mark.parametrize("broken, nan", [
+    ("grad_x", lambda x, y: np.full_like(x, np.nan)),
+    ("h", lambda x, y: np.nan),
+], ids=["grad_x", "h"])
+def test_verify_gradients_fails_on_nan(broken, nan):
+    # a NaN deviation compares False with the tolerance; it must fail all the same
+    ex1 = make_example1().model
+    fns = {"h": ex1.h[0], "grad_x": ex1.grad_x[0], "grad_y": ex1.grad_y[0], broken: nan}
+    model = HamiltonianModel(d=1, m=0, **{name: (fn,) for name, fn in fns.items()})
+    rep = verify_gradients(model, seed=0)
+    assert not rep.passed and rep.failures
+    assert np.isnan(rep.worst)
+
+
 def test_verify_gradients_constant_hamiltonian():
     model = HamiltonianModel(d=2, m=0,
                              h=(lambda x, y: 1.0,),
@@ -141,6 +181,22 @@ def test_verify_gradients_constant_hamiltonian():
 def test_state_validation():
     with pytest.raises(ValueError):
         PhaseState([1.0, 2.0], [1.0])
+
+
+@pytest.mark.parametrize("d, m, n_fns, message", [
+    (0, 0, (1, 1, 1), "state dimension must be positive"),
+    (1, -1, (0, 0, 0), "channel count must be non-negative"),
+    (1, 1, (1, 2, 2), "h must have m\\+1 = 2 entries"),
+    (1, 1, (2, 1, 2), "grad_x must have m\\+1 = 2 entries"),
+    (1, 0, (1, 1, 2), "grad_y must have m\\+1 = 1 entries"),
+], ids=["d-zero", "m-negative", "h-short", "grad_x-short", "grad_y-long"])
+def test_model_validation(d, m, n_fns, message):
+    def fn(x, y):
+        return x
+
+    h, gx, gy = ((fn,) * n for n in n_fns)
+    with pytest.raises(ValueError, match=message):
+        HamiltonianModel(d=d, m=m, h=h, grad_x=gx, grad_y=gy)
 
 
 def column_jacobian(fn, w, step):

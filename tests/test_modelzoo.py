@@ -118,6 +118,9 @@ def test_example4_casimir_telescopes():
         y = rng.standard_normal(1)
         z = PhaseState(x, y)
         assert abs(ex.invariants["casimir"](z) - 0.5) <= 1e-12
+        # the rigid body's kinetic energy, in body coordinates, is its H_0
+        h0 = ex.invariants["hamiltonian"](z)
+        assert abs(ex.invariants["kinetic"](z) - h0) <= 1e-14 * abs(h0)
 
 
 def test_example4_round_trip_and_singularity():
