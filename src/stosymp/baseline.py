@@ -7,15 +7,15 @@ at that start, from the same stacked first residual call as the projection's
 chord, until the residual norm is below tol.  A path whose norm does not
 decrease, is not finite, or is still too large after ``max_iter`` chord
 updates leaves the chord and restarts full ``project.newton`` from the
-start, itself bounded by ``max_iter`` steps.  States may carry a trailing
-batch axis; every path is then solved on its own.
+start, itself bounded by ``max_iter`` steps.  A state is one ``(2, d[,
+n_paths])`` array with rows x and y; every path of a batch is solved alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import HamiltonianModel, PhaseState, fd_jacobian, fd_shared
+from .core import HamiltonianModel, fd_jacobian, fd_shared
 from .project import NoConvergence, ProjectionConfig, chord_newton
 
 
@@ -26,12 +26,12 @@ def _solve(residual, w0: np.ndarray, cfg: ProjectionConfig) -> np.ndarray:
     return w
 
 
-def midpoint_step(model: HamiltonianModel, z: PhaseState, delta: np.ndarray,
-                  cfg: ProjectionConfig = ProjectionConfig()) -> PhaseState:
+def midpoint_step(model: HamiltonianModel, z: np.ndarray, delta: np.ndarray,
+                  cfg: ProjectionConfig = ProjectionConfig()) -> np.ndarray:
     """Stochastic midpoint rule: all H-derivatives at the state average.
     ``delta`` holds the step's increments, the one window of a ``project.step_plan``."""
     d = model.d
-    w0 = np.concatenate([z.x, z.y])
+    w0 = z.reshape((2 * d,) + z.shape[2:])   # the unknowns (x, y), a view of z
 
     def residual(w):
         start = fd_shared(w0, w)
@@ -39,8 +39,8 @@ def midpoint_step(model: HamiltonianModel, z: PhaseState, delta: np.ndarray,
         return w - start - np.concatenate(model.field(mid[:d], mid[d:], delta))
 
     # explicit Euler predictor
-    w = _solve(residual, w0 + np.concatenate(model.field(z.x, z.y, delta)), cfg)
-    return PhaseState(w[:d], w[d:])
+    w = _solve(residual, w0 + np.concatenate(model.field(z[0], z[1], delta)), cfg)
+    return w.reshape(z.shape)
 
 
 def _hessian(model: HamiltonianModel, block: str, x, y):
@@ -59,13 +59,13 @@ def _hessian(model: HamiltonianModel, block: str, x, y):
     return fd_jacobian(lambda v: gy(v, fd_shared(y, v)), x, h)
 
 
-def symplectic_euler_step(model: HamiltonianModel, z: PhaseState, delta: np.ndarray,
-                          cfg: ProjectionConfig = ProjectionConfig()) -> PhaseState:
+def symplectic_euler_step(model: HamiltonianModel, z: np.ndarray, delta: np.ndarray,
+                          cfg: ProjectionConfig = ProjectionConfig()) -> np.ndarray:
     """Symplectic Euler with the printed drift-correction terms; single noise
     channel only.  Implicit in the x-update, explicit in the y-update."""
     if model.m != 1:
         raise ValueError("symplectic Euler baseline requires exactly one noise channel")
-    x0, y0 = z.x, z.y
+    x0, y0 = z[0], z[1]
     dt = delta[0]
 
     def x_residual(x1):
@@ -90,4 +90,4 @@ def symplectic_euler_step(model: HamiltonianModel, z: PhaseState, delta: np.ndar
     corr = 0.5 * (np.einsum("ij...,j...->i...", hxx, g1y)
                   - 0.5 * np.einsum("ij...,j...->i...", hyx, g1x))
     y1 = y0 + fy - corr * dt
-    return PhaseState(x1, y1)
+    return np.array((x1, y1))

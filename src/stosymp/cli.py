@@ -60,15 +60,18 @@ def _check_writable(paths: Sequence[str]) -> None:
 
 
 def write_csv(path: str, header: Sequence[str], rows) -> None:
-    """``header`` and ``rows``, an iterable of sequences, as CSV, CSV_BLOCK
-    rows at a time.  Every row of a file has its first row's layout (the
-    same length, a string where the first row has one), and only full
-    blocks and a non-empty remainder are formatted.  The rows taken from
-    ``rows`` are written even when it raises, so a generator keeps what it
-    yielded before it failed.  A path that cannot be opened is a
+    """``header`` and ``rows``, an iterable of sequences or a 2-D array, as
+    CSV, CSV_BLOCK rows at a time.  Every row of a file has its first row's
+    layout (the same length, a string where the first row has one).  The rows
+    taken from ``rows`` are written even when it raises, so a generator keeps
+    what it yielded before it failed.  A path that cannot be opened is a
     ``UsageError``."""
     with _open_out(path, "w") as fh:
         fh.write(",".join(header) + "\n")
+        if isinstance(rows, np.ndarray):
+            for start in range(0, len(rows), CSV_BLOCK):
+                fh.write(_format_rows(rows[start:start + CSV_BLOCK].tolist()))
+            return
         block = []
         try:
             for row in rows:
@@ -252,8 +255,8 @@ def cmd_run(args, cfg: ProjectionConfig) -> int:
                             args.gamma, cfg, keep_states=True)
     d = example.model.d
     header = ["t"] + [f"x{i+1}" for i in range(d)] + [f"y{i+1}" for i in range(d)]
-    rows = [[t] + list(z.x) + list(z.y) for t, z in zip(traj.times, traj.states)]
-    write_csv(out, header, rows)
+    # a state's (2, d) array flattens to x1..xd, y1..yd
+    write_csv(out, header, np.column_stack((traj.times, traj.z.reshape(len(traj.z), -1))))
     zf = traj.final
     print(f"run {args.example} {args.scheme}: {n_steps} steps, "
           f"final x={zf.x} y={zf.y} -> {out}")
@@ -353,9 +356,10 @@ def cmd_nls(args, cfg: ProjectionConfig) -> int:
     stepper = nlsmod.nls_stepper(lattice, args.recipe, grid, cfg, harness.FINE_STEPS)
     traj = simulate(stepper, nlsmod.nls_initial(lattice), n_steps, args.dt,
                     {"charge": nlsmod.charge})
+    # one row per (step, node): t, the node, p = y and q = x
+    t, nodes = np.broadcast_arrays(traj.times[:, None], lattice.nodes)
     write_csv(f"{stem}_field.csv", ["t", "x", "p", "q"],
-              ([t, xi, pi, qi] for t, s in zip(traj.times, traj.states)
-               for xi, pi, qi in zip(lattice.nodes, s.y, s.x)))
+              np.stack((t, nodes, traj.z[:, 1], traj.z[:, 0]), axis=-1).reshape(-1, 4))
     charges = traj.tracked["charge"]
     iters = traj.iterations
     write_csv(f"{stem}_summary.csv", ["t", "charge", "defect", "newton_iters"],
@@ -379,16 +383,14 @@ def cmd_check(args, cfg: ProjectionConfig) -> int:
     grid = build_noise_grid(args.seed, 0, example.model.m, 1e-2, harness.FINE_STEPS)
     stepper = harness.make_stepper(args.scheme, example, grid, harness.FINE_STEPS,
                                    args.gamma, cfg)
-    res = symplectic_residual_phase(lambda z: stepper(z, 0)[0], example.z0)
+    res = symplectic_residual_phase(lambda z: stepper(z, 0)[0], example.z0.stacked())
     sym_ok = res <= 1e-5
     ok = ok and sym_ok
     print(f"symplecticity: {'pass' if sym_ok else 'FAIL'} (residual {res:.3e})")
 
     if example.forward is not None:
-        w = example.forward(example.z0)
-        z_back = example.inverse(w)
-        rt = float(np.max(np.abs(np.concatenate([z_back.x - example.z0.x,
-                                                  z_back.y - example.z0.y]))))
+        z_back = example.inverse(example.forward(example.z0))
+        rt = float(np.max(np.abs(z_back.stacked() - example.z0.stacked())))
         rt_ok = rt <= 1e-12
         ok = ok and rt_ok
         print(f"transform round-trip: {'pass' if rt_ok else 'FAIL'} ({rt:.3e})")

@@ -4,9 +4,11 @@ States may carry a trailing batch axis, i.e. ``x`` has shape ``(d,)`` for a
 single sample or ``(d, n_paths)`` for a vectorized Monte Carlo batch.  All
 model callbacks are expected to broadcast over that axis, and over the axis of
 points that ``fd_jacobian`` inserts after the state axis.  Inside the stepping
-core the doubled state (x, u, y, v) is one ``(4, d[, n_paths])`` array in that
-row order, and a window's increments are one ``(m+1[, n_paths])`` array whose
-row 0 is the window length and row r the Brownian increment of channel r.
+core a state is one ``(2, d[, n_paths])`` array with rows x and y (a
+``PhaseState`` only at the API boundary), the doubled state (x, u, y, v) one
+``(4, d[, n_paths])`` array in that row order, and a window's increments one
+``(m+1[, n_paths])`` array whose row 0 is the window length and row r the
+Brownian increment of channel r.
 """
 
 from __future__ import annotations
@@ -112,6 +114,10 @@ class PhaseState:
         if self.x.shape != self.y.shape:
             raise ValueError("x and y must have identical shapes")
 
+    def stacked(self) -> np.ndarray:
+        """(x, y) as the stepping core's one array; ``PhaseState(*z)`` undoes it."""
+        return np.stack((self.x, self.y))
+
 
 # ---------------------------------------------------------------------------
 # Invariant functionals
@@ -207,8 +213,10 @@ build_noise_grid_batch = build_noise_grid   # the batch's older name, for perfbe
 
 def ordered_sum(a: np.ndarray) -> np.ndarray:
     """Sum over the first axis left to right, in any layout; ``np.sum`` is
-    pairwise along a contiguous axis, so one path would round differently."""
-    if len(a) > 8:   # one call for a long sum; row by row is cheaper for a short one
+    pairwise along a contiguous axis, so one path would round differently.
+    A row of at most 32 entries takes one ``np.add.accumulate`` call, a wider
+    one (a batch) adds row by row; both give the same bits."""
+    if a[0].size <= 32:
         return np.add.accumulate(a)[-1]
     return reduce(lambda total, row: total + row, a)
 

@@ -30,9 +30,10 @@ FINE_STEPS = 2   # noise-grid steps per reference step: >= 2 for half windows
 def make_stepper(scheme: str, example: ExampleSpec, grid: np.ndarray, substeps: int,
                  gamma, cfg: ProjectionConfig = ProjectionConfig()) -> Callable:
     """Bind a scheme id to a one-step callable ``(z, step) -> (z', report)``
-    from ``example.z0``; the window bounds and the projection's
-    simplified-Newton matrix are found here, once, and the steps' increments
-    (and F3 rotations) by a ``step_plan``, one block of steps at a time."""
+    on ``(2, d[, n_paths])`` states, for a run from ``example.z0``; the
+    window bounds and the projection's simplified-Newton matrix are found
+    here, once, and the steps' increments (and F3 rotations) by a
+    ``step_plan``, one block of steps at a time."""
     model = example.model
     if scheme in ("ses-sp-1", "ses-sp-2"):
         gammas = np.full(model.m + 1, gamma) if np.ndim(gamma) == 0 else np.asarray(gamma)
@@ -119,15 +120,14 @@ def _run_final(spec: ConvergenceSpec, grid: np.ndarray, dt: float) -> tuple:
     n_steps = int(round(spec.t_end / dt))
     substeps = grid.shape[1] // n_steps   # exact: ConvergenceSpec checked the tiling
     stepper = make_stepper(spec.scheme, spec.example, grid, substeps, spec.gamma, spec.cfg)
-    z = PhaseState(np.repeat(spec.example.z0.x[:, None], spec.paths, axis=1),
-                   np.repeat(spec.example.z0.y[:, None], spec.paths, axis=1))
+    z = PhaseState(*np.repeat(spec.example.z0.stacked()[..., None], spec.paths, axis=-1))
     t_start = time.perf_counter()
     try:
         traj = simulate(stepper, z, n_steps, dt, keep_states=False)
     except NoConvergence as err:
         raise NoConvergence(f"{spec.scheme} at dt={dt:g}: {err}", err.report,
                             err.step) from err
-    return traj.final, time.perf_counter() - t_start
+    return traj.z[-1], time.perf_counter() - t_start
 
 
 def ms_error(spec: ConvergenceSpec) -> OrderReport:
@@ -141,8 +141,7 @@ def ms_error(spec: ConvergenceSpec) -> OrderReport:
     err_x, err_y, err_norm, se_x, se_y, walls = [], [], [], [], [], []
     for dt in spec.dt_list:
         z, wall = _run_final(spec, grid, dt)
-        dx2 = np.sum((z.x - z_ref.x) ** 2, axis=0)   # per-path squared errors
-        dy2 = np.sum((z.y - z_ref.y) ** 2, axis=0)
+        dx2, dy2 = np.sum((z - z_ref) ** 2, axis=1)   # per-path squared errors
         err_x.append(np.sqrt(np.mean(dx2)))
         err_y.append(np.sqrt(np.mean(dy2)))
         err_norm.append(np.sqrt(np.mean(dx2 + dy2)))

@@ -7,9 +7,11 @@ Hamiltonian system in (Q, P).  ``NlsModel`` is that system as a
 ``HamiltonianModel`` with d = n_interior and one noise channel per mode, and
 the scheme is the shared engine applied to it: an F1/F2 composition recipe
 with no restraint stage (gamma = 0, which keeps the discrete charge) and the
-symmetric projection of ``projection_step``.  The lattice state is a
-``PhaseState`` with (x, y) = (Q, P), as for ex1-ex4.  The spatial derivative
-fields are always recomputed from (Q, P); they are never independent state.
+symmetric projection of ``projection_step``.  The lattice state is
+(x, y) = (Q, P), a ``(2, n_interior)`` array in the steps and a
+``PhaseState`` at the run's start and in its trackers, as for ex1-ex4.  The
+spatial derivative fields are always recomputed from (Q, P); they are never
+independent state.
 """
 
 from __future__ import annotations
@@ -136,8 +138,8 @@ RECIPES = {name: CompositionRecipe(stages, ()) for name, stages in {
 }.items()}
 
 
-def nls_step(lattice: NlsLattice, recipe: str, s: PhaseState, incs: np.ndarray, trig: dict,
-             cfg: ProjectionConfig) -> Tuple[PhaseState, ProjectionReport]:
+def nls_step(lattice: NlsLattice, recipe: str, s: np.ndarray, incs: np.ndarray, trig: dict,
+             cfg: ProjectionConfig) -> Tuple[np.ndarray, ProjectionReport]:
     """One projected multi-symplectic step on (x, y) = (Q, P); ``incs`` and
     ``trig`` as in ``projection_step``."""
     if recipe not in RECIPES:
@@ -148,9 +150,10 @@ def nls_step(lattice: NlsLattice, recipe: str, s: PhaseState, incs: np.ndarray, 
 def nls_stepper(lattice: NlsLattice, recipe: str, grid: np.ndarray, cfg: ProjectionConfig,
                 substeps: int) -> Callable:
     """Bind ``nls_step`` to a one-step callable ``(s, step) -> (s', report)``
-    for a run from ``nls_initial(lattice)``; the stage windows and the
-    projection's simplified-Newton matrix are found here, once, and the
-    steps' increments by a ``step_plan``, one block of steps at a time."""
+    on ``(2, n_interior)`` states, for a run from ``nls_initial(lattice)``;
+    the stage windows and the projection's simplified-Newton matrix are
+    found here, once, and the steps' increments by a ``step_plan``, one
+    block of steps at a time."""
     bounds = stage_bounds(RECIPES[recipe], substeps)
     cfg = linearised_config(cfg, lattice.model, RECIPES[recipe], nls_initial(lattice),
                             bounds, grid[0].flat[0])

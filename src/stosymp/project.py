@@ -1,41 +1,30 @@
 """Symmetric projection: semi-explicit symplectic stepping on the original
 phase space.
 
-The lifted state, one ``(4, d[, n_paths])`` array in (x, u, y, v) row order,
-is perturbed by A'lambda, pushed through the extended-space integrator with
-frozen noise, and corrected by the same A'lambda so the result returns to the
-diagonal ker(A), with A = [I -I 0 0; 0 0 I -I].  lambda is found by a
-simplified Newton iteration whose matrix ``linearised_config`` chooses per
-stepper.  For a short lambda (ex1-ex4) it is the chord: each step takes the
-central-difference Jacobian of the projection residual at lambda = 0 in its
-first map call, one matrix per path, and keeps its inverse for the step's
-iterations: the closed form for k <= 2 (ex1, ex2, ex4), LAPACK's for a
-larger k (ex3).  That call stacks the 2k + 1 points on lambda's axis 1, so
-the map must broadcast over them as ``fd_jacobian``'s ``fn`` does.  For a long
-lambda (the lattice, where a per-step Jacobian and its inverse would cost
-more than they save) it is one constant matrix per stepper, the inverse P of
-the Jacobian linearised at the run's initial state at zero noise.  Where the
-cubic term dominates, as on the h = 0.5 lattice at dt = 0.25, P's iteration
-count grows from step to step.  A path stops at the first lambda whose
-update is below the tolerance, without applying that update.  Its lambda
-stays fixed, so later map calls evaluate the path there again: its corrected
-state, defect and residual are read from the last map call, at no extra call.
-Paths the iteration does not solve fall back to ``newton``, full Newton by
-the same per-path inverse.  The implicit baselines take ``chord_newton``:
-the chord from the same ``_chord_start`` on their residual, stopping once
-its norm is below tol; a path whose norm does not decrease, is not finite or
-outlasts ``max_iter`` updates restarts ``newton`` from its start.
+A state (x, y) is one ``(2, d[, n_paths])`` array; ``lift`` doubles it to
+the ``(4, d[, n_paths])`` array (x, u, y, v), which is perturbed by A'lambda,
+pushed through the extended-space integrator with frozen noise, and
+corrected by the same A'lambda so the result returns to the diagonal ker(A),
+with A = [I -I 0 0; 0 0 I -I].  ``project_map`` finds lambda by a simplified
+Newton iteration whose matrix ``linearised_config`` chooses per stepper: the
+per-step chord for a short lambda (ex1-ex4), the constant P for a long one
+(the lattice, where a per-step Jacobian would cost more than it saves; where
+its cubic term dominates, as at h = 0.5 and dt = 0.25, P's iteration count
+grows from step to step).  Paths it does not solve fall back to ``newton``,
+full Newton by the same per-path inverse as the chord's.
 
 A stepper takes each step's increments and F3 rotations from a ``step_plan``,
-which builds them one block of steps at a time.  ``simulate`` is the one
-loop that drives a stepper, one path or a batch; it keeps each step's solver
-numbers in arrays, not its ``ProjectionReport``.
+which builds them one block of steps at a time.  ``simulate``, the one loop
+that drives a stepper, one path or a batch, carries the state from step to
+step as one array and keeps each step's solver numbers in arrays; a
+``PhaseState`` is built only for trackers and for ``Trajectory``'s readers.
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable, Dict, Optional
 
 import numpy as np
@@ -47,20 +36,21 @@ from .splitflow import CompositionRecipe, apply_stages, f3_trig, stage_increment
 FD_STEP = 1e-7  # central-difference step of every Newton Jacobian
 SHORT_LAMBDA = 8  # longest lambda whose projection takes a per-step chord Jacobian
 PLAN_BLOCK = 2**16   # entries (steps x windows x channels x paths) per step-plan block
+_COPIES = np.array([0, 0, 1, 1])   # the rows of (x, y) that make (x, u, y, v)
+_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])   # A' row by row: +x, -u, +y, -v
 
 
 @dataclass(frozen=True)
 class ProjectionConfig:
     """Stopping rule of every implicit solve: the projection iteration, its
     Newton fallback and the implicit baselines.  ``newton_matrix`` is the
-    projection's simplified-Newton matrix P, set through ``linearised_config``
-    by the steppers of a long lambda; None stands for the per-step chord, the
-    inverse of the residual's central-difference Jacobian at lambda = 0 taken
-    in each step's first map call.  A projection path stops at the lambda
-    whose update is below ``tol``, leaving that update unapplied, and its
-    residual there must be at most 10 ``tol``; a ``chord_newton`` or ``newton``
-    path stops once its residual is below ``tol``.  ``max_iter`` bounds each
-    loop on its own: projection iterations, chord updates, Newton steps."""
+    projection's matrix P, set through ``linearised_config`` by the steppers
+    of a long lambda; None stands for the per-step chord.  A projection path
+    stops at the lambda whose update is below ``tol``, leaving that update
+    unapplied, and its residual there must be at most 10 ``tol``; a
+    ``chord_newton`` or ``newton`` path stops once its residual is below
+    ``tol``.  ``max_iter`` bounds each loop on its own: projection
+    iterations, chord updates, Newton steps."""
 
     tol: float = 1e-12
     max_iter: int = 50
@@ -92,18 +82,15 @@ class NoConvergence(RuntimeError):
         self.step = step
 
 
-def lift(z: PhaseState) -> np.ndarray:
-    """Duplicate (x, y) onto the diagonal of the extended space."""
-    s = np.empty((4,) + z.x.shape)
-    s[0] = s[1] = z.x
-    s[2] = s[3] = z.y
-    return s
+def lift(z: np.ndarray) -> np.ndarray:
+    """Duplicate the state (x, y) onto the diagonal of the extended space."""
+    return z.take(_COPIES, axis=0)
 
 
-def restrict(s: np.ndarray) -> PhaseState:
-    """Mean of the two copies; exact on the diagonal and halves the Newton
-    residual off it."""
-    return PhaseState(0.5 * (s[0] + s[1]), 0.5 * (s[2] + s[3]))
+def restrict(s: np.ndarray) -> np.ndarray:
+    """Mean of the two copies, a state (x, y); exact on the diagonal and
+    halves the Newton residual off it."""
+    return 0.5 * (s[0::2] + s[1::2])
 
 
 def _norm(a: np.ndarray) -> np.ndarray:
@@ -118,16 +105,13 @@ def _copy_gap(s: np.ndarray) -> np.ndarray:
 
 
 def _shifted(s: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """s + A'lambda: x and y move by lambda's halves, u and v by their negatives.
-    Points that ``fd_jacobian`` stacks on lambda's axis 1 share one s."""
-    shift = lam.reshape((2, s.shape[1]) + lam.shape[1:])
-    if shift.ndim == s.ndim:
-        out = s.copy()
-    else:
-        out = np.repeat(s[:, :, None], shift.shape[2], axis=2)
-    out[0::2] += shift
-    out[1::2] -= shift
-    return out
+    """s + A'lambda: x and y move by lambda's halves, u and v by their negatives
+    (u + (-l) rounds as u - l).  Points that ``fd_jacobian`` stacks on
+    lambda's axis 1 share one s."""
+    shift = lam.reshape((2, s.shape[1]) + lam.shape[1:]).take(_COPIES, axis=0)
+    if shift.ndim > s.ndim:
+        s = s[:, :, None]
+    return s + (shift.T * _SIGNS).T
 
 
 def _perturbed(map_fn, s0: np.ndarray, lam: np.ndarray):
@@ -160,18 +144,27 @@ def _inverse_t(jac: np.ndarray) -> np.ndarray:
     return inv.transpose(2, 1, 0).reshape(jac.shape)
 
 
+@lru_cache(maxsize=None)
+def _fd_steps(k: int, ndim: int) -> np.ndarray:
+    """``_chord_start``'s steps +FD_STEP e_j, then -FD_STEP e_j (w + (-h) rounds
+    as w - h), on axis 1 of a read-only (k, 2k) array with a unit axis per
+    path axis; one per shape."""
+    e = FD_STEP * np.eye(k)
+    steps = np.concatenate((e, -e), axis=1).reshape((k, 2 * k) + (1,) * (ndim - 1))
+    steps.flags.writeable = False
+    return steps
+
+
 def _chord_start(evaluate: Callable, w: np.ndarray):
     """The residual at ``w`` and ``_inverse_t`` of its central-difference
     Jacobian there, the start of every chord and every ``newton`` iterate,
     from one call of ``evaluate`` -> (output, residual) on 2k + 1 points
-    stacked on ``w``'s axis 1: ``w``, then w + FD_STEP e_j and w - FD_STEP e_j
-    as ``fd_jacobian`` stacks them, so it must broadcast over them as
-    ``fd_jacobian``'s ``fn`` does.  Returns (output, residual at w, matrix)."""
+    stacked on ``w``'s axis 1: ``w``, then ``_fd_steps`` from it as
+    ``fd_jacobian`` stacks them, so it must broadcast over them as
+    ``fd_jacobian``'s ``fn`` does.  Returns (output, residual, matrix)."""
     k = len(w)
-    e = np.zeros((k, k) + w.shape[1:])
-    e[np.arange(k), np.arange(k)] = FD_STEP
     at = w[:, None]
-    out, r = evaluate(np.concatenate((at, at + e, at - e), axis=1))
+    out, r = evaluate(np.concatenate((at, at + _fd_steps(k, w.ndim)), axis=1))
     return out, r[:, 0], _inverse_t((r[:, 1:k + 1] - r[:, k + 1:]) / (2 * FD_STEP))
 
 
@@ -250,8 +243,8 @@ def project_map(map_fn: Callable[[np.ndarray], np.ndarray], s0: np.ndarray,
     # the loop tests squared norms against squared bounds, so it takes no sqrt;
     # lambda's bound grows with the norm of (x, y)
     guard = (1e6 * (1.0 + _norm(s0[0::2].reshape(lam.shape)))) ** 2
-    live = np.ones(guard.shape, dtype=bool)    # still iterating
     done = np.zeros(guard.shape, dtype=bool)   # update below tol, lambda kept
+    live = ~done                               # still iterating
     iterations = 0
 
     chord = cfg.newton_matrix is None
@@ -290,8 +283,8 @@ def project_map(map_fn: Callable[[np.ndarray], np.ndarray], s0: np.ndarray,
             iterations += extra
             corrected, defect, residual = _settled(map_fn(_shifted(s0, lam)), lam)
             solved &= residual <= 10.0 * cfg.tol
-    rep = ProjectionReport(lam, iterations, float(defect.max()), float(residual.max()),
-                           fallback)
+    rep = ProjectionReport(lam, iterations, float(np.maximum.reduce(defect, axis=None)),
+                           float(np.maximum.reduce(residual, axis=None)), fallback)
     if fallback and not solved.all():
         raise NoConvergence("full Newton fallback did not converge", rep)
     return corrected, rep
@@ -329,9 +322,8 @@ def linearised_config(cfg: ProjectionConfig, model: HamiltonianModel,
                       dt_fine: float) -> ProjectionConfig:
     """``cfg`` itself (the per-step chord) for a lambda of length
     ``2 * model.d <= SHORT_LAMBDA`` (ex1-ex4), else ``cfg`` with the stepper's
-    ``linearised_matrix`` P (the lattice): a short lambda's Jacobian costs one
-    map call and a small inverse per step, while the lattice's would cost
-    more per step than P's extra iterations."""
+    ``linearised_matrix`` P (the lattice, whose per-step Jacobian would cost
+    more than P's extra iterations)."""
     if 2 * model.d <= SHORT_LAMBDA:
         return cfg
     return replace(cfg, newton_matrix=linearised_matrix(model, recipe, z0, bounds, dt_fine))
@@ -344,7 +336,7 @@ def linearised_matrix(model: HamiltonianModel, recipe: CompositionRecipe, z0: Ph
     recipe's stages over the windows ``bounds`` at zero noise.  The fixed
     point, and so the scheme, does not depend on it; a singular Jacobian
     raises ``LinAlgError``."""
-    drift = _stage_residual(recipe, model, lift(z0), bounds, dt_fine)
+    drift = _stage_residual(recipe, model, lift(z0.stacked()), bounds, dt_fine)
     return np.linalg.inv(fd_jacobian(drift, np.zeros(2 * model.d), FD_STEP))
 
 
@@ -387,15 +379,16 @@ def step_plan(grid: np.ndarray, substeps: int, bounds: tuple,
             first = step - j
             held[:] = first, *stage_increments(
                 recipe, grid[:, first * substeps:(first + block) * substeps], substeps, bounds)
-        return held[1][j], {i: (c[j], sn[j]) for i, (c, sn) in held[2].items()}
+        trig = held[2]   # no F3 stage: the block's empty dict serves every step
+        return held[1][j], {i: (c[j], sn[j]) for i, (c, sn) in trig.items()} if trig else trig
     return plan
 
 
-def projection_step(model: HamiltonianModel, recipe: CompositionRecipe, z: PhaseState,
+def projection_step(model: HamiltonianModel, recipe: CompositionRecipe, z: np.ndarray,
                     incs: np.ndarray, trig: dict, cfg: ProjectionConfig):
-    """One semi-explicit symplectic step on the original phase space; ``z``
-    may carry a trailing batch axis.  ``incs`` and ``trig`` are the step's
-    entry of a ``step_plan`` of the recipe, frozen for all iterates."""
+    """One semi-explicit symplectic step on the original phase space, from
+    and to a ``(2, d[, n_paths])`` state.  ``incs`` and ``trig`` are the
+    step's entry of a ``step_plan`` of the recipe, frozen for all iterates."""
     corrected, rep = project_map(lambda s: apply_stages(recipe, model, s, incs, trig), lift(z),
                                  cfg, lambda theta: _stage_map(recipe, model, incs, theta))
     return restrict(corrected), rep
@@ -408,34 +401,43 @@ def projection_step(model: HamiltonianModel, recipe: CompositionRecipe, z: Phase
 @dataclass
 class Trajectory:
     times: np.ndarray
-    states: list                      # PhaseState per step, including z0
+    z: np.ndarray                     # (kept, 2, d[, n_paths]): z0 and each step, or the last
     iterations: np.ndarray            # per step; 0 where the stepper reports none
     defect: np.ndarray                # pre-projection, per step; NaN there
     fallback_steps: int = 0           # steps that left the simplified iteration
     tracked: Dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
+    def states(self) -> list:
+        return [PhaseState(z[0], z[1]) for z in self.z]
+
+    @property
     def final(self) -> PhaseState:
-        return self.states[-1]
+        return PhaseState(self.z[-1, 0], self.z[-1, 1])
 
 
 def simulate(stepper: Callable, z0: PhaseState, n_steps: int, dt: float,
              trackers: Optional[Dict[str, Callable]] = None,
              keep_states: bool = True) -> Trajectory:
-    """Drive a one-step map ``stepper(z, step) -> (z', report|None)``.
+    """Drive a one-step map ``stepper(z, step) -> (z', report|None)`` on the
+    ``(2, d[, n_paths])`` state of ``z0``.
 
-    Tracked functionals are evaluated at z0 and after every step, whether or
-    not ``keep_states`` stores the states.  Deterministic given its inputs;
-    NoConvergence is re-raised with the offending step index attached.
+    Tracked functionals are evaluated, on a ``PhaseState``, at z0 and after
+    every step; without ``keep_states`` only the final state is kept.
+    Deterministic given its inputs; NoConvergence is re-raised with the
+    offending step index attached.
     """
     trackers = trackers or {}
     times = dt * np.arange(n_steps + 1)
-    z = z0
-    states = [z0]
+    z = z0.stacked()
+    if keep_states:
+        kept = np.empty((n_steps + 1,) + z.shape)
+        kept[0] = z
     iterations = np.zeros(n_steps, dtype=int)
     defect = np.full(n_steps, np.nan)
     fallback_steps = 0
     series = {name: [fn(z0)] for name, fn in trackers.items()}
+    tracked = [(series[name].append, fn) for name, fn in trackers.items()]
     for n in range(n_steps):
         try:
             z, rep = stepper(z, n)
@@ -443,14 +445,14 @@ def simulate(stepper: Callable, z0: PhaseState, n_steps: int, dt: float,
             err.step = n
             raise
         if keep_states:
-            states.append(z)
+            kept[n + 1] = z
         if rep is not None:
             iterations[n] = rep.iterations
             defect[n] = rep.defect_pre
             fallback_steps += rep.used_fallback
-        for name, fn in trackers.items():
-            series[name].append(fn(z))
-    if not keep_states:
-        states.append(z)
-    return Trajectory(times, states, iterations, defect, fallback_steps,
-                      {k: np.asarray(v) for k, v in series.items()})
+        if tracked:
+            state = PhaseState(z[0], z[1])
+            for append, fn in tracked:
+                append(fn(state))
+    return Trajectory(times, kept if keep_states else z[None], iterations, defect,
+                      fallback_steps, {k: np.asarray(v) for k, v in series.items()})

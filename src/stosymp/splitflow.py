@@ -8,10 +8,8 @@ as one ``(m+1[, n_paths])`` array (row 0 the window length, of either sign);
 the rotation takes the (cos, sin) of its angle, which ``f3_trig`` finds from
 its window's increments.  Each flow returns a new array.  A recipe (Lie,
 Strang, or any user stage list) is applied by ``apply_stages`` over the
-windows of one scheme step; ``stage_increments`` builds the windows
-(``core.grid_windows``) and the (cos, sin) of a block of steps at once, which
-``project.step_plan`` hands out step by step, and ``project`` iterates that
-map in its projection.
+windows of one scheme step, which ``stage_increments`` builds for a block of
+steps at once, with their (cos, sin), for ``project.step_plan``.
 ``symplectic_residual_phase`` checks a map on the original phase space for
 symplecticity at frozen noise.
 """
@@ -27,8 +25,8 @@ import numpy as np
 
 # step_windows is not called here; perfbench/tracing.py patches the name on
 # this module
-from .core import (HamiltonianModel, PhaseState, fd_jacobian, grid_windows, ordered_sum,
-                   step_windows, window_bounds)
+from .core import (HamiltonianModel, fd_jacobian, grid_windows, ordered_sum, step_windows,
+                   window_bounds)
 
 
 class FlowId(enum.Enum):
@@ -190,19 +188,18 @@ def phase_form_matrix(d: int) -> np.ndarray:
 SYMPLECTIC_FD_STEP = 1e-5
 
 
-def symplectic_residual_phase(map_fn: Callable, z) -> float:
+def symplectic_residual_phase(map_fn: Callable, z: np.ndarray) -> float:
     """max |M' J M - J| for the 2d x 2d central-difference Jacobian M, step
-    SYMPLECTIC_FD_STEP, of a map on the original phase space at ``z``, with J
-    the standard matrix of dx^dy; ``map_fn`` takes and returns a PhaseState,
-    and must accept a batch: ``fd_jacobian`` passes its points as one
-    PhaseState of (d, n_points) arrays."""
-    d = z.x.shape[0]
+    SYMPLECTIC_FD_STEP, of a map on the original phase space at the (2, d)
+    state ``z``, with J the standard matrix of dx^dy; ``map_fn`` takes and
+    returns a state array, as a stepper does, and must accept a batch:
+    ``fd_jacobian`` passes its points as one (2, d, n_points) state."""
+    d = z.shape[1]
 
     def vec_map(v):
-        out = map_fn(PhaseState(v[0:d], v[d:2 * d]))
-        return np.concatenate([out.x, out.y])
+        return map_fn(v.reshape((2, d) + v.shape[1:])).reshape(v.shape)
 
-    jac = fd_jacobian(vec_map, np.concatenate([z.x, z.y]), SYMPLECTIC_FD_STEP)
+    jac = fd_jacobian(vec_map, z.reshape(-1), SYMPLECTIC_FD_STEP)
     if not np.all(np.isfinite(jac)):
         raise FloatingPointError("non-finite Jacobian")
     form = phase_form_matrix(d)

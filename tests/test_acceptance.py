@@ -96,8 +96,8 @@ def test_criterion_04_projected_map_symplecticity():
             bounds = stage_bounds(recipe, 2)
             for k in range(50):
                 grid = build_noise_grid(17, k, ex.model.m, 0.01, 2)
-                z = PhaseState(ex.z0.x + scale[name] * rng.standard_normal(ex.model.d),
-                               ex.z0.y + scale[name] * rng.standard_normal(ex.model.d))
+                z = np.stack((ex.z0.x + scale[name] * rng.standard_normal(ex.model.d),
+                              ex.z0.y + scale[name] * rng.standard_normal(ex.model.d)))
 
                 def step(zz):
                     out, _ = projection_step(ex.model, recipe, zz,
@@ -142,12 +142,12 @@ def test_criterion_07_nls_charge_conservation():
     for recipe in ("lie-ab", "strang-ab"):
         bounds = stage_bounds(RECIPES[recipe], 2)
         plan = step_plan(grid, 2, bounds, RECIPES[recipe])
-        s = nls_initial(lat)
-        c0 = charge(s)
+        s = nls_initial(lat).stacked()
+        c0 = charge(PhaseState(*s))
         worst = 0.0
         for n in range(n_steps):
             s, _ = nls_step(lat, recipe, s, *plan(n), cfg)
-            worst = max(worst, abs(charge(s) - c0) / c0)
+            worst = max(worst, abs(charge(PhaseState(*s)) - c0) / c0)
         drifts[recipe] = worst
     ok = all(v <= 1e-8 for v in drifts.values())
     detail = "; ".join(f"{r}: {v:.2e}" for r, v in drifts.items()) + " (limit 1e-8)"
@@ -164,9 +164,9 @@ def test_criterion_08_nls_projected_map_symplecticity():
         grid = build_noise_grid(11, k, lat.modes, 1e-3, 2)
 
         def vec_map(v):
-            out, _ = nls_step(lat, "strang-ab", PhaseState(v[:9], v[9:]),
+            out, _ = nls_step(lat, "strang-ab", v.reshape(2, 9),
                               *step_plan(grid, 2, bounds, RECIPES["strang-ab"])(0), cfg)
-            return np.concatenate([out.x, out.y])
+            return out.reshape(-1)
 
         s0 = nls_initial(lat)
         v0 = np.concatenate([s0.x, s0.y])
@@ -186,8 +186,7 @@ def wall_time(example, scheme, dt, paths=8, reps=3, gamma=0.5):
     stepper = make_stepper(scheme, example, grid, 2, gamma)
     best = np.inf
     for _ in range(reps):
-        z = PhaseState(np.repeat(example.z0.x[:, None], paths, axis=1),
-                       np.repeat(example.z0.y[:, None], paths, axis=1))
+        z = np.repeat(example.z0.stacked()[..., None], paths, axis=-1)
         t0 = time.perf_counter()
         for n in range(n_steps):
             z, _ = stepper(z, n)
@@ -248,10 +247,10 @@ def test_criterion_11_scheme_pairwise_consistency():
     finals = {}
     for scheme in ("ses-sp-1", "ses-sp-2", "midpoint"):
         stepper = make_stepper(scheme, ex, grid, 2, 0.0)
-        z = ex.z0
+        z = ex.z0.stacked()
         for n in range(n_steps):
             z, _ = stepper(z, n)
-        finals[scheme] = np.concatenate([z.x, z.y])
+        finals[scheme] = z.reshape(-1)
     names = sorted(finals)
     worst = max(float(np.max(np.abs(finals[a] - finals[b])))
                 for i, a in enumerate(names) for b in names[i + 1:])
@@ -280,8 +279,8 @@ def test_criterion_12_unit_oracles():
     osc = HamiltonianModel(d=1, m=0, h=(lambda x, y: 0.5 * (x[0] ** 2 + y[0] ** 2),),
                            grad_x=(lambda x, y: x.copy(),),
                            grad_y=(lambda x, y: y.copy(),))
-    z = midpoint_step(osc, PhaseState([1.0], [0.0]), np.array([2.0]))
-    close("Cayley map", [z.x[0], z.y[0]], [0.0, -1.0])
+    z = midpoint_step(osc, np.array([[1.0], [0.0]]), np.array([2.0]))
+    close("Cayley map", z[:, 0], [0.0, -1.0])
 
     silent = HamiltonianModel(d=1, m=1,
                               h=(lambda x, y: x[0] * y[0], lambda x, y: 0.0),
@@ -289,8 +288,8 @@ def test_criterion_12_unit_oracles():
                                       lambda x, y: np.zeros_like(x)),
                               grad_y=(lambda x, y: x.copy(),
                                       lambda x, y: np.zeros_like(x)))
-    z = symplectic_euler_step(silent, PhaseState([1.0], [1.0]), np.array([0.5, 0.0]))
-    close("one-sided Euler map", [z.x[0], z.y[0]], [2.0, 0.5])
+    z = symplectic_euler_step(silent, np.array([[1.0], [1.0]]), np.array([0.5, 0.0]))
+    close("one-sided Euler map", z[:, 0], [2.0, 0.5])
 
     lin = LinearInvariant(np.array([0.2, 0.0]), np.array([-0.3, 0.0]))
     close("linear functional", eval_linear(lin, PhaseState([-1.0, 2.0], [1.0, -1.0])),

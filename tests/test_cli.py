@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 
 import numpy as np
@@ -460,3 +461,23 @@ def test_empty_scheme_list_exit_2(command, tmp_path, capsys):
     assert err.value.code == 2
     assert "expected at least one scheme" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["run", "--example", "ex1", "--dt", "0.01", "--t-end", "0.05", "--out", "run.csv"],
+     {"run.csv": "daddc5d5d2430a13a789921b5664129171eff857404a7aac6dd97ae244d29223"}),
+    (["run", "--example", "ex3", "--scheme", "midpoint", "--dt", "0.01", "--t-end", "0.05",
+      "--out", "run.csv"],
+     {"run.csv": "e35abd7e8945d3b3030695b537bc24e6d3e652ee9f2e28f58e6864d70aa0d8e5"}),
+    (["nls", "--dt", "0.001", "--t-end", "0.003", "--h", "1", "--out", "nls"],
+     {"nls_field.csv": "5e2b915d0c63df36e999f6bf1374fbd684cc31cc84daba2f123810105be4d5bf",
+      "nls_summary.csv": "8351946966c461481b5bad3edaeaeff2c45870ffed86f908463eca03c2f750cf"}),
+])
+def test_csv_bytes_are_pinned(argv, files, tmp_path, monkeypatch):
+    # SHA-256 of each file as the CLI wrote it when the trajectory was a list
+    # of PhaseState and the rows were Python lists; the CSVs formatted from
+    # Trajectory's array must keep every byte
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv) == 0
+    for name, digest in files.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

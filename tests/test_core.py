@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from stosymp import core
@@ -240,3 +241,31 @@ def test_package_exports_resolve():
     namespace = {}
     exec("from stosymp import *", namespace)
     assert all(namespace[name] is getattr(stosymp, name) for name in stosymp.__all__)
+
+
+ORDERED_SUM_LAYOUTS = {"k": lambda k, n: (k,), "k1": lambda k, n: (k, 1),
+                       "kn": lambda k, n: (k, n), "k1n": lambda k, n: (k, 1, n)}
+
+
+@st.composite
+def summands(draw):
+    """An array of 1-12 rows of (), (1,), (n,) or (1, n) with n up to 64, so
+    the row width falls on either side of ordered_sum's 32; its normal
+    entries, drawn from a seed, span magnitudes 1e-8 to 1e8, where the order
+    of the additions shows."""
+    k, n = draw(st.integers(1, 12)), draw(st.integers(1, 64))
+    shape = ORDERED_SUM_LAYOUTS[draw(st.sampled_from(sorted(ORDERED_SUM_LAYOUTS)))](k, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(summands())
+@example(np.full((3, 32), 0.1))   # the widest row that takes np.add.accumulate
+@example(np.full((3, 1, 33), 0.1))   # the narrowest that adds row by row
+def test_ordered_sum_adds_left_to_right(a):
+    want = a[0]
+    for row in a[1:]:
+        want = want + row
+    got = core.ordered_sum(a)
+    assert np.shape(got) == np.shape(want) and np.array_equal(got, want)

@@ -1,12 +1,17 @@
+import cProfile
+import os
+import pstats
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import stosymp
 from stosymp import project
 from stosymp.baseline import midpoint_step
 from stosymp.core import PhaseState, build_noise_grid, ordered_sum
-from stosymp.harness import (FINE_STEPS, ConvergenceSpec, fit_slope, make_stepper, ms_error,
-                             track)
+from stosymp.harness import (FINE_STEPS, SCHEMES, ConvergenceSpec, fit_slope, make_stepper,
+                             ms_error, track)
 from stosymp.modelzoo import get_example
 from stosymp.project import ProjectionConfig, projection_step, simulate
 from stosymp.splitflow import f3_trig, stage_bounds, strang_recipe
@@ -180,3 +185,30 @@ def test_run_across_plan_blocks_matches_per_step_windows(scheme, windows, monkey
         z = run(build_noise_grid(4, p, 1, n * dt, 2 * n), ex.z0, 1)
         assert np.array_equal(got.x[:, p], z.x) and np.array_equal(got.y[:, p], z.y), p
     assert blocks[3:] == [7, 7, 3] * paths
+
+
+# stosymp function calls per step on criterion 10's recipe; they were 63,
+# 79, 33 and 59.2 when each step built its finite-difference directions,
+# summed short rows one Python call per row and stepped on PhaseState
+CALLS_PER_STEP = {"ses-sp-1": 54, "ses-sp-2": 70, "midpoint": 30, "sympeuler": 59}
+
+
+def own_calls_per_step(scheme: str, n: int) -> float:
+    """cProfile's calls into stosymp's own functions per step of ``track`` on
+    ex1 (c 0.1, gamma 0, dt 1e-4): the calls of 2n steps less those of n,
+    over n, so the run's setup cancels.  Calls into numpy are left out, since
+    numpy's Python-level wrappers differ between its versions."""
+    package = os.path.dirname(stosymp.__file__)
+    counts = []
+    for steps in (n, 2 * n):
+        prof = cProfile.Profile()
+        prof.runcall(track, get_example("ex1", c=0.1), scheme, steps * 1e-4, 1e-4,
+                     ["hamiltonian"], seed=1, gamma=0.0)
+        counts.append(sum(stat[1] for (path, _, _), stat in pstats.Stats(prof).stats.items()
+                          if path.startswith(package)))
+    return (counts[1] - counts[0]) / n
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_python_calls_per_step(scheme):
+    assert own_calls_per_step(scheme, 200) <= CALLS_PER_STEP[scheme]

@@ -92,20 +92,19 @@ def zero_grid(modes, n=2):
 
 def test_nls_step_zero_increments_identity():
     lat = build_lattice(-5.0, 5.0, 9, modes=10)
-    s = nls_initial(lat)
+    s = nls_initial(lat).stacked()
     out, rep = nls_step(lat, "strang-ab", s,
                         *step_plan(zero_grid(10), 2, stage_bounds(RECIPES["strang-ab"], 2),
                                    RECIPES["strang-ab"])(0), ProjectionConfig(tol=1e-13))
-    assert np.allclose(out.x, s.x, atol=1e-13)
-    assert np.allclose(out.y, s.y, atol=1e-13)
+    assert np.allclose(out, s, atol=1e-13)
     assert np.allclose(rep.lam, 0.0, atol=1e-13)
 
 
 def test_unknown_recipe_rejected():
     lat = unit_lattice()
     with pytest.raises(KeyError):
-        nls_step(lat, "lie-xy", nls_initial(lat), *step_plan(zero_grid(1), 2, ((0, 2), (0, 2)))(0),
-                 ProjectionConfig())
+        nls_step(lat, "lie-xy", nls_initial(lat).stacked(),
+                 *step_plan(zero_grid(1), 2, ((0, 2), (0, 2)))(0), ProjectionConfig())
 
 
 @pytest.mark.parametrize("recipe", sorted(RECIPES))
@@ -114,10 +113,10 @@ def test_single_step_charge_conservation(recipe):
     g = build_noise_grid(3, 0, 10, 1e-3, 2)
     s = nls_initial(lat)
     c0 = charge(s)
-    out, rep = nls_step(lat, recipe, s,
+    out, rep = nls_step(lat, recipe, s.stacked(),
                         *step_plan(g, 2, stage_bounds(RECIPES[recipe], 2), RECIPES[recipe])(0),
                         ProjectionConfig(tol=1e-13))
-    assert abs(charge(out) - c0) <= 1e-12 * c0
+    assert abs(charge(PhaseState(*out)) - c0) <= 1e-12 * c0
 
 
 def test_projected_step_symplectic():
@@ -128,12 +127,11 @@ def test_projected_step_symplectic():
     s0 = nls_initial(lat)
 
     def vec_map(v):
-        st = PhaseState(v[:9], v[9:])
-        out, _ = nls_step(lat, "strang-ab", st, *step_plan(g, 2, bounds, RECIPES["strang-ab"])(0),
-                          cfg)
-        return np.concatenate([out.x, out.y])
+        out, _ = nls_step(lat, "strang-ab", v.reshape(2, 9),
+                          *step_plan(g, 2, bounds, RECIPES["strang-ab"])(0), cfg)
+        return out.reshape(-1)
 
-    v0 = np.concatenate([s0.x, s0.y])
+    v0 = s0.stacked().reshape(-1)
     n = 18
     jac = np.empty((n, n))
     for j in range(n):
@@ -148,8 +146,8 @@ def test_unprojected_defect_grows_projected_does_not():
     lat = build_lattice(-5.0, 5.0, 9, modes=10)
     n_steps = 50
     g = build_noise_grid(5, 0, 10, n_steps * 1e-2, 2 * n_steps)
-    s = nls_initial(lat)
-    ext = np.stack((s.x, s.x, s.y, s.y))
+    s = nls_initial(lat).stacked()
+    ext = np.stack((s[0], s[0], s[1], s[1]))
     cfg = ProjectionConfig(tol=1e-13)
     recipe = RECIPES["strang-ab"]
     bounds = stage_bounds(recipe, 2)
@@ -219,8 +217,9 @@ def test_stiff_lattice_steps_without_fallback():
     dt = lat.h ** 2
     g = build_noise_grid(0, 0, 10, 4 * dt, 8)
     stepper = nls_stepper(lat, "strang-ab", g, ProjectionConfig(tol=1e-13), 2)
-    s = s0 = nls_initial(lat)
+    s0 = nls_initial(lat)
+    s = s0.stacked()
     for n in range(4):
         s, rep = stepper(s, n)
         assert not rep.used_fallback, n
-    assert abs(charge(s) - charge(s0)) <= 1e-12 * charge(s0)
+    assert abs(charge(PhaseState(*s)) - charge(s0)) <= 1e-12 * charge(s0)

@@ -44,12 +44,12 @@ def one_step_grid(m: int, dt: float, normals) -> np.ndarray:
 
 @st.composite
 def ode_steps(draw, names=tuple(SCALE), gamma=None):
-    """(example, recipe, start state, one-step grid) for a projected ODE step."""
+    """(example, recipe, (2, d) start state, one-step grid) for a projected ODE step."""
     ex = get_example(draw(st.sampled_from(names)))
     d, m = ex.model.d, ex.model.m
     unit = st.floats(-1.0, 1.0)
     offset = np.array(draw(st.lists(unit, min_size=2 * d, max_size=2 * d)))
-    z = PhaseState(ex.z0.x + SCALE[ex.name] * offset[:d], ex.z0.y + SCALE[ex.name] * offset[d:])
+    z = ex.z0.stacked() + SCALE[ex.name] * offset.reshape(2, d)
     g = draw(st.floats(0.0, 0.5)) if gamma is None else gamma
     recipe = draw(st.sampled_from([lie_recipe, strang_recipe]))(np.full(m + 1, g))
     dt = draw(st.floats(1e-3, 1e-2))
@@ -59,11 +59,11 @@ def ode_steps(draw, names=tuple(SCALE), gamma=None):
 
 @st.composite
 def lattice_steps(draw):
-    """(lattice model, recipe, start state, one-step grid) on a 5-node lattice."""
+    """(lattice model, recipe, (2, 5) start state, one-step grid) on a 5-node lattice."""
     lat = build_lattice(-5.0, 5.0, 5, modes=3)
     s0 = nls_initial(lat)
     offset = np.array(draw(st.lists(st.floats(-0.3, 0.3), min_size=10, max_size=10)))
-    z = PhaseState(s0.x + offset[:5], s0.y + offset[5:])
+    z = s0.stacked() + offset.reshape(2, 5)
     recipe = RECIPES[draw(st.sampled_from(sorted(RECIPES)))]
     dt = draw(st.floats(1e-3, 1e-2))
     normals = draw(st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6))
@@ -169,8 +169,8 @@ def test_projected_lattice_step_symplectic(case):
 @given(ode_steps(names=("ex3",), gamma=0.0))
 def test_example3_quadratic_invariant_at_zero_gamma(case):
     ex, recipe, z, grid = case
-    q0 = eval_quadratic(ex.quadratic, z)
-    q1 = eval_quadratic(ex.quadratic, projected(ex.model, recipe, grid)(z))
+    q0 = eval_quadratic(ex.quadratic, PhaseState(*z))
+    q1 = eval_quadratic(ex.quadratic, PhaseState(*projected(ex.model, recipe, grid)(z)))
     assert abs(q1 - q0) <= 1e-12 * max(1.0, abs(q0))
 
 
@@ -178,8 +178,8 @@ def test_example3_quadratic_invariant_at_zero_gamma(case):
 @given(ode_steps(names=("ex3",)))
 def test_example3_linear_invariant(case):
     ex, recipe, z, grid = case
-    l0 = eval_linear(ex.linear, z)
-    l1 = eval_linear(ex.linear, projected(ex.model, recipe, grid)(z))
+    l0 = eval_linear(ex.linear, PhaseState(*z))
+    l1 = eval_linear(ex.linear, PhaseState(*projected(ex.model, recipe, grid)(z)))
     assert abs(l1 - l0) <= 1e-12 * max(1.0, abs(l0))
 
 
@@ -188,8 +188,8 @@ def test_example3_linear_invariant(case):
 def test_lattice_charge(case):
     model, recipe, z, grid = case
     out = projected(model, recipe, grid)(z)
-    c0 = np.sum(z.x * z.x + z.y * z.y)
-    assert abs(np.sum(out.x * out.x + out.y * out.y) - c0) <= 1e-12 * c0
+    c0 = np.sum(z * z)
+    assert abs(np.sum(out * out) - c0) <= 1e-12 * c0
 
 
 @st.composite
@@ -212,8 +212,7 @@ def test_linearised_matrix_keeps_the_fixed_point(case):
     out = projection_step(model, recipe, z,
                           *step_plan(grid, 2, stage_bounds(recipe, 2), recipe)(0), cfg)[0]
     ref = projected(model, recipe, grid)(z)   # the chord on ex1-ex4, P on the lattice
-    assert np.max(np.abs(out.x - ref.x)) <= 10 * CFG.tol
-    assert np.max(np.abs(out.y - ref.y)) <= 10 * CFG.tol
+    assert np.max(np.abs(out - ref)) <= 10 * CFG.tol
 
 
 @PROPERTY
@@ -225,8 +224,7 @@ def test_chord_keeps_the_4i_fixed_point(case):
     ref = projection_step(ex.model, recipe, z,
                           *step_plan(grid, 2, stage_bounds(recipe, 2), recipe)(0), cfg)[0]
     out = projected(ex.model, recipe, grid)(z)
-    assert np.max(np.abs(out.x - ref.x)) <= 10 * CFG.tol
-    assert np.max(np.abs(out.y - ref.y)) <= 10 * CFG.tol
+    assert np.max(np.abs(out - ref)) <= 10 * CFG.tol
 
 
 @pytest.mark.parametrize("substeps", [2, 64])
@@ -238,18 +236,16 @@ def test_batch_columns_equal_single_paths(name, substeps):
     batch_grid = build_noise_grid(3, range(paths), m, t_end, n_steps * substeps)
     for scheme in SCHEMES:
         step = make_stepper(scheme, ex, batch_grid, substeps, 0.2)
-        zb = PhaseState(np.repeat(ex.z0.x[:, None], paths, axis=1),
-                        np.repeat(ex.z0.y[:, None], paths, axis=1))
+        zb = np.repeat(ex.z0.stacked()[..., None], paths, axis=-1)
         for n in range(n_steps):
             zb, _ = step(zb, n)
         for p in range(paths):
             grid = build_noise_grid(3, p, m, t_end, n_steps * substeps)
             step = make_stepper(scheme, ex, grid, substeps, 0.2)
-            z = ex.z0
+            z = ex.z0.stacked()
             for n in range(n_steps):
                 z, _ = step(z, n)
-            assert np.array_equal(zb.x[:, p], z.x) and np.array_equal(zb.y[:, p], z.y), \
-                (scheme, p)
+            assert np.array_equal(zb[..., p], z), (scheme, p)
 
 
 def test_batch_columns_equal_single_paths_through_continuation(monkeypatch):
@@ -266,18 +262,16 @@ def test_batch_columns_equal_single_paths_through_continuation(monkeypatch):
     batch_grid = build_noise_grid(0, range(paths), m, n_steps * dt, 2 * n_steps)
     for scheme in ("ses-sp-1", "ses-sp-2"):
         step = make_stepper(scheme, ex, batch_grid, 2, 0.5, cfg)
-        zb = PhaseState(np.repeat(ex.z0.x[:, None], paths, axis=1),
-                        np.repeat(ex.z0.y[:, None], paths, axis=1))
+        zb = np.repeat(ex.z0.stacked()[..., None], paths, axis=-1)
         for n in range(n_steps):
             zb, _ = step(zb, n)
         for p in range(paths):
             grid = build_noise_grid(0, p, m, n_steps * dt, 2 * n_steps)
             step = make_stepper(scheme, ex, grid, 2, 0.5, cfg)
-            z = ex.z0
+            z = ex.z0.stacked()
             for n in range(n_steps):
                 z, _ = step(z, n)
-            assert np.array_equal(zb.x[:, p], z.x) and np.array_equal(zb.y[:, p], z.y), \
-                (scheme, p)
+            assert np.array_equal(zb[..., p], z), (scheme, p)
     assert calls
 
 
@@ -301,8 +295,8 @@ def plan_cases(draw):
 @example((lie_recipe([0.0, 0.0]), 300, 1, 3, 3, 1, 2))
 def test_step_plan_equals_per_step_sums(case):
     # every planned window and F3 (cos, sin) equals ordered_sum / f3_trig on
-    # the step's own slice: windows above 8 fine steps, where ordered_sum
-    # switches to np.add.accumulate, Lie and Strang, restrained and gamma 0,
+    # the step's own slice: windows of up to 300 fine steps, Lie and Strang,
+    # restrained and gamma 0,
     # blocks of 1 step up to the whole run, and one path, whose angle per
     # step is 0-d (scalar cos and sin), or a batch
     recipe, substeps, m, paths, n_steps, block, seed = case

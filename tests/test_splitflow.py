@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stosymp.core import HamiltonianModel, PhaseState, build_noise_grid
+from stosymp.core import HamiltonianModel, build_noise_grid
 from stosymp import splitflow
 from stosymp.project import _stage_map, step_plan
 from stosymp.splitflow import (CompositionRecipe, FlowId, apply_stages, f3_trig, flow_f1,
@@ -44,12 +44,10 @@ def extended_residual(map_fn, s):
     """``symplectic_residual_phase`` of a map on the doubled state (x, u, y, v)
     at the single-path ``s``, viewed as a phase map on ((x, u), (y, v)): the
     form is dx^dy + du^dv."""
-    def phase_map(z):
-        out = map_fn(np.concatenate([z.x, z.y]).reshape(s.shape + z.x.shape[1:]))
-        return PhaseState(out[0:2].reshape(z.x.shape), out[2:4].reshape(z.y.shape))
+    def phase_map(z):   # rows (x, u) and (y, v) of z are the rows of s
+        return map_fn(z.reshape(s.shape + z.shape[2:])).reshape(z.shape)
 
-    return symplectic_residual_phase(phase_map, PhaseState(s[0:2].reshape(-1),
-                                                           s[2:4].reshape(-1)))
+    return symplectic_residual_phase(phase_map, s.reshape(2, -1))
 
 
 def f3_recipe(gammas):
@@ -182,9 +180,9 @@ def test_symplectic_residual_doubling_map():
 
 
 def test_symplectic_residual_rejects_non_finite_jacobian():
-    z = PhaseState([0.3], [-0.2])
+    z = np.array([[0.3], [-0.2]])
     with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
-        symplectic_residual_phase(lambda zz: PhaseState(zz.x * np.inf, zz.y), z)
+        symplectic_residual_phase(lambda zz: np.stack((zz[0] * np.inf, zz[1])), z)
 
 
 @pytest.mark.parametrize("name", ["ex1", "ex3"])
